@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -68,6 +69,8 @@ def round15(x: float) -> float:
 
 
 def _clean(obj):
+    if type(obj) is int:  # most leaves; t-a can list millions of permutations
+        return obj
     if isinstance(obj, float):
         return round15(obj)
     if isinstance(obj, (np.floating,)):
@@ -164,8 +167,14 @@ def run_measures(spec: AdjacencySpec, args) -> dict:
 
 
 def run_spectrum(spec: AdjacencySpec, args) -> dict:
+    if not 1 <= args.cutoff < math.inf:
+        raise ParseError(f"--cutoff must be finite and >= 1, got {args.cutoff}")
+    if args.output and Path(args.output).suffix == ".csv":
+        raise ParseError(
+            f"--output {args.output} would be overwritten by the eigenvalue CSV"
+        )
     pf = perron_frobenius(spec, tol=args.tol)
-    pairs = spectrum(pf, args.cutoff, threads=getattr(args, "threads", 1))
+    pairs = spectrum(pf, args.cutoff)
     counting = {}
     t = 1
     while t <= args.cutoff:
@@ -320,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="report path (stdout)")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     common(sub.add_parser("pf", help="maximal eigenvalue data"))
     p = sub.add_parser("measures", help="cylinder measures and regularity")

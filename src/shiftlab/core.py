@@ -53,6 +53,10 @@ def word_cap(override: int | None = None) -> int:
     return DEFAULT_WORD_CAP
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -105,14 +109,27 @@ class AdjacencySpec:
 
     @classmethod
     def from_json(cls, text: str) -> "AdjacencySpec":
+        """Parse {"n": int, "a": [[int, ...], ...]}; nothing is coerced."""
         try:
             obj = json.loads(text)
-            n = int(obj["n"])
+            n = obj["n"]
             a = obj["a"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad adjacency JSON: {exc}") from exc
+        if not _is_json_int(n):
+            raise ParseError(f"n must be an integer, got {json.dumps(n)}")
+        if not isinstance(a, list):
+            raise ParseError("a must be a list of rows")
         if len(a) != n:
             raise ParseError(f"matrix has {len(a)} rows, expected n={n}")
+        for i, row in enumerate(a, 1):
+            if not isinstance(row, list) or len(row) != n:
+                raise ParseError(f"row {i} is not a list of {n} entries")
+            for x in row:
+                if not _is_json_int(x):
+                    raise ParseError(
+                        f"entry {json.dumps(x)} in row {i} is not an integer"
+                    )
         return cls.from_matrix(a)
 
     @property

@@ -66,4 +66,4 @@ class NotProjection(ShiftLabError):
 
 
 class ParseError(ShiftLabError):
-    """Input file does not match the adjacency JSON schema."""
+    """Input file or command-line argument does not match its schema."""

@@ -107,31 +107,36 @@ def _ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
     return counts
 
 
-def count_bisections(spec: AdjacencySpec, r_len: int, s_len: int) -> int:
-    """Dynamic-programming count matching :func:`enumerate_bisections`.
+def count_bisections_by_letter(
+    spec: AdjacencySpec, r_len: int, s_len: int
+) -> list[int]:
+    """Number of indices with the given word lengths, per last letter of s.
 
-    Splits on the last letter of r and the last two letters of s; the
-    interior letters contribute ending-count factors.
+    Splits on the last letter a of r and the last two letters c, b of s;
+    the interior letters contribute ending-count factors.  For each b the
+    pairs (a, c) of predecessors of b are counted as a product of two sums
+    minus the clashing pairs a == c.
     """
     if r_len < 0 or s_len < 1:
         raise ValueError("need r_len >= 0 and s_len >= 1")
     n = spec.n
     if r_len == 0:
-        return sum(_ending_counts(spec, s_len))
+        return _ending_counts(spec, s_len)
     r_ends = _ending_counts(spec, r_len)
-    total = 0
+    preds = [[a for a in range(n) if spec.a[a][b]] for b in range(n)]
     if s_len == 1:
-        for a in range(n):
-            total += r_ends[a] * sum(spec.a[a])
-        return total
+        return [sum(r_ends[a] for a in pre) for pre in preds]
     s_inner = _ending_counts(spec, s_len - 1)
-    for a in range(n):
-        for c in range(n):
-            if c == a:
-                continue
-            pair = sum(spec.a[c][b] * spec.a[a][b] for b in range(n))
-            total += r_ends[a] * s_inner[c] * pair
-    return total
+    return [
+        sum(r_ends[a] for a in pre) * sum(s_inner[c] for c in pre)
+        - sum(r_ends[a] * s_inner[a] for a in pre)
+        for pre in preds
+    ]
+
+
+def count_bisections(spec: AdjacencySpec, r_len: int, s_len: int) -> int:
+    """Dynamic-programming count matching :func:`enumerate_bisections`."""
+    return sum(count_bisections_by_letter(spec, r_len, s_len))
 
 
 def bisections_with_length(

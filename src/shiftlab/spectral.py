@@ -16,12 +16,15 @@ Eigenvalues attach to sub-cylinders: the cell C(beta nu) carries
         u[step source] * (1 - P[source, target]),
 with one eigenvector per "child minus one" at each internal node (the Haar
 wavelets).  Each extension step increases the value by (lam - 1) * u[new
-letter], so the value is strictly increasing along extensions; spectrum
-enumeration prunes on that.
+letter], so the value is strictly increasing along extensions and depends
+on the base word only through its last letter; :func:`spectrum` walks the
+letter counts of the extensions once per last letter and prunes on the
+value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +34,15 @@ from .core import (
     PerronFrobeniusData,
     Word,
     conformal_measure,
-    enumerate_words,
     is_admissible,
     word_cap,
 )
 from .errors import LengthOverflow, NotAdmissible, PrefixMismatch
-from .groupoid import BisectionIndex, bisections_up_to, _ending_counts
+from .groupoid import (
+    BisectionIndex,
+    bisections_up_to,
+    count_bisections_by_letter,
+)
 
 
 @dataclass(frozen=True)
@@ -273,25 +279,6 @@ def embed_level(
     return mat
 
 
-def _prefix_count(
-    spec: AdjacencySpec, beta: Word, r_len: int, r_ends: list[int]
-) -> int:
-    """Number of r-words of a length completing ``beta`` to a bisection."""
-    if r_len == 0:
-        return 1
-    n = spec.n
-    last = beta[-1] - 1
-    forbidden = beta[-2] if len(beta) >= 2 else None
-    total = 0
-    for a in range(1, n + 1):
-        if not spec.a[a - 1][last]:
-            continue
-        if forbidden is not None and a == forbidden:
-            continue
-        total += r_ends[a - 1]
-    return total
-
-
 def merge_multiset(
     pairs: list[tuple[float, int]], tol: float = 1e-9
 ) -> list[tuple[float, int]]:
@@ -307,84 +294,86 @@ def merge_multiset(
     return merged
 
 
-def _s_word_eigenvalues(
-    pf: PerronFrobeniusData,
-    beta: Word,
-    r_len: int,
-    r_ends: list[int],
-    cutoff: float,
-    merge_tol: float,
-    limit: int,
-) -> list[tuple[float, int]]:
-    """Kernel and wavelet eigenvalues contributed by one s-word."""
-    spec = pf.spec
-    ell = float(r_len + len(beta))
-    n_prefix = _prefix_count(spec, beta, r_len, r_ends)
-    if n_prefix == 0:
-        return []
-    found = [(ell if len(beta) == 1 else -ell, n_prefix)]
-    stack = [beta]
-    visited = 0
-    while stack:
-        nu = stack.pop()
-        val = eigenvalue_formula(pf, beta, nu)
-        if val + ell > cutoff + merge_tol:
-            continue
-        kids = spec.successors(nu[-1])
-        if len(kids) >= 2:
-            found.append((-(val + ell), (len(kids) - 1) * n_prefix))
-        visited += 1
-        if visited > limit:
-            raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
-        for c in kids:
-            stack.append(nu + (c,))
-    return found
-
-
 def spectrum(
     pf: PerronFrobeniusData,
     cutoff: float,
     merge_tol: float = 1e-9,
     cap: int | None = None,
-    threads: int = 1,
 ) -> list[tuple[float, int]]:
     """All Hamiltonian eigenvalues with |value| <= cutoff, with multiplicity.
 
     |D| dominates the length function, so only indices with
-    r_len + s_len <= cutoff contribute.  Per s-word: the constant gives
-    +/-length (sign by one-letter s); every sub-cylinder cell nu with
-    m >= 2 children gives -(cell value + length) with multiplicity m - 1,
-    scaled by the number of completing r-words.  Cell values are strictly
-    increasing along extensions, which bounds the walk.  Per-s-word walks
-    are independent pure functions; threads > 1 evaluates them in a pool
-    with the same deterministic aggregation order.
+    r_len + s_len <= cutoff contribute.  Per index of length L: the
+    constant gives +L for a one-letter s-word and -L otherwise; every
+    sub-cylinder cell with m >= 2 children gives -(cell value + L) with
+    multiplicity m - 1.
+
+    The cell values inside C(s) depend on s only through its last letter
+    b: a cell reached by appending k_c copies of each letter c has value
+    lam * u[b] + (lam - 1) * sum_c k_c * u[c].  So one walk per letter
+    over states (last letter, k) with integer path counts covers every
+    s-word ending in b, and its multiplicities are scaled by the number of
+    indices of length L whose s-word ends in b.  Values grow along
+    extensions, so the walk is pruned at L = 1.  ``cap`` bounds the total
+    number of walk states.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    if not 1 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and >= 1")
     spec = pf.spec
+    n = spec.n
     limit = word_cap(cap)
-    tasks: list[tuple[Word, int, list[int]]] = []
-    for total_len in range(1, int(np.floor(cutoff + merge_tol)) + 1):
-        for s_len in range(1, total_len + 1):
-            r_len = total_len - s_len
-            r_ends = _ending_counts(spec, r_len) if r_len else []
-            for beta in enumerate_words(spec, s_len, cap):
-                tasks.append((beta, r_len, r_ends))
+    bound = cutoff + merge_tol
+    lam = pf.lambda_max
+    u = [pf.u_of(c) for c in range(1, n + 1)]
+    kids = [[j for j in range(n) if spec.a[i][j]] for i in range(n)]
+    max_len = int(math.floor(bound))
 
-    def work(task):
-        beta, r_len, r_ends = task
-        return _s_word_eigenvalues(
-            pf, beta, r_len, r_ends, cutoff, merge_tol, limit
-        )
+    found: list[tuple[float, int]] = []
+    by_letter = []  # per length L: indices of length L by last letter of s
+    for length in range(1, max_len + 1):
+        per_s_len = [
+            count_bisections_by_letter(spec, length - s_len, s_len)
+            for s_len in range(1, length + 1)
+        ]
+        for val, mult in (
+            (float(length), sum(per_s_len[0])),
+            (-float(length), sum(sum(ends) for ends in per_s_len[1:])),
+        ):
+            if mult:
+                found.append((val, mult))
+        by_letter.append([sum(col) for col in zip(*per_s_len)])
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def value(b: int, k: tuple[int, ...]) -> float:
+        return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u))
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, tasks))
-    else:
-        chunks = [work(t) for t in tasks]
-    found = [pair for chunk in chunks for pair in chunk]
+    root = (0,) * n
+    states = 0
+    for b in range(n):
+        wavelets: dict[tuple[int, ...], int] = {}
+        level = {(b, root): 1} if value(b, root) + 1 <= bound else {}
+        while level:
+            states += len(level)
+            if states > limit:
+                raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
+            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+            for (last, k), paths in level.items():
+                extra = (len(kids[last]) - 1) * paths
+                if extra:
+                    wavelets[k] = wavelets.get(k, 0) + extra
+                for c in kids[last]:
+                    child = k[:c] + (k[c] + 1,) + k[c + 1 :]
+                    if value(b, child) + 1 <= bound:
+                        key = (c, child)
+                        nxt[key] = nxt.get(key, 0) + paths
+            level = nxt
+        for k, mult in wavelets.items():
+            val = value(b, k)
+            for length in range(1, max_len + 1):
+                if val + length > bound:
+                    break
+                weight = by_letter[length - 1][b]
+                if weight:
+                    found.append((-(val + length), mult * weight))
     return merge_multiset(found, merge_tol)
 
 

@@ -117,6 +117,35 @@ class TestErrorPaths:
         path.write_text(json.dumps({"n": 2, "a": [[0, 1], [1, 0]]}))
         assert main(["pf", "--input", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "a": [[1, 1.7], [1, 0]]}',
+            '{"n": 2, "a": [[1, true], [1, 0]]}',
+            '{"n": 2, "a": ["11", [1, 0]]}',
+            '{"n": 2.9, "a": [[1, 1], [1, 0]]}',
+            '{"n": 2, "a": [[1, 1, 1], [1, 0]]}',
+        ],
+        ids=["float-entry", "bool-entry", "string-row", "float-n", "ragged"],
+    )
+    def test_schema_violation_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["pf", "--input", str(path)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["0.5", "nan", "inf"])
+    def test_spectrum_bad_cutoff_exit_two(self, capsys, fib_file, cutoff):
+        assert main(["spectrum", "--input", fib_file, "--cutoff", cutoff]) == 2
+        err = capsys.readouterr().err
+        assert "--cutoff" in err and len(err.strip().splitlines()) == 1
+
+    def test_spectrum_csv_output_path_exit_two(self, tmp_path, capsys, fib_file):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--input", fib_file, "--output", str(out)]) == 2
+        assert "--output" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflow_exit_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "10")
         path = tmp_path / "full.json"

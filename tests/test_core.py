@@ -43,6 +43,11 @@ class TestValidatePrimitive:
         with pytest.raises(NotPrimitive):
             AdjacencySpec.from_matrix([[0, 0], [1, 1]])
 
+    def test_from_matrix_accepts_numpy_integers(self, fib):
+        # the JSON loader is strict; the Python API still takes numpy ints
+        a = np.array([[1, 1], [1, 0]], dtype=np.int8)
+        assert AdjacencySpec.from_matrix(a) == fib
+
 
 class TestPerronFrobenius:
     def test_full_shift_closed_form(self, full3_pf):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
-from shiftlab.groupoid import BisectionIndex
+from shiftlab.groupoid import BisectionIndex, count_bisections
 from shiftlab.spectral import (
     cell_measures,
     embed_level,
@@ -10,8 +10,15 @@ from shiftlab.spectral import (
     level_basis,
     merge_multiset,
 )
-from shiftlab.errors import PrefixMismatch
+from shiftlab.errors import LengthOverflow, PrefixMismatch
+from conftest import UNKNOWN_EXHIBIT
 from oracles import eigenvalue_multiset, shell_delta_values
+
+WIELANDT3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
+
+
+def pf_of(matrix):
+    return sl.perron_frobenius(sl.AdjacencySpec.from_matrix(matrix))
 
 
 class TestDeltaMatrix:
@@ -225,14 +232,39 @@ class TestSpectrum:
             assert pairs[1.0] == n
             assert pairs[2.0] == edges
 
-    def test_matches_dense_oracle(self, fib_pf, full2_pf):
-        for pf in (fib_pf, full2_pf):
+    def test_matches_dense_oracle(self, fib_pf, full2_pf, full3_pf):
+        for pf in (
+            fib_pf,
+            full2_pf,
+            full3_pf,
+            pf_of(UNKNOWN_EXHIBIT),
+            pf_of(WIELANDT3),
+        ):
             fast = sl.spectrum(pf, 3.0)
             dense = sl.spectrum_dense(pf, 3.0)
             assert len(fast) == len(dense)
             for (e1, m1), (e2, m2) in zip(fast, dense):
                 assert abs(e1 - e2) < 1e-9
                 assert m1 == m2
+
+    @pytest.mark.parametrize(
+        "matrix, cutoff",
+        [([[1, 1], [1, 0]], 20), ([[1] * 3] * 3, 8), (UNKNOWN_EXHIBIT, 7)],
+        ids=["fibonacci", "full3", "unknown"],
+    )
+    def test_deep_cutoff_positive_part(self, matrix, cutoff):
+        # only one-letter s-words give positive eigenvalues: +L once per
+        # index of length L, so the positive part is a bisection count
+        pf = pf_of(matrix)
+        positive = {e: m for e, m in sl.spectrum(pf, cutoff) if e > 0}
+        assert positive == {
+            float(length): count_bisections(pf.spec, length - 1, 1)
+            for length in range(1, cutoff + 1)
+        }
+
+    def test_tiny_cap_overflows(self, fib_pf):
+        with pytest.raises(LengthOverflow):
+            sl.spectrum(fib_pf, 5.0, cap=3)
 
     def test_spectral_gap(self, fib_pf, full2_pf):
         # |D| >= 1 on every block: nothing inside (-1, 1)
