@@ -123,6 +123,13 @@ def _word_str(word) -> str:
     return "".join(str(x) for x in word)
 
 
+def _require_positive(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise ParseError(f"--{flag} must be >= 1, got {value}")
+
+
 def run_pf(spec: AdjacencySpec, args) -> dict:
     pf = perron_frobenius(spec, tol=args.tol)
     return {
@@ -137,6 +144,7 @@ def run_pf(spec: AdjacencySpec, args) -> dict:
 
 
 def run_measures(spec: AdjacencySpec, args) -> dict:
+    _require_positive(args, "depth")
     pf = perron_frobenius(spec, tol=args.tol)
     depth = args.depth
     table = {}
@@ -207,6 +215,7 @@ def run_autgroup(spec: AdjacencySpec, args) -> dict:
 
 
 def run_classical_fix(spec: AdjacencySpec, args) -> dict:
+    _require_positive(args, "level")
     rep = classical_fixed_points(spec, args.level)
     return {
         "level": rep.level,
@@ -231,6 +240,7 @@ def run_pattern(spec: AdjacencySpec, args) -> dict:
 
 
 def run_ergodicity(spec: AdjacencySpec, args) -> dict:
+    _require_positive(args, "level")
     pf = perron_frobenius(spec, tol=args.tol)
     verdict = ergodicity_verdict(spec, pf, args.level)
     return {
@@ -254,6 +264,7 @@ def run_t_a(spec: AdjacencySpec, args) -> dict:
 
 
 def run_repmodel(args) -> dict:
+    _require_positive(args, "ell", "size")
     if args.model == "two-projection":
         model = two_projection_magic(args.theta)
     elif args.model == "qls":

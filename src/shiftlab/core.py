@@ -196,65 +196,20 @@ class PerronFrobeniusData:
         return float(self.stoch[i - 1, j - 1])
 
 
-def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Exact integers for a 0/1 matrix (held in float), so Newton refinement
-    does not inherit eigensolver noise.
-    """
-    n = a.shape[0]
-    af = a.astype(float)
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(af)
-    for k in range(1, n + 1):
-        m = af @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(af @ m) / k
-    return coeffs
-
-
 def _null_vector(m: np.ndarray) -> np.ndarray:
     """Unit vector spanning the (numerically) smallest singular direction."""
     _, _, vh = np.linalg.svd(m)
     return vh[-1]
 
 
-def perron_frobenius(
-    spec: AdjacencySpec,
-    tol: float = 1e-9,
-    max_iter: int = 20_000,
-) -> PerronFrobeniusData:
-    """Compute eigendata: power iteration, then Newton on the char poly."""
+def perron_frobenius(spec: AdjacencySpec, tol: float = 1e-9) -> PerronFrobeniusData:
+    """Compute eigendata: one dense eigensolve, SVD null vectors, residual checks."""
     k = validate_primitive(spec)
     a = spec.matrix.astype(float)
     n = spec.n
 
-    x = np.full(n, 1.0 / n)
-    lam = 0.0
-    for it in range(max_iter):
-        y = a @ x
-        lam_new = float(y.sum())  # x normalized to sum 1, entries positive
-        y /= lam_new
-        if abs(lam_new - lam) < 1e-13 and it > 4:
-            lam = lam_new
-            x = y
-            break
-        lam, x = lam_new, y
-    else:
-        raise NonConvergence(f"power iteration did not settle in {max_iter} steps")
-
-    coeffs = _char_poly_coeffs(spec.matrix)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(100):
-        p = float(np.polyval(coeffs, lam))
-        dp = float(np.polyval(dcoeffs, lam))
-        if dp == 0.0:
-            break
-        step = p / dp
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    lambda_max = float(lam)
+    # primitive: every other eigenvalue is smaller in modulus than the Perron root
+    lambda_max = float(np.linalg.eigvals(a).real.max())
     if not lambda_max > 1.0:
         raise NotPrimitive(
             f"maximal eigenvalue {lambda_max} <= 1; matrix cannot be primitive"
@@ -304,16 +259,24 @@ def require_admissible(spec: AdjacencySpec, word: Word) -> None:
         raise NotAdmissible(f"word {word} is not admissible")
 
 
+def ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
+    """Number of admissible words of a length ending at each letter."""
+    counts = [1] * spec.n
+    for _ in range(length - 1):
+        counts = [
+            sum(counts[i] * spec.a[i][j] for i in range(spec.n))
+            for j in range(spec.n)
+        ]
+    return counts
+
+
 def count_words(spec: AdjacencySpec, length: int) -> int:
     """Number of admissible words of the given length (1 for length 0)."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return 1
-    counts = np.ones(spec.n, dtype=object)  # exact integers, no overflow
-    for _ in range(length - 1):
-        counts = spec.matrix.T.astype(object) @ counts
-    return int(counts.sum())
+    return sum(ending_counts(spec, length))
 
 
 def enumerate_words(

@@ -18,7 +18,7 @@ class NotPrimitive(ShiftLabError):
 
 
 class NonConvergence(ShiftLabError):
-    """Eigendata iteration exhausted its budget without converging."""
+    """Perron-Frobenius eigenvector failed its positivity or residual check."""
 
 
 class LengthOverflow(ShiftLabError):

@@ -20,6 +20,7 @@ from .core import (
     AdjacencySpec,
     Word,
     EMPTY_WORD,
+    ending_counts,
     enumerate_words,
     is_admissible,
     word_cap,
@@ -96,17 +97,6 @@ def enumerate_bisections(
     return out
 
 
-def _ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
-    """Number of admissible words of a length ending at each letter."""
-    counts = [1] * spec.n
-    for _ in range(length - 1):
-        counts = [
-            sum(counts[i] * spec.a[i][j] for i in range(spec.n))
-            for j in range(spec.n)
-        ]
-    return counts
-
-
 def count_bisections_by_letter(
     spec: AdjacencySpec, r_len: int, s_len: int
 ) -> list[int]:
@@ -121,12 +111,12 @@ def count_bisections_by_letter(
         raise ValueError("need r_len >= 0 and s_len >= 1")
     n = spec.n
     if r_len == 0:
-        return _ending_counts(spec, s_len)
-    r_ends = _ending_counts(spec, r_len)
+        return ending_counts(spec, s_len)
+    r_ends = ending_counts(spec, r_len)
     preds = [[a for a in range(n) if spec.a[a][b]] for b in range(n)]
     if s_len == 1:
         return [sum(r_ends[a] for a in pre) for pre in preds]
-    s_inner = _ending_counts(spec, s_len - 1)
+    s_inner = ending_counts(spec, s_len - 1)
     return [
         sum(r_ends[a] for a in pre) * sum(s_inner[c] for c in pre)
         - sum(r_ends[a] * s_inner[a] for a in pre)

@@ -34,6 +34,7 @@ from .core import (
 from .errors import Inconsistent, SearchCapExceeded
 from .symmetry import (
     GraphAutomorphism,
+    UnionFind,
     automorphism_group,
     matrix_automorphisms,
 )
@@ -198,26 +199,6 @@ def build_constraints(
     )
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins: keeps class extraction deterministic
-            lo, hi = min(ra, rb), max(ra, rb)
-            self.parent[hi] = lo
-            return lo
-        return ra
-
-
 def propagate(
     system: ConstraintSystem, shuffle_seed: int | None = None
 ) -> PatternMatrix:
@@ -234,7 +215,7 @@ def propagate(
     The result is order-independent; ``shuffle_seed`` only reorders the
     sweep to let tests exercise confluence.
     """
-    uf = _UnionFind(system.var_count)
+    uf = UnionFind(system.var_count)
     state: dict[int, str] = {}
 
     def root_state(x: int) -> str | None:
@@ -501,24 +482,12 @@ class ErgodicityVerdict:
 
 
 def _components(m: int, edge) -> list[list[int]]:
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(m)
     for i in range(m):
         for j in range(i + 1, m):
             if edge(i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    comps: dict[int, list[int]] = {}
-    for i in range(m):
-        comps.setdefault(find(i), []).append(i)
-    return [comps[r] for r in sorted(comps)]
+                uf.union(i, j)
+    return uf.classes()
 
 
 def ergodicity_verdict(

@@ -57,13 +57,33 @@ class GraphAutomorphism:
         return cls(tuple(range(1, n + 1)))
 
 
-def preserves_matrix(a, perm: tuple[int, ...]) -> bool:
-    n = len(perm)
-    return all(
-        a[perm[i] - 1][perm[j] - 1] == a[i][j]
-        for i in range(n)
-        for j in range(n)
-    )
+class UnionFind:
+    """Disjoint sets over 0..size-1; the smaller root wins every union."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # smaller root wins: keeps class extraction deterministic
+            lo, hi = min(ra, rb), max(ra, rb)
+            self.parent[hi] = lo
+            return lo
+        return ra
+
+    def classes(self) -> list[list[int]]:
+        """Members of each class in increasing order, classes by least member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return [out[r] for r in sorted(out)]
 
 
 def matrix_automorphisms(a: list[list[int]]) -> list[tuple[int, ...]]:
@@ -302,26 +322,11 @@ def classical_fixed_points(
     words = enumerate_words(spec, k, cap)
     group = automorphism_group(spec)
     index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    uf = UnionFind(len(words))
     for g in group:
         for w in words:
-            union(index[w], index[g.apply_word(w)])
-    orbit_map: dict[int, list[Word]] = {}
-    for w in words:
-        orbit_map.setdefault(find(index[w]), []).append(w)
-    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+            uf.union(index[w], index[g.apply_word(w)])
+    orbits = tuple(tuple(words[i] for i in c) for c in uf.classes())
 
     cycles = tuple(w for w in words if spec.a[w[-1] - 1][w[0] - 1])
     proper = 0 < len(cycles) < len(words)

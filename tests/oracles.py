@@ -65,3 +65,21 @@ def eigenvalue_multiset(pf, base, depth):
             if len(kids) >= 2:
                 pairs.append((eigenvalue_formula(pf, base, w), len(kids) - 1))
     return merge_multiset(pairs)
+
+
+def dense_perron_frobenius(a):
+    """(lambda, u, v) from numpy's dense eig on A and on A^T.
+
+    Takes the eigenvalue of largest real part and its eigenvectors, scaled
+    (not sign-folded) so u sums to one and u.v == 1; a wrong eigenvector
+    shows up as a non-positive entry.
+    """
+    a = np.asarray(a, dtype=float)
+    w, right = np.linalg.eig(a)
+    k = int(np.argmax(w.real))
+    wt, left = np.linalg.eig(a.T)
+    u = right[:, k].real
+    u = u / u.sum()
+    v = left[:, int(np.argmax(wt.real))].real
+    v = v / (u @ v)
+    return float(w[k].real), u, v

@@ -140,6 +140,32 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--cutoff" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measures", "--depth", "0"],
+            ["classical-fix", "--level", "0"],
+            ["ergodicity", "--level", "-1"],
+            ["ergodicity", "--level", "0"],
+            ["repmodel", "--ell", "0"],
+            ["repmodel", "--size", "0"],
+        ],
+        ids=[
+            "depth",
+            "classical-level",
+            "ergodicity-level-neg",
+            "ergodicity-level",
+            "ell",
+            "size",
+        ],
+    )
+    def test_count_flag_below_one_exit_two(self, capsys, fib_file, argv):
+        if argv[0] != "repmodel":
+            argv = argv + ["--input", fib_file]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err and len(err.strip().splitlines()) == 1
+
     def test_spectrum_csv_output_path_exit_two(self, tmp_path, capsys, fib_file):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--input", fib_file, "--output", str(out)]) == 2

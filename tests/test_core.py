@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
@@ -17,9 +17,43 @@ from shiftlab.errors import (
     NotPrimitive,
     NotZeroOne,
 )
-from oracles import shifted_cylinder_mass
+from oracles import dense_perron_frobenius, shifted_cylinder_mass
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def wielandt(n):
+    """Cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        a[i][i + 1] = 1
+    a[n - 1][0] = a[n - 1][1] = 1
+    return AdjacencySpec.from_matrix(a)
+
+
+def is_primitive(a):
+    """Some boolean power up to the Wielandt bound is strictly positive."""
+    n = len(a)
+    b = np.array(a, dtype=bool)
+    power = b.copy()
+    for _ in range(n * n - 2 * n + 1):
+        if power.all():
+            return True
+        power = (power.astype(int) @ b.astype(int)) > 0
+    return bool(power.all())
+
+
+@st.composite
+def primitive_matrices(draw):
+    """Random 0/1 matrices over a random n-cycle (irreducible), n = 2..12."""
+    n = draw(st.integers(2, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    order = draw(st.permutations(range(n)))
+    a = [[int(bits[i * n + j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        a[order[i]][order[(i + 1) % n]] = 1
+    assume(is_primitive(a))
+    return a
 
 
 class TestValidatePrimitive:
@@ -82,6 +116,26 @@ class TestPerronFrobenius:
         assert fib_pf.lambda_max == pytest.approx(
             float(np.max(eigs.real)), abs=1e-12
         )
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(primitive_matrices())
+    def test_random_primitive_against_dense_oracle(self, mat):
+        pf = sl.perron_frobenius(AdjacencySpec.from_matrix(mat))
+        lam, u, v = dense_perron_frobenius(mat)
+        assert pf.lambda_max == pytest.approx(lam, rel=1e-12)
+        assert (u > 0).all() and (v > 0).all()
+        assert np.allclose(pf.u, u, rtol=1e-9, atol=1e-12)
+        assert np.allclose(pf.v, v, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [19, 24, 48])
+    def test_wielandt_slow_mixing(self, n):
+        # |lambda_2 / lambda_1| -> 1 as n grows, which stalls iterative solvers
+        pf = sl.perron_frobenius(wielandt(n))
+        assert pf.primitivity_exponent == n * n - 2 * n + 2
+        a = pf.spec.matrix.astype(float)
+        assert np.linalg.norm(a @ pf.u - pf.lambda_max * pf.u, np.inf) <= 1e-10
+        assert np.linalg.norm(pf.v @ a - pf.lambda_max * pf.v, np.inf) <= 1e-10
 
     def test_expansion_base_warning(self):
         with pytest.warns(UserWarning):
