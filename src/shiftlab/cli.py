@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_PF_TOL,
     AdjacencySpec,
     ahlfors_profile,
     conformal_measure,
@@ -29,6 +30,7 @@ from .core import (
     kms_value,
     parry_measure,
     perron_frobenius,
+    word_cap,
 )
 from .errors import (
     LengthOverflow,
@@ -53,7 +55,7 @@ from .quantum import (
     propagate,
     t_a_analysis,
 )
-from .spectral import spectrum
+from .spectral import MERGE_TOL, spectrum
 from .symmetry import automorphism_group, classical_fixed_points, generating_set
 
 EXIT_OK = 0
@@ -123,15 +125,13 @@ def _word_str(word) -> str:
     return "".join(str(x) for x in word)
 
 
-def _require_positive(args, *flags: str) -> None:
-    for flag in flags:
-        value = getattr(args, flag)
-        if value < 1:
-            raise ParseError(f"--{flag} must be >= 1, got {value}")
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"--{flag} must be >= 1, got {value}")
 
 
-def run_pf(spec: AdjacencySpec, args) -> dict:
-    pf = perron_frobenius(spec, tol=args.tol)
+def run_pf(spec: AdjacencySpec, tol: float) -> dict:
+    pf = perron_frobenius(spec, tol=tol)
     return {
         "primitivity_exponent": pf.primitivity_exponent,
         "lambda_max": pf.lambda_max,
@@ -143,10 +143,9 @@ def run_pf(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_measures(spec: AdjacencySpec, args) -> dict:
-    _require_positive(args, "depth")
-    pf = perron_frobenius(spec, tol=args.tol)
-    depth = args.depth
+def run_measures(spec: AdjacencySpec, tol: float, depth: int) -> dict:
+    _require_positive("depth", depth)
+    pf = perron_frobenius(spec, tol=tol)
     table = {}
     for m in range(1, depth + 1):
         rows = []
@@ -174,37 +173,39 @@ def run_measures(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_spectrum(spec: AdjacencySpec, args) -> dict:
-    if not 1 <= args.cutoff < math.inf:
-        raise ParseError(f"--cutoff must be finite and >= 1, got {args.cutoff}")
-    if args.output and Path(args.output).suffix == ".csv":
+def run_spectrum(
+    spec: AdjacencySpec, tol: float, cutoff: float, output: str | None
+) -> dict:
+    if not 1 <= cutoff < math.inf:
+        raise ParseError(f"--cutoff must be finite and >= 1, got {cutoff}")
+    if output and Path(output).suffix == ".csv":
         raise ParseError(
-            f"--output {args.output} would be overwritten by the eigenvalue CSV"
+            f"--output {output} would be overwritten by the eigenvalue CSV"
         )
-    pf = perron_frobenius(spec, tol=args.tol)
-    pairs = spectrum(pf, args.cutoff)
+    pf = perron_frobenius(spec, tol=tol)
+    pairs = spectrum(pf, cutoff)
     counting = {}
     t = 1
-    while t <= args.cutoff:
+    while t <= cutoff:
         counting[str(t)] = int(
-            sum(m for e, m in pairs if abs(e) <= t + 1e-9)
+            sum(m for e, m in pairs if abs(e) <= t + MERGE_TOL)
         )
         t += 1
-    if args.output:
-        csv_path = Path(args.output).with_suffix(".csv")
+    if output:
+        csv_path = Path(output).with_suffix(".csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eigenvalue", "multiplicity"])
             for e, m in pairs:
                 writer.writerow([f"{e:.15g}", m])
     return {
-        "cutoff": args.cutoff,
+        "cutoff": cutoff,
         "eigenvalues": [{"value": e, "multiplicity": m} for e, m in pairs],
         "counting_function": counting,
     }
 
 
-def run_autgroup(spec: AdjacencySpec, args) -> dict:
+def run_autgroup(spec: AdjacencySpec) -> dict:
     group = automorphism_group(spec)
     gens = generating_set(group)
     return {
@@ -214,9 +215,9 @@ def run_autgroup(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_classical_fix(spec: AdjacencySpec, args) -> dict:
-    _require_positive(args, "level")
-    rep = classical_fixed_points(spec, args.level)
+def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:
+    _require_positive("level", level)
+    rep = classical_fixed_points(spec, level)
     return {
         "level": rep.level,
         "dimension": rep.dimension,
@@ -226,23 +227,23 @@ def run_classical_fix(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_pattern(spec: AdjacencySpec, args) -> dict:
-    pf = perron_frobenius(spec, tol=args.tol)
-    system = build_constraints(spec, pf, use_pf_rule=not args.no_pf_rule)
+def run_pattern(spec: AdjacencySpec, tol: float, pf_rule: bool) -> dict:
+    pf = perron_frobenius(spec, tol=tol)
+    system = build_constraints(spec, pf, use_pf_rule=pf_rule)
     pattern = propagate(system)
     grids = pattern.grid_strings()
     return {
         "p": grids["p"],
         "q": grids["q"],
         "diagnosis": collapse_report(pattern),
-        "pf_rule": not args.no_pf_rule,
+        "pf_rule": pf_rule,
     }
 
 
-def run_ergodicity(spec: AdjacencySpec, args) -> dict:
-    _require_positive(args, "level")
-    pf = perron_frobenius(spec, tol=args.tol)
-    verdict = ergodicity_verdict(spec, pf, args.level)
+def run_ergodicity(spec: AdjacencySpec, tol: float, level: int) -> dict:
+    _require_positive("level", level)
+    pf = perron_frobenius(spec, tol=tol)
+    verdict = ergodicity_verdict(spec, pf, level)
     return {
         "level": verdict.level,
         "verdict": verdict.verdict,
@@ -254,7 +255,7 @@ def run_ergodicity(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_t_a(spec: AdjacencySpec, args) -> dict:
+def run_t_a(spec: AdjacencySpec) -> dict:
     rep = t_a_analysis(spec)
     return {
         "matrix": rep.matrix,
@@ -263,17 +264,18 @@ def run_t_a(spec: AdjacencySpec, args) -> dict:
     }
 
 
-def run_repmodel(args) -> dict:
-    _require_positive(args, "ell", "size")
-    if args.model == "two-projection":
-        model = two_projection_magic(args.theta)
-    elif args.model == "qls":
-        model = qls_magic(random_qls_vectors(args.size, seed=args.seed))
-    elif args.model == "classical":
-        model = classical_model(tuple(range(1, args.size + 1)))
+def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dict:
+    _require_positive("ell", ell)
+    _require_positive("size", size)
+    if kind == "two-projection":
+        model = two_projection_magic(theta)
+    elif kind == "qls":
+        model = qls_magic(random_qls_vectors(size, seed=seed))
+    elif kind == "classical":
+        model = classical_model(tuple(range(1, size + 1)))
     else:
-        raise ParseError(f"unknown model kind {args.model!r}")
-    rep = relation_check(model, args.ell)
+        raise ParseError(f"unknown model kind {kind!r}")
+    rep = relation_check(model, ell)
     norms = {}
     for i in range(1, model.n + 1):
         for k in range(1, model.n + 1):
@@ -282,7 +284,7 @@ def run_repmodel(args) -> dict:
                     key = f"{i},{k},{l}"
                     norms[key] = normality_element_norm(model, i, k, l)
     return {
-        "model": args.model,
+        "model": kind,
         "grid_size": model.n,
         "leg_dimension": model.dim,
         "relation_defect": rep.max_partial_isometry_defect,
@@ -293,8 +295,9 @@ def run_repmodel(args) -> dict:
     }
 
 
-def run_report(spec: AdjacencySpec, args) -> dict:
+def run_report(spec: AdjacencySpec, tol: float) -> dict:
     """Bundle of all analyses; per-section failures recorded, not fatal."""
+    depth, cutoff, level = 4, 5.0, 3
     bundle: dict = {}
 
     def section(name, fn):
@@ -307,22 +310,14 @@ def run_report(spec: AdjacencySpec, args) -> dict:
                 "message": str(exc),
             }
 
-    class _A:
-        tol = args.tol
-        depth = 4
-        cutoff = 5.0
-        level = 3
-        output = None
-        no_pf_rule = False
-
-    section("pf", lambda: run_pf(spec, _A))
-    section("measures", lambda: run_measures(spec, _A))
-    section("spectrum", lambda: run_spectrum(spec, _A))
-    section("autgroup", lambda: run_autgroup(spec, _A))
-    section("pattern", lambda: run_pattern(spec, _A))
-    section("classical-fix", lambda: run_classical_fix(spec, _A))
-    section("ergodicity", lambda: run_ergodicity(spec, _A))
-    section("t-a", lambda: run_t_a(spec, _A))
+    section("pf", lambda: run_pf(spec, tol))
+    section("measures", lambda: run_measures(spec, tol, depth))
+    section("spectrum", lambda: run_spectrum(spec, tol, cutoff, None))
+    section("autgroup", lambda: run_autgroup(spec))
+    section("pattern", lambda: run_pattern(spec, tol, True))
+    section("classical-fix", lambda: run_classical_fix(spec, level))
+    section("ergodicity", lambda: run_ergodicity(spec, tol, level))
+    section("t-a", lambda: run_t_a(spec))
     return bundle
 
 
@@ -338,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="adjacency JSON path")
         p.add_argument("--output", default=None, help="report path (stdout)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=DEFAULT_PF_TOL)
         p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("pf", help="maximal eigenvalue data"))
@@ -373,16 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command's flags, handed to its handler as plain arguments
 _HANDLERS = {
-    "pf": run_pf,
-    "measures": run_measures,
-    "spectrum": run_spectrum,
-    "autgroup": run_autgroup,
-    "classical-fix": run_classical_fix,
-    "pattern": run_pattern,
-    "ergodicity": run_ergodicity,
-    "t-a": run_t_a,
-    "report": run_report,
+    "pf": lambda spec, a: run_pf(spec, a.tol),
+    "measures": lambda spec, a: run_measures(spec, a.tol, a.depth),
+    "spectrum": lambda spec, a: run_spectrum(spec, a.tol, a.cutoff, a.output),
+    "autgroup": lambda spec, a: run_autgroup(spec),
+    "classical-fix": lambda spec, a: run_classical_fix(spec, a.level),
+    "pattern": lambda spec, a: run_pattern(spec, a.tol, not a.no_pf_rule),
+    "ergodicity": lambda spec, a: run_ergodicity(spec, a.tol, a.level),
+    "t-a": lambda spec, a: run_t_a(spec),
+    "report": lambda spec, a: run_report(spec, a.tol),
 }
 
 
@@ -391,13 +387,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if not 0 < args.tol < math.inf:
+            raise ParseError(f"--tol must be finite and > 0, got {args.tol}")
+        word_cap()  # a malformed ARIADNE_CAP fails here, not in a report section
         if args.command == "repmodel":
-            report = _report("repmodel", None, run_repmodel(args), started)
+            spec = None
+            results = run_repmodel(
+                args.model, args.theta, args.ell, args.size, args.seed
+            )
         else:
             spec = load_spec(args.input)
             results = _HANDLERS[args.command](spec, args)
-            report = _report(args.command, spec, results, started)
-        _emit(report, args.output)
+        _emit(_report(args.command, spec, results, started), args.output)
     except ParseError as exc:
         print(f"shiftlab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -40,17 +40,27 @@ CONFORMAL = "conformal"
 
 DEFAULT_WORD_CAP = 10**6
 
+#: eigenvector residual and entry-comparison tolerance (CLI ``--tol``)
+DEFAULT_PF_TOL = 1e-9
+
+#: shells summed by :func:`ball_kernel_integral` past the ball's own depth
+KERNEL_TAIL_DEPTH = 60
+
 _CAP_ENV = "ARIADNE_CAP"
 
 
-def word_cap(override: int | None = None) -> int:
-    """Effective enumeration cap: explicit override, else env, else default."""
-    if override is not None:
-        return override
+def word_cap() -> int:
+    """Enumeration cap: ``ARIADNE_CAP`` when set, else the default."""
     env = os.environ.get(_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_WORD_CAP
+    if env is None:
+        return DEFAULT_WORD_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0  # rejected below with the other invalid values
+    if cap < 1:
+        raise ParseError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return cap
 
 
 def _is_json_int(x) -> bool:
@@ -183,7 +193,7 @@ class PerronFrobeniusData:
     p_stat: np.ndarray
     stoch: np.ndarray
     d_f: float
-    tol: float = 1e-9
+    tol: float = DEFAULT_PF_TOL
     primitivity_exponent: int = field(default=1, compare=False)
 
     def u_of(self, letter: int) -> float:
@@ -202,7 +212,9 @@ def _null_vector(m: np.ndarray) -> np.ndarray:
     return vh[-1]
 
 
-def perron_frobenius(spec: AdjacencySpec, tol: float = 1e-9) -> PerronFrobeniusData:
+def perron_frobenius(
+    spec: AdjacencySpec, tol: float = DEFAULT_PF_TOL
+) -> PerronFrobeniusData:
     """Compute eigendata: one dense eigensolve, SVD null vectors, residual checks."""
     k = validate_primitive(spec)
     a = spec.matrix.astype(float)
@@ -279,13 +291,11 @@ def count_words(spec: AdjacencySpec, length: int) -> int:
     return sum(ending_counts(spec, length))
 
 
-def enumerate_words(
-    spec: AdjacencySpec, length: int, cap: int | None = None
-) -> list[Word]:
+def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
     """All admissible words of a length, lexicographically sorted."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    limit = word_cap(cap)
+    limit = word_cap()
     total = count_words(spec, length)
     if total > limit:
         raise LengthOverflow(f"{total} words of length {length} exceed cap {limit}")
@@ -358,9 +368,7 @@ def kms_value(pf: PerronFrobeniusData, alpha: Word, beta: Word) -> float:
     return tail / pf.lambda_max ** len(alpha)
 
 
-def ahlfors_profile(
-    pf: PerronFrobeniusData, depth_max: int, cap: int | None = None
-) -> tuple[float, float]:
+def ahlfors_profile(pf: PerronFrobeniusData, depth_max: int) -> tuple[float, float]:
     """Extremes of nu(ball)/radius^d_f over all cylinders of depth <= depth_max.
 
     Balls of radius base^-m are exactly the depth-m cylinders, and
@@ -372,7 +380,7 @@ def ahlfors_profile(
     c_max = 0.0
     for m in range(1, depth_max + 1):
         scale = pf.lambda_max**m
-        for w in enumerate_words(pf.spec, m, cap):
+        for w in enumerate_words(pf.spec, m):
             ratio = parry_measure(pf, w) * scale
             c_min = min(c_min, ratio)
             c_max = max(c_max, ratio)
@@ -387,15 +395,13 @@ def lexmin_extension(spec: AdjacencySpec, word: Word, extra: int) -> Word:
     return tuple(w)
 
 
-def ball_kernel_integral(
-    pf: PerronFrobeniusData, word: Word, s: float, tail_depth: int = 60
-) -> float:
+def ball_kernel_integral(pf: PerronFrobeniusData, word: Word, s: float) -> float:
     """integral over B(x, base^-m) of d(x,y)^-(d_f - s) dmu(y), m = len(word).
 
     x is the lexicographically least infinite extension of ``word``.  The
     integrand is constant on each shell "agrees with x to depth exactly k",
     so the integral is an exact shell sum; the geometric tail beyond
-    tail_depth is discarded (ratio base^-s per level).
+    KERNEL_TAIL_DEPTH shells is discarded (ratio base^-s per level).
     """
     if not word:
         raise ValueError("ball needs a nonempty center word")
@@ -403,33 +409,11 @@ def ball_kernel_integral(
     m = len(word)
     lam = pf.lambda_max
     base = pf.spec.expansion_base
-    x = lexmin_extension(pf.spec, word, tail_depth)
+    x = lexmin_extension(pf.spec, word, KERNEL_TAIL_DEPTH)
     total = 0.0
-    for k in range(m, m + tail_depth):
+    for k in range(m, m + KERNEL_TAIL_DEPTH):
         shell = conformal_measure(pf, x[:k]) - conformal_measure(pf, x[: k + 1])
         # d = base^-k on the shell; d^-(d_f - s) = lam^k * base^(-k s)
         total += lam**k * base ** (-k * s) * shell
     return total
 
-
-def transfer_integral(pf: PerronFrobeniusData, word: Word) -> float:
-    """integral of (Lf) dmu for f the indicator of C(word).
-
-    (Lf)(x) sums f over shift preimages of x; for cylinder indicators the
-    result is again locally constant, and the integral is evaluated by
-    enumerating cylinders at the appropriate depth.
-    """
-    require_admissible(pf.spec, word)
-    if word == EMPTY_WORD:
-        # Lf(x) = #preimages of x = column sum of A at x_1
-        col_sums = pf.spec.matrix.sum(axis=0)
-        return float((col_sums * pf.u).sum())
-    if len(word) == 1:
-        # Lf = indicator weighted by A[word, x_1]
-        return float(
-            sum(
-                pf.spec.a[word[0] - 1][j] * float(pf.u[j])
-                for j in range(pf.spec.n)
-            )
-        )
-    return conformal_measure(pf, word[1:])

@@ -76,21 +76,21 @@ def make_bisection(spec: AdjacencySpec, r: Word, s: Word) -> BisectionIndex:
 
 
 def enumerate_bisections(
-    spec: AdjacencySpec, r_len: int, s_len: int, cap: int | None = None
+    spec: AdjacencySpec, r_len: int, s_len: int
 ) -> list[BisectionIndex]:
     """All indices with the given word lengths, lexicographically sorted."""
     if r_len < 0 or s_len < 1:
         raise ValueError("need r_len >= 0 and s_len >= 1")
-    limit = word_cap(cap)
+    limit = word_cap()
     if count_bisections(spec, r_len, s_len) > limit:
         raise LengthOverflow(
             f"bisection count at ({r_len}, {s_len}) exceeds cap {limit}"
         )
     out = []
-    s_words = enumerate_words(spec, s_len, cap)
+    s_words = enumerate_words(spec, s_len)
     if r_len == 0:
         return [BisectionIndex(EMPTY_WORD, s) for s in s_words]
-    for r in enumerate_words(spec, r_len, cap):
+    for r in enumerate_words(spec, r_len):
         for s in s_words:
             if spec.a[r[-1] - 1][s[-1] - 1] and (s_len == 1 or r[-1] != s[-2]):
                 out.append(BisectionIndex(r, s))
@@ -129,24 +129,20 @@ def count_bisections(spec: AdjacencySpec, r_len: int, s_len: int) -> int:
     return sum(count_bisections_by_letter(spec, r_len, s_len))
 
 
-def bisections_with_length(
-    spec: AdjacencySpec, length: int, cap: int | None = None
-) -> list[BisectionIndex]:
+def bisections_with_length(spec: AdjacencySpec, length: int) -> list[BisectionIndex]:
     """All indices with |r| + |s| == length, ordered by (|r|,|s|) then lex."""
     if length < 1:
         raise ValueError("length must be >= 1")
     out: list[BisectionIndex] = []
     for r_len in range(length):
-        out.extend(enumerate_bisections(spec, r_len, length - r_len, cap))
+        out.extend(enumerate_bisections(spec, r_len, length - r_len))
     return out
 
 
-def bisections_up_to(
-    spec: AdjacencySpec, max_length: int, cap: int | None = None
-) -> list[BisectionIndex]:
+def bisections_up_to(spec: AdjacencySpec, max_length: int) -> list[BisectionIndex]:
     out: list[BisectionIndex] = []
     for length in range(1, max_length + 1):
-        out.extend(bisections_with_length(spec, length, cap))
+        out.extend(bisections_with_length(spec, length))
     return out
 
 
@@ -180,8 +176,3 @@ def support_decomposition(
     s = beta[: len(beta) - w + 1]
     return make_bisection(spec, r, s)
 
-
-def relative_cell(gamma: BisectionIndex, alpha: Word, beta: Word) -> Word:
-    """Extension nu with (alpha, beta) == (r + s_last + nu, s + nu)."""
-    s = gamma.s_word
-    return beta[len(s):]

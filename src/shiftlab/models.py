@@ -25,11 +25,19 @@ from .errors import (
 
 MODEL_TOL = 1e-10
 
+# random_qls_vectors: polar-fit sweeps per attempt, the biunitary residual
+# they must reach, the overlap every unforced vector pair must exceed, and
+# the number of seeded attempts
+QLS_SWEEPS = 400
+QLS_TOL = 1e-12
+QLS_MIN_OVERLAP = 1e-3
+QLS_ATTEMPTS = 20
 
-def _is_projection(p: np.ndarray, tol: float = MODEL_TOL) -> bool:
+
+def _is_projection(p: np.ndarray) -> bool:
     return (
-        np.linalg.norm(p - p.conj().T, 2) <= tol
-        and np.linalg.norm(p @ p - p, 2) <= tol
+        np.linalg.norm(p - p.conj().T, 2) <= MODEL_TOL
+        and np.linalg.norm(p @ p - p, 2) <= MODEL_TOL
     )
 
 
@@ -44,7 +52,7 @@ class MagicUnitaryModel:
     def entry(self, i: int, j: int) -> np.ndarray:
         return self.entries[i - 1, j - 1]
 
-    def validate(self, tol: float = MODEL_TOL) -> float:
+    def validate(self) -> float:
         """Largest constraint residual; raises when above tolerance."""
         worst = 0.0
         eye = np.eye(self.dim)
@@ -60,8 +68,8 @@ class MagicUnitaryModel:
             worst = max(
                 worst, np.linalg.norm(self.entries[:, i].sum(axis=0) - eye, 2)
             )
-        if worst > tol:
-            raise NotBiunitary(f"model residual {worst:.3e} above {tol:.0e}")
+        if worst > MODEL_TOL:
+            raise NotBiunitary(f"model residual {worst:.3e} above {MODEL_TOL:.0e}")
         return float(worst)
 
 
@@ -101,7 +109,7 @@ def classical_model(perm: tuple[int, ...]) -> MagicUnitaryModel:
     return MagicUnitaryModel(n=n, dim=1, entries=entries)
 
 
-def qls_magic(vectors: np.ndarray, tol: float = MODEL_TOL) -> MagicUnitaryModel:
+def qls_magic(vectors: np.ndarray) -> MagicUnitaryModel:
     """Rank-one model from a grid of vectors with orthonormal rows/columns."""
     vectors = np.asarray(vectors, dtype=complex)
     n = vectors.shape[0]
@@ -110,63 +118,40 @@ def qls_magic(vectors: np.ndarray, tol: float = MODEL_TOL) -> MagicUnitaryModel:
     eye = np.eye(n)
     for i in range(n):
         row = vectors[i]  # rows of this matrix are the vectors xi_{i,.}
-        if np.linalg.norm(row @ row.conj().T - eye, 2) > tol:
+        if np.linalg.norm(row @ row.conj().T - eye, 2) > MODEL_TOL:
             raise NotBiunitary(f"row {i + 1} is not orthonormal")
         col = vectors[:, i]
-        if np.linalg.norm(col @ col.conj().T - eye, 2) > tol:
+        if np.linalg.norm(col @ col.conj().T - eye, 2) > MODEL_TOL:
             raise NotBiunitary(f"column {i + 1} is not orthonormal")
     entries = np.einsum("ija,ijb->ijab", vectors, vectors.conj())
     model = MagicUnitaryModel(n=n, dim=n, entries=entries)
-    model.validate(max(tol, MODEL_TOL))
+    model.validate()
     return model
 
 
-def fourier_qls_vectors(n: int) -> np.ndarray:
-    """Shift-modulate grid of a flat chirp: orthonormal rows and columns.
-
-    For even n the quadratic chirp exp(i pi k^2 / n) is flat in both
-    position and frequency, so its translates (row index) and modulates
-    (column index) form a vector grid with orthonormal rows and columns.
-    """
-    k = np.arange(n)
-    v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
-    vectors = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            vectors[a, b] = np.roll(v, a) * np.exp(2j * np.pi * b * k / n)
-    return vectors
-
-
-def random_qls_vectors(
-    n: int,
-    seed: int = 0,
-    sweeps: int = 400,
-    tol: float = 1e-12,
-    min_overlap: float = 1e-3,
-    attempts: int = 20,
-) -> np.ndarray:
+def random_qls_vectors(n: int, seed: int = 0) -> np.ndarray:
     """Seeded random biunitary grid via alternating row/column polar fits.
 
     Rejection: retry until the alternation converges and every pair of
     vectors not forced orthogonal (same row or column) overlaps by more
-    than ``min_overlap``.
+    than ``QLS_MIN_OVERLAP``.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(QLS_ATTEMPTS):
         grid = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
-        for _ in range(sweeps):
+        for _ in range(QLS_SWEEPS):
             for i in range(n):
                 grid[i] = _nearest_unitary(grid[i])
             for j in range(n):
                 grid[:, j] = _nearest_unitary(grid[:, j])
-            if _biunitary_residual(grid) < tol:
+            if _biunitary_residual(grid) < QLS_TOL:
                 break
-        if _biunitary_residual(grid) >= tol:
+        if _biunitary_residual(grid) >= QLS_TOL:
             continue
-        if _min_free_overlap(grid) > min_overlap:
+        if _min_free_overlap(grid) > QLS_MIN_OVERLAP:
             return grid
     raise NotBiunitary(
-        f"no generic biunitary grid found in {attempts} seeded attempts"
+        f"no generic biunitary grid found in {QLS_ATTEMPTS} seeded attempts"
     )
 
 
@@ -217,9 +202,6 @@ class WordOperator:
     ) -> "WordOperator":
         items = tuple(sorted((k, np.asarray(v, dtype=complex)) for k, v in legs.items()))
         return cls(dim=dim, shift_power=shift_power, legs=items)
-
-    def leg_map(self) -> dict[int, np.ndarray]:
-        return {k: v for k, v in self.legs}
 
     @property
     def is_tensor(self) -> bool:
@@ -363,23 +345,14 @@ def normality_element_norm(
     return float(np.linalg.norm(prod, 2))
 
 
-def halmos_lemma_check(
-    v: np.ndarray, w: np.ndarray, tol: float = 1e-10
-) -> bool:
+def halmos_lemma_check(v: np.ndarray, w: np.ndarray) -> bool:
     """Whether [vw = wv] and [vwv = wvwv] agree (they must, always)."""
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     for name, p in (("v", v), ("w", w)):
-        if not _is_projection(p, tol):
-            raise NotProjection(f"{name} is not a projection at {tol:.0e}")
-    commute = np.linalg.norm(v @ w - w @ v, 2) <= tol
-    sandwich = np.linalg.norm(v @ w @ v - w @ v @ w @ v, 2) <= tol
+        if not _is_projection(p):
+            raise NotProjection(f"{name} is not a projection at {MODEL_TOL:.0e}")
+    commute = np.linalg.norm(v @ w - w @ v, 2) <= MODEL_TOL
+    sandwich = np.linalg.norm(v @ w @ v - w @ v @ w @ v, 2) <= MODEL_TOL
     return commute == sandwich
 
-
-def random_projection(
-    dim: int, rank: int, rng: np.random.Generator
-) -> np.ndarray:
-    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    q, _ = np.linalg.qr(m)
-    return q @ q.conj().T

@@ -19,7 +19,6 @@ resulting graphs decides ergodicity of the level-k action.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,6 +52,9 @@ UNKNOWN = "Unknown"
 
 DUAL_FREE_GROUP = "DualFreeGroup"
 INDETERMINATE = "Indeterminate"
+
+#: largest alphabet whose n^2-letter flip-intertwiner group is searched
+T_A_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,9 @@ class PatternMatrix:
 @dataclass(frozen=True)
 class ConstraintSystem:
     spec: AdjacencySpec
-    pf: PerronFrobeniusData
     # each equation: (lhs var ids, lhs const, rhs var ids, rhs const)
     equations: tuple[tuple[tuple[int, ...], int, tuple[int, ...], int], ...]
     pre_zero: tuple[int, ...]
-    use_pf_rule: bool = True
 
     @property
     def var_count(self) -> int:
@@ -155,6 +155,12 @@ def _p_var(n: int, i: int, j: int) -> int:
 
 def _q_var(n: int, i: int, j: int) -> int:
     return n * n + i * n + j
+
+
+def _u_differs(pf: PerronFrobeniusData, i: int, j: int) -> bool:
+    """Whether eigenvector entries i and j (0-based) differ at ``pf.tol``."""
+    ui, uj = float(pf.u[i]), float(pf.u[j])
+    return abs(ui - uj) > pf.tol * max(1.0, ui, uj)
 
 
 def build_constraints(
@@ -183,25 +189,15 @@ def build_constraints(
             eqs.append((lhs, 0, rhs, 0))
     pre: list[int] = []
     if use_pf_rule:
-        tol = pf.tol
         for i in range(n):
             for j in range(n):
-                ui, uj = float(pf.u[i]), float(pf.u[j])
-                if abs(ui - uj) > tol * max(1.0, abs(ui), abs(uj)):
+                if _u_differs(pf, i, j):
                     pre.append(_p_var(n, i, j))
                     pre.append(_q_var(n, i, j))
-    return ConstraintSystem(
-        spec=spec,
-        pf=pf,
-        equations=tuple(eqs),
-        pre_zero=tuple(pre),
-        use_pf_rule=use_pf_rule,
-    )
+    return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=tuple(pre))
 
 
-def propagate(
-    system: ConstraintSystem, shuffle_seed: int | None = None
-) -> PatternMatrix:
+def propagate(system: ConstraintSystem) -> PatternMatrix:
     """Least fixed point of the forcing rules.
 
     Per equation, after substituting knowns and cancelling shared classes:
@@ -212,8 +208,7 @@ def propagate(
       * a lone class on each side merges the two classes when the scalars
         agree, and forces a (One, Zero) split when they differ by one;
       * scalar-against-scalar disagreement is a contradiction.
-    The result is order-independent; ``shuffle_seed`` only reorders the
-    sweep to let tests exercise confluence.
+    The result does not depend on the order of ``system.equations``.
     """
     uf = UnionFind(system.var_count)
     state: dict[int, str] = {}
@@ -251,14 +246,10 @@ def propagate(
     for var in system.pre_zero:
         assign(var, ZERO)
 
-    equations = list(system.equations)
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(equations)
-
     changed = True
     while changed:
         changed = False
-        for lhs, lc, rhs, rc in equations:
+        for lhs, lc, rhs, rc in system.equations:
             lconst, lfree = lc, Counter()
             for v in lhs:
                 st = root_state(v)
@@ -417,10 +408,7 @@ def classical_witness(
 
 
 def word_support(
-    pattern: PatternMatrix,
-    pf: PerronFrobeniusData,
-    k: int,
-    cap: int | None = None,
+    pattern: PatternMatrix, pf: PerronFrobeniusData, k: int
 ) -> SupportPattern:
     """Level-k support states for all pairs of admissible words.
 
@@ -430,20 +418,12 @@ def word_support(
     inadmissible word are identically zero and never indexed.
     """
     spec = pf.spec
-    words = enumerate_words(spec, k, cap)
+    words = enumerate_words(spec, k)
     idx = {w: i for i, w in enumerate(words)}
     m = len(words)
-    tol = pf.tol
-
-    def position_zero(a: int, b: int) -> bool:
-        if pattern.p_state(a, b).is_zero:
-            return True
-        ua, ub = pf.u_of(a), pf.u_of(b)
-        return abs(ua - ub) > tol * max(1.0, ua, ub)
-
     zero_pos = [
-        [position_zero(a, b) for b in range(1, spec.n + 1)]
-        for a in range(1, spec.n + 1)
+        [pattern.p[a][b].is_zero or _u_differs(pf, a, b) for b in range(spec.n)]
+        for a in range(spec.n)
     ]
     states = [[POSSIBLE] * m for _ in range(m)]
     for i, mu in enumerate(words):
@@ -491,11 +471,7 @@ def _components(m: int, edge) -> list[list[int]]:
 
 
 def ergodicity_verdict(
-    spec: AdjacencySpec,
-    pf: PerronFrobeniusData,
-    k: int,
-    cap: int | None = None,
-    use_pf_rule: bool = True,
+    spec: AdjacencySpec, pf: PerronFrobeniusData, k: int
 ) -> ErgodicityVerdict:
     """Level-k verdict from support-graph connectivity.
 
@@ -507,8 +483,8 @@ def ergodicity_verdict(
     F would need a vanishing certified coefficient, which is absurd.
     Everything in between stays Unknown.
     """
-    pattern = propagate(build_constraints(spec, pf, use_pf_rule))
-    support = word_support(pattern, pf, k, cap)
+    pattern = propagate(build_constraints(spec, pf))
+    support = word_support(pattern, pf, k)
     words = support.words
     m = len(words)
 
@@ -549,11 +525,11 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
     return np.kron(a.T, a) @ flip
 
 
-def t_a_analysis(spec: AdjacencySpec, cap_n: int = 6) -> TAReport:
+def t_a_analysis(spec: AdjacencySpec) -> TAReport:
     """Commuting permutations of the flip-intertwiner, by backtracking."""
-    if spec.n > cap_n:
+    if spec.n > T_A_MAX_N:
         raise SearchCapExceeded(
-            f"n = {spec.n} exceeds the n <= {cap_n} permutation-search cap"
+            f"n = {spec.n} exceeds the n <= {T_A_MAX_N} permutation-search cap"
         )
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())

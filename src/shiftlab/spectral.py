@@ -44,6 +44,9 @@ from .groupoid import (
     count_bisections_by_letter,
 )
 
+#: eigenvalues closer than this are one eigenvalue; also the cutoff slack
+MERGE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LevelBasis:
@@ -61,16 +64,14 @@ class LevelBasis:
         return [self.base + nu for nu in self.cells]
 
 
-def level_basis(
-    spec: AdjacencySpec, base: Word, depth: int, cap: int | None = None
-) -> LevelBasis:
+def level_basis(spec: AdjacencySpec, base: Word, depth: int) -> LevelBasis:
     if not base:
         raise NotAdmissible("level basis needs a nonempty base word")
     if not is_admissible(spec, base):
         raise NotAdmissible(f"base {base} is not admissible")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    limit = word_cap(cap)
+    limit = word_cap()
     cells: list[Word] = [()]
     for _ in range(depth):
         nxt = []
@@ -131,9 +132,7 @@ def _common_prefix_length(a: Word, b: Word) -> int:
     return w
 
 
-def delta_matrix(
-    pf: PerronFrobeniusData, base: Word, depth: int, cap: int | None = None
-) -> OperatorBlock:
+def delta_matrix(pf: PerronFrobeniusData, base: Word, depth: int) -> OperatorBlock:
     """Laplacian block on the level-``depth`` space over C(base).
 
     Diagonal entries come from :func:`eigenvalue_formula` minus the
@@ -143,9 +142,9 @@ def delta_matrix(
     recomputes the same action from sub-cylinders at extra depth.
     """
     if depth < 1:
-        basis = level_basis(pf.spec, base, 0, cap)
+        basis = level_basis(pf.spec, base, 0)
         return OperatorBlock(basis, np.zeros((1, 1)), "delta")
-    basis = level_basis(pf.spec, base, depth, cap)
+    basis = level_basis(pf.spec, base, depth)
     words = basis.full_words()
     mu = cell_measures(pf, basis)
     root_mu = np.sqrt(mu)
@@ -192,7 +191,7 @@ class WaveletVector:
 
 
 def wavelet_basis(
-    pf: PerronFrobeniusData, base: Word, depth: int, cap: int | None = None
+    pf: PerronFrobeniusData, base: Word, depth: int
 ) -> list[WaveletVector]:
     """Haar wavelets spanning the mean-zero part of the level-``depth`` space.
 
@@ -206,7 +205,7 @@ def wavelet_basis(
     spec = pf.spec
     out: list[WaveletVector] = []
     for t in range(depth):
-        nodes = level_basis(spec, base, t, cap)
+        nodes = level_basis(spec, base, t)
         for nu in nodes.cells:
             word = base + nu
             children = tuple(word + (c,) for c in spec.successors(word[-1]))
@@ -237,10 +236,7 @@ def wavelet_basis(
 
 
 def dirac_block(
-    pf: PerronFrobeniusData,
-    gamma: BisectionIndex,
-    depth: int,
-    cap: int | None = None,
+    pf: PerronFrobeniusData, gamma: BisectionIndex, depth: int
 ) -> OperatorBlock:
     """Hamiltonian block over one bisection at a level depth.
 
@@ -249,7 +245,7 @@ def dirac_block(
     and is zero otherwise.
     """
     ell = float(gamma.length_L)
-    delta = delta_matrix(pf, gamma.s_word, depth, cap)
+    delta = delta_matrix(pf, gamma.s_word, depth)
     s = delta.matrix
     size = delta.basis.size
     if gamma.is_fock:
@@ -262,31 +258,12 @@ def dirac_block(
     return OperatorBlock(delta.basis, _lock(mat), "dirac", bisection=gamma)
 
 
-def embed_level(
-    pf: PerronFrobeniusData, coarse: LevelBasis, fine: LevelBasis
-) -> np.ndarray:
-    """Isometric inclusion of level-d coefficients into level-(d+k)."""
-    if fine.base != coarse.base or fine.depth < coarse.depth:
-        raise ValueError("fine basis must refine the coarse one")
-    mat = np.zeros((fine.size, coarse.size))
-    coarse_index = {nu: i for i, nu in enumerate(coarse.cells)}
-    for j, nu in enumerate(fine.cells):
-        i = coarse_index[nu[: coarse.depth]]
-        ratio = conformal_measure(pf, fine.base + nu) / conformal_measure(
-            pf, coarse.base + nu[: coarse.depth]
-        )
-        mat[j, i] = np.sqrt(ratio)
-    return mat
-
-
-def merge_multiset(
-    pairs: list[tuple[float, int]], tol: float = 1e-9
-) -> list[tuple[float, int]]:
-    """Cluster (value, multiplicity) pairs whose values agree within tol."""
+def merge_multiset(pairs: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Cluster (value, multiplicity) pairs whose values agree within MERGE_TOL."""
     pairs = sorted(pairs)
     merged: list[tuple[float, int]] = []
     for val, mult in pairs:
-        if merged and val - merged[-1][0] <= tol:
+        if merged and val - merged[-1][0] <= MERGE_TOL:
             old_val, old_mult = merged[-1]
             merged[-1] = (old_val, old_mult + mult)
         else:
@@ -294,12 +271,7 @@ def merge_multiset(
     return merged
 
 
-def spectrum(
-    pf: PerronFrobeniusData,
-    cutoff: float,
-    merge_tol: float = 1e-9,
-    cap: int | None = None,
-) -> list[tuple[float, int]]:
+def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     """All Hamiltonian eigenvalues with |value| <= cutoff, with multiplicity.
 
     |D| dominates the length function, so only indices with
@@ -314,15 +286,15 @@ def spectrum(
     over states (last letter, k) with integer path counts covers every
     s-word ending in b, and its multiplicities are scaled by the number of
     indices of length L whose s-word ends in b.  Values grow along
-    extensions, so the walk is pruned at L = 1.  ``cap`` bounds the total
-    number of walk states.
+    extensions, so the walk is pruned at L = 1.  The enumeration cap bounds
+    the total number of walk states.
     """
     if not 1 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and >= 1")
     spec = pf.spec
     n = spec.n
-    limit = word_cap(cap)
-    bound = cutoff + merge_tol
+    limit = word_cap()
+    bound = cutoff + MERGE_TOL
     lam = pf.lambda_max
     u = [pf.u_of(c) for c in range(1, n + 1)]
     kids = [[j for j in range(n) if spec.a[i][j]] for i in range(n)]
@@ -374,32 +346,28 @@ def spectrum(
                 weight = by_letter[length - 1][b]
                 if weight:
                     found.append((-(val + length), mult * weight))
-    return merge_multiset(found, merge_tol)
+    return merge_multiset(found)
 
 
-def spectrum_dense(
-    pf: PerronFrobeniusData,
-    cutoff: float,
-    merge_tol: float = 1e-9,
-    cap: int | None = None,
-) -> list[tuple[float, int]]:
+def spectrum_dense(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     """Brute-force check of :func:`spectrum` by per-block diagonalization."""
+    bound = cutoff + MERGE_TOL
     found: list[tuple[float, int]] = []
-    for gamma in bisections_up_to(pf.spec, int(np.floor(cutoff + merge_tol)), cap):
+    for gamma in bisections_up_to(pf.spec, int(np.floor(bound))):
         ell = gamma.length_L
         depth = 1
         while True:
-            frontier = level_basis(pf.spec, gamma.s_word, depth, cap)
+            frontier = level_basis(pf.spec, gamma.s_word, depth)
             vals = [
                 eigenvalue_formula(pf, gamma.s_word, gamma.s_word + nu)
                 for nu in frontier.cells
             ]
-            if min(vals) + ell > cutoff + merge_tol:
+            if min(vals) + ell > bound:
                 break
             depth += 1
-        block = dirac_block(pf, gamma, depth, cap)
+        block = dirac_block(pf, gamma, depth)
         eigs = np.linalg.eigvalsh(block.matrix)
         for e in eigs:
-            if abs(e) <= cutoff + merge_tol:
+            if abs(e) <= bound:
                 found.append((float(e), 1))
-    return merge_multiset(found, merge_tol)
+    return merge_multiset(found)

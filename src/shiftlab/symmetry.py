@@ -193,12 +193,9 @@ class TruncationBasis:
 
 
 def truncation_basis(
-    spec: AdjacencySpec,
-    gammas: list[BisectionIndex],
-    depth: int,
-    cap: int | None = None,
+    spec: AdjacencySpec, gammas: list[BisectionIndex], depth: int
 ) -> TruncationBasis:
-    bases = [level_basis(spec, g.s_word, depth, cap) for g in gammas]
+    bases = [level_basis(spec, g.s_word, depth) for g in gammas]
     offsets = []
     total = 0
     for b in bases:
@@ -228,7 +225,6 @@ def isometry_unitary(
     spec: AdjacencySpec,
     gammas: list[BisectionIndex],
     depth: int,
-    cap: int | None = None,
 ) -> np.ndarray:
     """Matrix of the isometry on a truncation.
 
@@ -238,7 +234,7 @@ def isometry_unitary(
     inadmissible are sent to zero (their generator monomial vanishes);
     admissible images must stay inside the listed truncation.
     """
-    trunc = truncation_basis(spec, gammas, depth, cap)
+    trunc = truncation_basis(spec, gammas, depth)
     pi = iso.perm
     mat = np.zeros((trunc.size, trunc.size), dtype=complex)
     for g_idx, gamma in enumerate(trunc.gammas):
@@ -265,15 +261,12 @@ def isometry_unitary(
 
 
 def dirac_truncation(
-    pf: PerronFrobeniusData,
-    gammas: list[BisectionIndex],
-    depth: int,
-    cap: int | None = None,
+    pf: PerronFrobeniusData, gammas: list[BisectionIndex], depth: int
 ) -> np.ndarray:
-    trunc = truncation_basis(pf.spec, gammas, depth, cap)
+    trunc = truncation_basis(pf.spec, gammas, depth)
     mat = np.zeros((trunc.size, trunc.size))
     for g_idx, gamma in enumerate(trunc.gammas):
-        block = dirac_block(pf, gamma, depth, cap)
+        block = dirac_block(pf, gamma, depth)
         off = trunc.offsets[g_idx]
         end = off + trunc.bases[g_idx].size
         mat[off:end, off:end] = block.matrix
@@ -281,16 +274,12 @@ def dirac_truncation(
 
 
 def commutation_residual(
-    iso: ClassicalIsometry,
-    pf: PerronFrobeniusData,
-    cutoff: float,
-    depth: int = 1,
-    cap: int | None = None,
+    iso: ClassicalIsometry, pf: PerronFrobeniusData, cutoff: float
 ) -> float:
-    """Operator norm of [U, D] on the invariant truncation up to cutoff."""
-    gammas = bisections_up_to(pf.spec, int(cutoff), cap)
-    u = isometry_unitary(iso, pf.spec, gammas, depth, cap)
-    d = dirac_truncation(pf, gammas, depth, cap)
+    """Operator norm of [U, D] on the level-1 truncation up to cutoff."""
+    gammas = bisections_up_to(pf.spec, int(cutoff))
+    u = isometry_unitary(iso, pf.spec, gammas, 1)
+    d = dirac_truncation(pf, gammas, 1)
     return float(np.linalg.norm(u @ d - d @ u, 2))
 
 
@@ -307,9 +296,7 @@ class FixedPointReport:
         return self.witness_proper
 
 
-def classical_fixed_points(
-    spec: AdjacencySpec, k: int, cap: int | None = None
-) -> FixedPointReport:
+def classical_fixed_points(spec: AdjacencySpec, k: int) -> FixedPointReport:
     """Fixed diagonal projections of the classical action at word length k.
 
     Phases act trivially on diagonal projections, so the fixed-point
@@ -319,7 +306,7 @@ def classical_fixed_points(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    words = enumerate_words(spec, k, cap)
+    words = enumerate_words(spec, k)
     group = automorphism_group(spec)
     index = {w: i for i, w in enumerate(words)}
     uf = UnionFind(len(words))
@@ -338,18 +325,3 @@ def classical_fixed_points(
         witness_proper=proper,
     )
 
-
-def sample_phase_vectors(n: int) -> list[tuple[complex, ...]]:
-    """Deterministic unimodular samples used by the residual suite."""
-    roots = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, np.exp(2.0j * np.pi / 7.0)]
-    vectors = []
-    for k, z in enumerate(roots):
-        vec = tuple(z ** ((i + k) % 3 + 1) for i in range(n))
-        vectors.append(tuple(v / abs(v) for v in vec))
-    return vectors
-
-
-def swap_permutation(n: int, i: int, j: int) -> GraphAutomorphism:
-    perm = list(range(1, n + 1))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return GraphAutomorphism(tuple(perm))

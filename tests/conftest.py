@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from shiftlab import AdjacencySpec, perron_frobenius
+from shiftlab.symmetry import GraphAutomorphism
 
 FIBONACCI = [[1, 1], [1, 0]]
 
@@ -13,6 +15,44 @@ UNKNOWN_EXHIBIT = [
     [0, 1, 0, 1],
     [1, 0, 0, 1],
 ]
+
+
+def sample_phase_vectors(n):
+    """Deterministic unimodular samples used by the residual suite."""
+    roots = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, np.exp(2.0j * np.pi / 7.0)]
+    vectors = []
+    for k, z in enumerate(roots):
+        vec = tuple(z ** ((i + k) % 3 + 1) for i in range(n))
+        vectors.append(tuple(v / abs(v) for v in vec))
+    return vectors
+
+
+def swap_permutation(n, i, j):
+    perm = list(range(1, n + 1))
+    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+    return GraphAutomorphism(tuple(perm))
+
+
+def fourier_qls_vectors(n):
+    """Shift-modulate grid of a flat chirp: orthonormal rows and columns.
+
+    For even n the quadratic chirp exp(i pi k^2 / n) is flat in both
+    position and frequency, so its translates (row index) and modulates
+    (column index) form a vector grid with orthonormal rows and columns.
+    """
+    k = np.arange(n)
+    v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
+    vectors = np.zeros((n, n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            vectors[a, b] = np.roll(v, a) * np.exp(2j * np.pi * b * k / n)
+    return vectors
+
+
+def random_projection(dim, rank, rng):
+    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    q, _ = np.linalg.qr(m)
+    return q @ q.conj().T
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ enumeration, staying off the code paths they check.
 
 import numpy as np
 
-from shiftlab.core import conformal_measure
+from shiftlab.core import EMPTY_WORD, conformal_measure, require_admissible
 from shiftlab.spectral import _common_prefix_length, level_basis
 
 
@@ -83,3 +83,47 @@ def dense_perron_frobenius(a):
     v = left[:, int(np.argmax(wt.real))].real
     v = v / (u @ v)
     return float(w[k].real), u, v
+
+
+def transfer_integral(pf, word):
+    """integral of (Lf) dmu for f the indicator of C(word).
+
+    (Lf)(x) sums f over shift preimages of x; for cylinder indicators the
+    result is again locally constant, and the integral is evaluated by
+    enumerating cylinders at the appropriate depth.
+    """
+    require_admissible(pf.spec, word)
+    if word == EMPTY_WORD:
+        # Lf(x) = #preimages of x = column sum of A at x_1
+        col_sums = pf.spec.matrix.sum(axis=0)
+        return float((col_sums * pf.u).sum())
+    if len(word) == 1:
+        # Lf = indicator weighted by A[word, x_1]
+        return float(
+            sum(
+                pf.spec.a[word[0] - 1][j] * float(pf.u[j])
+                for j in range(pf.spec.n)
+            )
+        )
+    return conformal_measure(pf, word[1:])
+
+
+def embed_level(pf, coarse, fine):
+    """Isometric inclusion of level-d coefficients into level-(d+k)."""
+    if fine.base != coarse.base or fine.depth < coarse.depth:
+        raise ValueError("fine basis must refine the coarse one")
+    mat = np.zeros((fine.size, coarse.size))
+    coarse_index = {nu: i for i, nu in enumerate(coarse.cells)}
+    for j, nu in enumerate(fine.cells):
+        i = coarse_index[nu[: coarse.depth]]
+        ratio = conformal_measure(pf, fine.base + nu) / conformal_measure(
+            pf, coarse.base + nu[: coarse.depth]
+        )
+        mat[j, i] = np.sqrt(ratio)
+    return mat
+
+
+def relative_cell(gamma, alpha, beta):
+    """Extension nu with (alpha, beta) == (r + s_last + nu, s + nu)."""
+    s = gamma.s_word
+    return beta[len(s):]

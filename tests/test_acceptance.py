@@ -10,17 +10,12 @@ import numpy as np
 
 import shiftlab as sl
 from shiftlab.models import (
-    random_projection,
     random_qls_vectors,
     qls_magic,
     two_projection_magic,
 )
-from shiftlab.symmetry import (
-    ClassicalIsometry,
-    generating_set,
-    sample_phase_vectors,
-    swap_permutation,
-)
+from shiftlab.symmetry import ClassicalIsometry, generating_set
+from conftest import random_projection, sample_phase_vectors, swap_permutation
 from oracles import eigenvalue_multiset, shifted_cylinder_mass
 
 FIB = [[1, 1], [1, 0]]

@@ -140,6 +140,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--cutoff" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_exit_two(self, capsys, fib_file, tol):
+        assert main(["pf", "--input", fib_file, "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "cap, command",
+        [("abc", "measures"), ("1.5", "measures"), ("0", "measures"), ("-3", "report")],
+    )
+    def test_bad_cap_env_exit_two(self, capsys, monkeypatch, fib_file, cap, command):
+        # report must not file the error under each section and exit 0
+        monkeypatch.setenv("ARIADNE_CAP", cap)
+        assert main([command, "--input", fib_file]) == 2
+        err = capsys.readouterr().err
+        assert "ARIADNE_CAP" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

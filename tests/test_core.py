@@ -6,18 +6,18 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.core import (
-    AdjacencySpec,
-    lexmin_extension,
-    transfer_integral,
-)
+from shiftlab.core import AdjacencySpec, lexmin_extension
 from shiftlab.errors import (
     LengthOverflow,
     NotAdmissible,
     NotPrimitive,
     NotZeroOne,
 )
-from oracles import dense_perron_frobenius, shifted_cylinder_mass
+from oracles import (
+    dense_perron_frobenius,
+    shifted_cylinder_mass,
+    transfer_integral,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -166,9 +166,10 @@ class TestWords:
                 np.linalg.matrix_power(a, k - 1).sum()
             )
 
-    def test_cap_overflow(self, full2):
+    def test_cap_overflow(self, full2, monkeypatch):
+        monkeypatch.setenv("ARIADNE_CAP", "1000")
         with pytest.raises(LengthOverflow):
-            sl.enumerate_words(full2, 30, cap=1000)
+            sl.enumerate_words(full2, 30)
 
 
 class TestMeasures:

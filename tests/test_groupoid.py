@@ -5,9 +5,9 @@ from shiftlab.groupoid import (
     BisectionIndex,
     bisections_with_length,
     common_suffix_length,
-    relative_cell,
 )
 from shiftlab.errors import LastLetterMismatch
+from oracles import relative_cell
 
 
 class TestMembership:

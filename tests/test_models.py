@@ -4,10 +4,8 @@ import pytest
 import shiftlab as sl
 from shiftlab.models import (
     classical_model,
-    fourier_qls_vectors,
     generator_operator,
     qls_magic,
-    random_projection,
     random_qls_vectors,
     two_projection_magic,
     word_operator,
@@ -18,6 +16,7 @@ from shiftlab.errors import (
     NotBiunitary,
     NotProjection,
 )
+from conftest import fourier_qls_vectors, random_projection
 
 
 @pytest.fixture(scope="module")

@@ -5,14 +5,13 @@ import shiftlab as sl
 from shiftlab.groupoid import BisectionIndex, count_bisections
 from shiftlab.spectral import (
     cell_measures,
-    embed_level,
     eigenvalue_formula,
     level_basis,
     merge_multiset,
 )
 from shiftlab.errors import LengthOverflow, PrefixMismatch
 from conftest import UNKNOWN_EXHIBIT
-from oracles import eigenvalue_multiset, shell_delta_values
+from oracles import embed_level, eigenvalue_multiset, shell_delta_values
 
 WIELANDT3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
 
@@ -262,9 +261,10 @@ class TestSpectrum:
             for length in range(1, cutoff + 1)
         }
 
-    def test_tiny_cap_overflows(self, fib_pf):
+    def test_tiny_cap_overflows(self, fib_pf, monkeypatch):
+        monkeypatch.setenv("ARIADNE_CAP", "3")
         with pytest.raises(LengthOverflow):
-            sl.spectrum(fib_pf, 5.0, cap=3)
+            sl.spectrum(fib_pf, 5.0)
 
     def test_spectral_gap(self, fib_pf, full2_pf):
         # |D| >= 1 on every block: nothing inside (-1, 1)
@@ -275,4 +275,4 @@ class TestSpectrum:
 
     def test_merge_multiset(self):
         pairs = [(1.0, 1), (1.0 + 5e-10, 2), (2.0, 1)]
-        assert merge_multiset(pairs, 1e-9) == [(1.0, 3), (2.0, 1)]
+        assert merge_multiset(pairs) == [(1.0, 3), (2.0, 1)]

@@ -8,11 +8,10 @@ from shiftlab.symmetry import (
     GraphAutomorphism,
     generating_set,
     isometry_unitary,
-    sample_phase_vectors,
-    swap_permutation,
     truncation_basis,
 )
 from shiftlab.errors import NotClosed
+from conftest import sample_phase_vectors, swap_permutation
 
 
 def identity_iso(n):
