@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -73,10 +74,8 @@ def round15(x: float) -> float:
 def _clean(obj):
     if type(obj) is int:  # most leaves; t-a can list millions of permutations
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return round15(obj)
-    if isinstance(obj, (np.floating,)):
-        return round15(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, complex):
@@ -276,13 +275,11 @@ def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dic
     else:
         raise ParseError(f"unknown model kind {kind!r}")
     rep = relation_check(model, ell)
-    norms = {}
-    for i in range(1, model.n + 1):
-        for k in range(1, model.n + 1):
-            for l in range(1, model.n + 1):
-                if len({i, k, l}) == 3 and model.n >= 4:
-                    key = f"{i},{k},{l}"
-                    norms[key] = normality_element_norm(model, i, k, l)
+    norms = {
+        f"{i},{k},{l}": normality_element_norm(model, i, k, l)
+        for i, k, l in itertools.permutations(range(1, model.n + 1), 3)
+        if model.n >= 4
+    }
     return {
         "model": kind,
         "grid_size": model.n,
@@ -389,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 < args.tol < math.inf:
             raise ParseError(f"--tol must be finite and > 0, got {args.tol}")
+        if args.seed < 0:
+            raise ParseError(f"--seed must be >= 0, got {args.seed}")
         word_cap()  # a malformed ARIADNE_CAP fails here, not in a report section
         if args.command == "repmodel":
             spec = None

@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +44,9 @@ DEFAULT_PF_TOL = 1e-9
 
 #: shells summed by :func:`ball_kernel_integral` past the ball's own depth
 KERNEL_TAIL_DEPTH = 60
+
+#: ultrametric base: d(x, y) = base^-(common prefix), dimension log_base lambda
+EXPANSION_BASE = 2.0
 
 _CAP_ENV = "ARIADNE_CAP"
 
@@ -75,16 +77,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjacencySpec:
-    """Primitive 0/1 transition matrix with alphabet size ``n``.
-
-    ``expansion_base`` is the base of the ultrametric; every spectral
-    quantity depends on it only through base**dim == lambda_max, so it is
-    recorded for distance reporting and never enters the numerics.
-    """
+    """Primitive 0/1 transition matrix with alphabet size ``n``."""
 
     n: int
     a: tuple[tuple[int, ...], ...]
-    expansion_base: float = 2.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -101,17 +97,11 @@ class AdjacencySpec:
         for j in range(self.n):
             if not any(row[j] for row in self.a):
                 raise NotPrimitive(f"column {j + 1} has no incoming edge")
-        if self.expansion_base <= 1.0:
-            warnings.warn(
-                f"expansion base {self.expansion_base} <= 1 gives a "
-                "non-contracting metric; stored as-is",
-                stacklevel=2,
-            )
 
     @classmethod
-    def from_matrix(cls, a, expansion_base: float = 2.0) -> "AdjacencySpec":
+    def from_matrix(cls, a) -> "AdjacencySpec":
         rows = tuple(tuple(int(x) for x in row) for row in a)
-        return cls(n=len(rows), a=rows, expansion_base=expansion_base)
+        return cls(n=len(rows), a=rows)
 
     @classmethod
     def full_shift(cls, n: int) -> "AdjacencySpec":
@@ -163,18 +153,28 @@ class AdjacencySpec:
 
 
 def validate_primitive(spec: AdjacencySpec) -> int:
-    """Minimal k with A^k strictly positive; Wielandt bounds the search."""
-    a = spec.matrix
+    """Minimal k with A^k strictly positive; Wielandt bounds the search.
+
+    A has no zero column (``AdjacencySpec`` rejects one), so A^k > 0 gives
+    A^(k+1) = A^k A > 0: boolean squares A^(2^i) decide primitivity, and
+    binary lifting over them finds the least k.
+    """
     bound = spec.n * spec.n - 2 * spec.n + 2
-    power = a.copy()
-    for k in range(1, bound + 1):
-        if (power > 0).all():
-            return k
-        # boolean semiring keeps entries in {0,1}; integer powers overflow
-        power = ((power @ a) > 0).astype(np.int64)
-    raise NotPrimitive(
-        f"no power up to the Wielandt bound {bound} is strictly positive"
-    )
+    # squares[i] is A^(2^i) over 0/1; float products count <= n paths, exactly
+    squares = [spec.matrix.astype(float)]
+    while not squares[-1].all():
+        if 2 ** (len(squares) - 1) >= bound:
+            raise NotPrimitive(
+                f"no power up to the Wielandt bound {bound} is strictly positive"
+            )
+        squares.append((squares[-1] @ squares[-1] > 0).astype(float))
+    # largest non-positive power: A^0 = I, then add each bit that keeps it so
+    below, exponent = np.eye(spec.n), 0
+    for i in range(len(squares) - 2, -1, -1):
+        power = (below @ squares[i] > 0).astype(float)
+        if not power.all():
+            below, exponent = power, exponent + 2**i
+    return exponent + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +193,8 @@ class PerronFrobeniusData:
     p_stat: np.ndarray
     stoch: np.ndarray
     d_f: float
-    tol: float = DEFAULT_PF_TOL
-    primitivity_exponent: int = field(default=1, compare=False)
+    tol: float
+    primitivity_exponent: int
 
     def u_of(self, letter: int) -> float:
         return float(self.u[letter - 1])
@@ -243,7 +243,7 @@ def perron_frobenius(
 
     stoch = spec.matrix * u[None, :] / (lambda_max * u[:, None])
     p_stat = u * v
-    d_f = math.log(lambda_max) / math.log(spec.expansion_base)
+    d_f = math.log(lambda_max) / math.log(EXPANSION_BASE)
 
     return PerronFrobeniusData(
         spec=spec,
@@ -293,10 +293,8 @@ def count_words(spec: AdjacencySpec, length: int) -> int:
 
 def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
     """All admissible words of a length, lexicographically sorted."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
     limit = word_cap()
-    total = count_words(spec, length)
+    total = count_words(spec, length)  # raises ValueError on length < 0
     if total > limit:
         raise LengthOverflow(f"{total} words of length {length} exceed cap {limit}")
     if length == 0:
@@ -408,12 +406,11 @@ def ball_kernel_integral(pf: PerronFrobeniusData, word: Word, s: float) -> float
     require_admissible(pf.spec, word)
     m = len(word)
     lam = pf.lambda_max
-    base = pf.spec.expansion_base
     x = lexmin_extension(pf.spec, word, KERNEL_TAIL_DEPTH)
     total = 0.0
     for k in range(m, m + KERNEL_TAIL_DEPTH):
         shell = conformal_measure(pf, x[:k]) - conformal_measure(pf, x[: k + 1])
         # d = base^-k on the shell; d^-(d_f - s) = lam^k * base^(-k s)
-        total += lam**k * base ** (-k * s) * shell
+        total += lam**k * EXPANSION_BASE ** (-k * s) * shell
     return total
 

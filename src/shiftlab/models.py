@@ -12,7 +12,8 @@ commute exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -194,7 +195,7 @@ class WordOperator:
 
     dim: int
     shift_power: int
-    legs: tuple[tuple[int, np.ndarray], ...] = field(default=())
+    legs: tuple[tuple[int, np.ndarray], ...]
 
     @classmethod
     def from_legs(
@@ -283,7 +284,7 @@ def relation_check(model: MagicUnitaryModel, ell: int) -> RelationReport:
     worst_pi = 0.0
     checked = 0
     for m in range(1, ell + 1):
-        words = _all_tuples(n, m)
+        words = list(product(range(1, n + 1), repeat=m))
         for mu in words:
             for nu in words:
                 x = word_operator(model, mu, nu)
@@ -323,13 +324,6 @@ def relation_check(model: MagicUnitaryModel, ell: int) -> RelationReport:
         max_unitarity_defect=worst_uni,
         words_checked=checked,
     )
-
-
-def _all_tuples(n: int, length: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        out = [w + (c,) for w in out for c in range(1, n + 1)]
-    return out
 
 
 def normality_element_norm(

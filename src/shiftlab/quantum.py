@@ -33,7 +33,7 @@ from .core import (
 from .errors import Inconsistent, SearchCapExceeded
 from .symmetry import (
     GraphAutomorphism,
-    UnionFind,
+    _word_orbits,
     automorphism_group,
     matrix_automorphisms,
 )
@@ -55,6 +55,35 @@ INDETERMINATE = "Indeterminate"
 
 #: largest alphabet whose n^2-letter flip-intertwiner group is searched
 T_A_MAX_N = 6
+
+
+class UnionFind:
+    """Disjoint sets over 0..size-1; the smaller root wins every union."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # smaller root wins: keeps class extraction deterministic
+            lo, hi = min(ra, rb), max(ra, rb)
+            self.parent[hi] = lo
+            return lo
+        return ra
+
+    def classes(self) -> list[list[int]]:
+        """Members of each class in increasing order, classes by least member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return [out[r] for r in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -414,7 +443,8 @@ def word_support(
 
     CertainZero when some position holds a Zero variable (or distinct
     eigenvector entries, which force one); CertifiedNonzero on a classical
-    witness; Possible otherwise.  Pairs mixing an admissible with an
+    witness, i.e. when the two words share an automorphism orbit;
+    Possible otherwise.  Pairs mixing an admissible with an
     inadmissible word are identically zero and never indexed.
     """
     spec = pf.spec
@@ -437,15 +467,17 @@ def word_support(
                 if states[i][j] != CERTAIN_ZERO:
                     states[i][j] = CERTIFIED_NONZERO
     else:
-        for g in automorphism_group(spec):
-            for j, nu in enumerate(words):
-                i = idx[g.apply_word(nu)]
-                if states[i][j] == CERTAIN_ZERO:
-                    raise Inconsistent(
-                        "witnessed pair was forced to zero; "
-                        "propagation is unsound"
-                    )
-                states[i][j] = CERTIFIED_NONZERO
+        # some automorphism maps nu to mu exactly when they share an orbit
+        for orbit in _word_orbits(spec, words):
+            members = [idx[w] for w in orbit]
+            for i in members:
+                for j in members:
+                    if states[i][j] == CERTAIN_ZERO:
+                        raise Inconsistent(
+                            "witnessed pair was forced to zero; "
+                            "propagation is unsound"
+                        )
+                    states[i][j] = CERTIFIED_NONZERO
 
     return SupportPattern(
         level=k,
@@ -458,7 +490,7 @@ def word_support(
 class ErgodicityVerdict:
     verdict: str  # ErgodicCertified | NonErgodic | Unknown
     level: int
-    witness: tuple[Word, ...] | None = None
+    witness: tuple[Word, ...] | None
 
 
 def _components(m: int, edge) -> list[list[int]]:

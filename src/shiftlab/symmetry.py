@@ -57,35 +57,6 @@ class GraphAutomorphism:
         return cls(tuple(range(1, n + 1)))
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1; the smaller root wins every union."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins: keeps class extraction deterministic
-            lo, hi = min(ra, rb), max(ra, rb)
-            self.parent[hi] = lo
-            return lo
-        return ra
-
-    def classes(self) -> list[list[int]]:
-        """Members of each class in increasing order, classes by least member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return [out[r] for r in sorted(out)]
-
-
 def matrix_automorphisms(a: list[list[int]]) -> list[tuple[int, ...]]:
     """Backtracking search with in/out-degree pruning over any 0/1 matrix."""
     n = len(a)
@@ -283,6 +254,20 @@ def commutation_residual(
     return float(np.linalg.norm(u @ d - d @ u, 2))
 
 
+def _word_orbits(spec: AdjacencySpec, words: list[Word]) -> list[tuple[Word, ...]]:
+    """Automorphism orbits of sorted words: each unseen word is the least
+    member of a new orbit, its image set (#orbits * |G| images in all)."""
+    group = automorphism_group(spec)
+    seen: set[Word] = set()
+    orbits: list[tuple[Word, ...]] = []
+    for w in words:
+        if w not in seen:
+            orbit = tuple(sorted({g.apply_word(w) for g in group}))
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     level: int
@@ -307,13 +292,7 @@ def classical_fixed_points(spec: AdjacencySpec, k: int) -> FixedPointReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     words = enumerate_words(spec, k)
-    group = automorphism_group(spec)
-    index = {w: i for i, w in enumerate(words)}
-    uf = UnionFind(len(words))
-    for g in group:
-        for w in words:
-            uf.union(index[w], index[g.apply_word(w)])
-    orbits = tuple(tuple(words[i] for i in c) for c in uf.classes())
+    orbits = tuple(_word_orbits(spec, words))
 
     cycles = tuple(w for w in words if spec.a[w[-1] - 1][w[0] - 1])
     proper = 0 < len(cycles) < len(words)

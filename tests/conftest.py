@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from shiftlab import AdjacencySpec, perron_frobenius
 from shiftlab.symmetry import GraphAutomorphism
+from oracles import least_positive_power
 
 FIBONACCI = [[1, 1], [1, 0]]
 
@@ -15,6 +18,26 @@ UNKNOWN_EXHIBIT = [
     [0, 1, 0, 1],
     [1, 0, 0, 1],
 ]
+
+
+@st.composite
+def irreducible_matrices(draw, max_n=12):
+    """Random 0/1 matrices over a random n-cycle (irreducible), n = 2..max_n."""
+    n = draw(st.integers(2, max_n))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    order = draw(st.permutations(range(n)))
+    a = [[int(bits[i * n + j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        a[order[i]][order[(i + 1) % n]] = 1
+    return a
+
+
+@st.composite
+def primitive_matrices(draw, max_n=12):
+    """The primitive ones among :func:`irreducible_matrices`."""
+    a = draw(irreducible_matrices(max_n))
+    assume(least_positive_power(a) is not None)
+    return a
 
 
 def sample_phase_vectors(n):

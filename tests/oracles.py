@@ -4,6 +4,8 @@ These recompute the library's closed forms by direct summation or
 enumeration, staying off the code paths they check.
 """
 
+import itertools
+
 import numpy as np
 
 from shiftlab.core import EMPTY_WORD, conformal_measure, require_admissible
@@ -127,3 +129,39 @@ def relative_cell(gamma, alpha, beta):
     """Extension nu with (alpha, beta) == (r + s_last + nu, s + nu)."""
     s = gamma.s_word
     return beta[len(s):]
+
+
+def least_positive_power(a):
+    """Least k with A^k > 0, scanning k = 1..n^2-2n+2 one power at a time.
+
+    None when no power up to Wielandt's bound is positive (not primitive).
+    """
+    n = len(a)
+    b = np.array(a, dtype=int)
+    power = b.copy()
+    for k in range(1, n * n - 2 * n + 3):
+        if power.all():
+            return k
+        power = ((power @ b) > 0).astype(int)
+    return None
+
+
+def brute_force_orbits(a, k):
+    """Automorphism orbits of the admissible length-k words, as frozensets.
+
+    The group is every alphabet permutation that preserves the matrix, by
+    trying all n! of them (n <= 6); words come from all n^k letter tuples.
+    """
+    n = len(a)
+    assert n <= 6, "n! permutations"
+    group = [
+        p
+        for p in itertools.permutations(range(n))
+        if all(a[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n))
+    ]
+    words = [
+        w
+        for w in itertools.product(range(1, n + 1), repeat=k)
+        if all(a[x - 1][y - 1] for x, y in zip(w, w[1:]))
+    ]
+    return {frozenset(tuple(p[x - 1] + 1 for x in w) for p in group) for w in words}

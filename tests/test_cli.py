@@ -146,6 +146,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--tol" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["repmodel", "pf"])
+    def test_negative_seed_exit_two(self, capsys, fib_file, command):
+        argv = [command, "--seed", "-1"]
+        argv += ["--model", "qls"] if command == "repmodel" else ["--input", fib_file]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "cap, command",
         [("abc", "measures"), ("1.5", "measures"), ("0", "measures"), ("-3", "report")],

@@ -1,20 +1,23 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.core import AdjacencySpec, lexmin_extension
+from shiftlab.core import EXPANSION_BASE, AdjacencySpec, lexmin_extension
 from shiftlab.errors import (
     LengthOverflow,
     NotAdmissible,
     NotPrimitive,
     NotZeroOne,
 )
+from conftest import irreducible_matrices, primitive_matrices
 from oracles import (
     dense_perron_frobenius,
+    least_positive_power,
     shifted_cylinder_mass,
     transfer_integral,
 )
@@ -29,31 +32,6 @@ def wielandt(n):
         a[i][i + 1] = 1
     a[n - 1][0] = a[n - 1][1] = 1
     return AdjacencySpec.from_matrix(a)
-
-
-def is_primitive(a):
-    """Some boolean power up to the Wielandt bound is strictly positive."""
-    n = len(a)
-    b = np.array(a, dtype=bool)
-    power = b.copy()
-    for _ in range(n * n - 2 * n + 1):
-        if power.all():
-            return True
-        power = (power.astype(int) @ b.astype(int)) > 0
-    return bool(power.all())
-
-
-@st.composite
-def primitive_matrices(draw):
-    """Random 0/1 matrices over a random n-cycle (irreducible), n = 2..12."""
-    n = draw(st.integers(2, 12))
-    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    order = draw(st.permutations(range(n)))
-    a = [[int(bits[i * n + j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[order[i]][order[(i + 1) % n]] = 1
-    assume(is_primitive(a))
-    return a
 
 
 class TestValidatePrimitive:
@@ -76,6 +54,35 @@ class TestValidatePrimitive:
     def test_empty_row_rejected(self):
         with pytest.raises(NotPrimitive):
             AdjacencySpec.from_matrix([[0, 0], [1, 1]])
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_matrices(max_n=8))
+    def test_random_irreducible_against_power_scan(self, mat):
+        # periodic matrices are irreducible too: both outcomes get drawn
+        want = least_positive_power(mat)
+        spec = AdjacencySpec.from_matrix(mat)
+        if want is None:
+            with pytest.raises(NotPrimitive):
+                sl.validate_primitive(spec)
+        else:
+            assert sl.validate_primitive(spec) == want
+
+    def test_wielandt_96_exponent_within_budget(self):
+        spec = wielandt(96)
+        started = time.perf_counter()
+        assert sl.validate_primitive(spec) == 96 * 96 - 2 * 96 + 2
+        assert time.perf_counter() - started < 1.0
+
+    def test_96_cycle_rejected_within_budget(self):
+        n = 96
+        spec = AdjacencySpec.from_matrix(
+            [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        )
+        started = time.perf_counter()
+        with pytest.raises(NotPrimitive):
+            sl.validate_primitive(spec)
+        assert time.perf_counter() - started < 1.0
 
     def test_from_matrix_accepts_numpy_integers(self, fib):
         # the JSON loader is strict; the Python API still takes numpy ints
@@ -136,10 +143,6 @@ class TestPerronFrobenius:
         a = pf.spec.matrix.astype(float)
         assert np.linalg.norm(a @ pf.u - pf.lambda_max * pf.u, np.inf) <= 1e-10
         assert np.linalg.norm(pf.v @ a - pf.lambda_max * pf.v, np.inf) <= 1e-10
-
-    def test_expansion_base_warning(self):
-        with pytest.warns(UserWarning):
-            AdjacencySpec.from_matrix([[1, 1], [1, 1]], expansion_base=0.5)
 
 
 class TestWords:
@@ -268,7 +271,7 @@ class TestAhlfors:
             for m in range(1, 7):
                 for w in sl.enumerate_words(pf.spec, m):
                     val = sl.ball_kernel_integral(pf, w, s)
-                    ratios.append(val / pf.spec.expansion_base ** (-m * s))
+                    ratios.append(val / EXPANSION_BASE ** (-m * s))
             assert max(ratios) / min(ratios) < 10.0
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
 from shiftlab.quantum import (
@@ -19,7 +21,8 @@ from shiftlab.quantum import (
 )
 from shiftlab.models import classical_model
 from shiftlab.errors import SearchCapExceeded
-from conftest import UNKNOWN_EXHIBIT
+from conftest import UNKNOWN_EXHIBIT, primitive_matrices
+from oracles import brute_force_orbits, least_positive_power
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,59 @@ class TestClassicalWitness:
                     )
                 else:
                     assert w.apply_word(nu) == mu
+
+
+@st.composite
+def primitive_circulants(draw, max_n):
+    """a[i][j] = c[(j - i) % n] with c[1] = 1: rotation is an automorphism."""
+    n = draw(st.integers(2, max_n))
+    c = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c[1] = True
+    a = [[int(c[(j - i) % n]) for j in range(n)] for i in range(n)]
+    assume(least_positive_power(a) is not None)
+    return a
+
+
+def check_orbits_against_brute_force(mat, k):
+    """Fixed-point orbits, certified supports and witnesses agree."""
+    spec = sl.AdjacencySpec.from_matrix(mat)
+    oracle = brute_force_orbits(mat, k)
+    rep = sl.classical_fixed_points(spec, k)
+    assert list(rep.orbits) == sorted(tuple(sorted(o)) for o in oracle)
+
+    pf = sl.perron_frobenius(spec)
+    sup = sl.word_support(sl.propagate(sl.build_constraints(spec, pf)), pf, k)
+    words = sup.words
+    orbit_of = {w: o for o in oracle for w in o}
+    if not spec.is_full_shift():
+        for i, mu in enumerate(words):
+            for j, nu in enumerate(words):
+                same = nu in orbit_of[mu]
+                assert (sup.states[i][j] == CERTIFIED_NONZERO) == same
+
+    # classical_witness searches the group per pair: check at most 8 rows
+    for i in range(0, len(words), -(-len(words) // 8)):
+        for j, nu in enumerate(words):
+            state = sup.states[i][j]
+            if state != CERTAIN_ZERO:
+                witness = sl.classical_witness(spec, words[i], nu)
+                assert (state == CERTIFIED_NONZERO) == (witness is not None)
+
+
+class TestWordOrbits:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_full_shifts(self, n, k):
+        check_orbits_against_brute_force([[1] * n for _ in range(n)], k)
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=5), primitive_circulants(max_n=5)),
+        st.integers(1, 3),
+    )
+    def test_random_primitive(self, mat, k):
+        check_orbits_against_brute_force(mat, k)
 
 
 class TestErgodicityVerdict:

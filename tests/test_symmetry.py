@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,14 @@ class TestClassicalFixedPoints:
         assert rep.dimension == 2
         rep2 = sl.classical_fixed_points(fib, 2)
         assert rep2.dimension == 3
+
+    def test_full_7_shift_level_3_within_budget(self):
+        # one image set per orbit: 5 orbits of 343 words under S_7
+        spec = sl.AdjacencySpec.full_shift(7)
+        started = time.perf_counter()
+        rep = sl.classical_fixed_points(spec, 3)
+        assert time.perf_counter() - started < 0.5
+        assert rep.dimension == 5
 
     def test_orbits_partition_words(self, full3):
         rep = sl.classical_fixed_points(full3, 2)
