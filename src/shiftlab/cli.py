@@ -206,11 +206,10 @@ def run_spectrum(
 
 def run_autgroup(spec: AdjacencySpec) -> dict:
     group = automorphism_group(spec)
-    gens = generating_set(group)
     return {
         "order": len(group),
         "permutations": [list(g.perm) for g in group],
-        "generators": [list(g.perm) for g in gens],
+        "generators": [list(g.perm) for g in generating_set(spec)],
     }
 
 

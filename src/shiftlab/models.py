@@ -17,9 +17,11 @@ from itertools import product
 
 import numpy as np
 
+from .core import word_cap
 from .errors import (
     DegenerateAngle,
     IndexClash,
+    LengthOverflow,
     NotBiunitary,
     NotProjection,
 )
@@ -278,11 +280,14 @@ def relation_check(model: MagicUnitaryModel, ell: int) -> RelationReport:
     For every pair of words of equal length m <= ell, X = word operator,
     checks ||(X*X)^2 - X*X||; row/column sums of range and source
     projections and the mixed products behind the conjugate-unitarity are
-    checked at the generator level.
+    checked at the generator level; over ``word_cap()`` pairs raise
+    LengthOverflow before any is formed.
     """
     n = model.n
+    checked = sum(n ** (2 * m) for m in range(1, ell + 1))
+    if checked > word_cap():
+        raise LengthOverflow(f"{checked} word pairs exceed cap {word_cap()}")
     worst_pi = 0.0
-    checked = 0
     for m in range(1, ell + 1):
         words = list(product(range(1, n + 1), repeat=m))
         for mu in words:
@@ -293,7 +298,6 @@ def relation_check(model: MagicUnitaryModel, ell: int) -> RelationReport:
                 worst_pi = max(
                     worst_pi, float(np.linalg.norm(dense @ dense - dense, 2))
                 )
-                checked += 1
     eye = np.eye(model.dim)
     worst_uni = 0.0
     for i in range(1, n + 1):

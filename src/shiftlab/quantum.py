@@ -28,6 +28,7 @@ from .core import (
     AdjacencySpec,
     PerronFrobeniusData,
     Word,
+    _frozen,
     enumerate_words,
 )
 from .errors import Inconsistent, SearchCapExceeded
@@ -147,21 +148,14 @@ class PatternMatrix:
                             len(letter_of) % len(letters)
                         ]
 
-        def render(grid):
-            rows = []
-            for row in grid:
-                chars = []
-                for st in row:
-                    if st.is_zero:
-                        chars.append("0")
-                    elif st.is_one:
-                        chars.append("1")
-                    elif counts[st.class_id] > 1:
-                        chars.append(letter_of[st.class_id])
-                    else:
-                        chars.append(".")
-                rows.append("".join(chars))
-            return rows
+        def render(grid):  # ZERO and ONE print as themselves
+            return [
+                "".join(
+                    letter_of.get(st.class_id, ".") if st.kind == FREE else st.kind
+                    for st in row
+                )
+                for row in grid
+            ]
 
         return {"p": render(self.p), "q": render(self.q)}
 
@@ -347,11 +341,8 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
 
     def extract(var: int) -> ProjVarState:
         r = uf.find(var)
-        st = state.get(r)
-        if st == ZERO:
-            return ProjVarState(ZERO)
-        if st == ONE:
-            return ProjVarState(ONE)
+        if r in state:  # ZERO or ONE
+            return ProjVarState(state[r])
         if r not in class_ids:
             class_ids[r] = len(class_ids)
         return ProjVarState(FREE, class_ids[r])
@@ -420,6 +411,8 @@ def classical_witness(
     group is a nonzero scalar, so it certifies the (mu, nu) support.  On
     the full shift the tensor legs are independent, so even when no single
     permutation matches, per-position transpositions certify the pair.
+    The group is listed, so an order above ``word_cap()`` raises
+    LengthOverflow.
     """
     if len(mu) != len(nu):
         raise ValueError("words must have equal length")
@@ -558,13 +551,11 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
 
 
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
-    """Commuting permutations of the flip-intertwiner, by backtracking."""
+    """Commuting permutations of the flip-intertwiner (LengthOverflow past the cap)."""
     if spec.n > T_A_MAX_N:
         raise SearchCapExceeded(
             f"n = {spec.n} exceeds the n <= {T_A_MAX_N} permutation-search cap"
         )
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())
-    mat = t.copy()
-    mat.flags.writeable = False
-    return TAReport(matrix=mat, automorphisms=tuple(perms))
+    return TAReport(matrix=_frozen(t), automorphisms=tuple(perms))

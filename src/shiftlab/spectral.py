@@ -33,6 +33,7 @@ from .core import (
     AdjacencySpec,
     PerronFrobeniusData,
     Word,
+    _frozen,
     conformal_measure,
     is_admissible,
     word_cap,
@@ -159,12 +160,7 @@ def delta_matrix(pf: PerronFrobeniusData, base: Word, depth: int) -> OperatorBlo
             val = -(lam**w) * root_mu[i] * root_mu[j]
             mat[i, j] = val
             mat[j, i] = val
-    return OperatorBlock(basis, _lock(mat), "delta")
-
-
-def _lock(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
+    return OperatorBlock(basis, _frozen(mat), "delta")
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,7 @@ def dirac_block(
         mat = 0.5 * (mat + mat.T)
     else:
         mat = -(s + ell * np.eye(size))
-    return OperatorBlock(delta.basis, _lock(mat), "dirac", bisection=gamma)
+    return OperatorBlock(delta.basis, _frozen(mat), "dirac", bisection=gamma)
 
 
 def merge_multiset(pairs: list[tuple[float, int]]) -> list[tuple[float, int]]:

@@ -9,6 +9,7 @@ the extension phases cancel, so each block picks up a single scalar.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ from .core import (
     Word,
     enumerate_words,
     is_admissible,
+    word_cap,
 )
-from .errors import NotClosed
+from .errors import LengthOverflow, NotClosed
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
 from .spectral import LevelBasis, dirac_block, level_basis
 
@@ -57,72 +59,95 @@ class GraphAutomorphism:
         return cls(tuple(range(1, n + 1)))
 
 
-def matrix_automorphisms(a: list[list[int]]) -> list[tuple[int, ...]]:
-    """Backtracking search with in/out-degree pruning over any 0/1 matrix."""
+def _closure(start, images) -> set:
+    """Everything reached from start by repeatedly taking images(x)."""
+    seen, todo = {start}, [start]
+    while todo:
+        new = set(images(todo.pop())) - seen
+        seen |= new
+        todo.extend(new)
+    return seen
+
+
+def _search(a: Sequence[Sequence[int]], first_path: bool) -> tuple[int, list]:
+    """Backtracking with in/out-degree pruning; leaves come out sorted.
+
+    List mode returns the order and every leaf.  First-path mode (McKay,
+    1981) follows the identity, leaves it at point i for image j only when
+    j is outside i's orbit under the leaves found so far, stops there at
+    the least leaf, and returns the order and those leaves (generators).
+    """
     n = len(a)
-    out_deg = [sum(row) for row in a]
-    in_deg = [sum(a[i][j] for i in range(n)) for j in range(n)]
-    profile = [(out_deg[i], in_deg[i], a[i][i]) for i in range(n)]
-    candidates = [
-        [j for j in range(n) if profile[j] == profile[i]] for i in range(n)
-    ]
+    profile = [(sum(a[i]), sum(row[i] for row in a), a[i][i]) for i in range(n)]
+    candidates = [[j for j in range(n) if profile[j] == p] for p in profile]
     found: list[tuple[int, ...]] = []
     assignment: list[int] = []
     used = [False] * n
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> bool:  # True once first-path mode hits a leaf
         if i == n:
             found.append(tuple(x + 1 for x in assignment))
-            return
+            return first_path
         for j in candidates[i]:
             if used[j]:
                 continue
-            ok = True
             for k in range(i):
                 if a[assignment[k]][j] != a[k][i] or a[j][assignment[k]] != a[i][k]:
-                    ok = False
                     break
-            if ok and a[j][j] == a[i][i]:
+            else:
                 used[j] = True
                 assignment.append(j)
-                extend(i + 1)
+                hit = extend(i + 1)
                 assignment.pop()
                 used[j] = False
+                if hit:
+                    return True
+        return False
 
+    def path(i: int) -> int:
+        """Order of the group fixing the points < i, which the path fixes."""
+        if i == n:
+            return 1
+        order, orbit = 1, set()
+        for j in candidates[i]:  # i itself comes first: the path goes on
+            if j < i or j in orbit or any(
+                a[k][j] != a[k][i] or a[j][k] != a[i][k] for k in range(i)
+            ):
+                continue
+            used[j] = True
+            assignment.append(j)
+            if j == i:
+                order, orbit = path(i + 1), {i}
+            elif extend(i + 1):
+                orbit = _closure(i, lambda x: (g[x] - 1 for g in found))
+            assignment.pop()
+            used[j] = False
+        return order * len(orbit)
+
+    if first_path:
+        return path(0), found
     extend(0)
-    found.sort()
-    return found
+    return len(found), found
+
+
+def matrix_automorphisms(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every automorphism of a 0/1 matrix, sorted; the order comes first,
+    and a group above ``word_cap()`` raises LengthOverflow unlisted."""
+    order, limit = _search(a, first_path=True)[0], word_cap()
+    if order > limit:
+        raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
+    return _search(a, first_path=False)[1]
 
 
 def automorphism_group(spec: AdjacencySpec) -> list[GraphAutomorphism]:
-    """Complete automorphism group of the directed graph, sorted."""
-    return [GraphAutomorphism(p) for p in matrix_automorphisms([list(r) for r in spec.a])]
+    """Complete automorphism group, sorted; LengthOverflow past ``word_cap()``."""
+    return [GraphAutomorphism(p) for p in matrix_automorphisms(spec.a)]
 
 
-def generating_set(group: list[GraphAutomorphism]) -> list[GraphAutomorphism]:
-    """Greedy small generating set (identity excluded)."""
-    if not group:
-        return []
-    n = len(group[0].perm)
-    ident = GraphAutomorphism.identity(n)
-    have = {ident.perm}
-    gens: list[GraphAutomorphism] = []
-    for g in group:
-        if g.perm in have:
-            continue
-        gens.append(g)
-        frontier = [GraphAutomorphism(p) for p in have]
-        have.add(g.perm)
-        while frontier:
-            h = frontier.pop()
-            for gen in gens:
-                for prod in (h.compose(gen), gen.compose(h)):
-                    if prod.perm not in have:
-                        have.add(prod.perm)
-                        frontier.append(prod)
-        if len(have) == len(group):
-            break
-    return gens
+def generating_set(spec: AdjacencySpec) -> list[GraphAutomorphism]:
+    """First-path generators of the automorphism group, sorted (identity
+    excluded, so the trivial group has none); nothing is listed."""
+    return [GraphAutomorphism(p) for p in _search(spec.a, first_path=True)[1]]
 
 
 @dataclass(frozen=True)
@@ -256,15 +281,16 @@ def commutation_residual(
 
 def _word_orbits(spec: AdjacencySpec, words: list[Word]) -> list[tuple[Word, ...]]:
     """Automorphism orbits of sorted words: each unseen word is the least
-    member of a new orbit, its image set (#orbits * |G| images in all)."""
-    group = automorphism_group(spec)
+    member of a new orbit, its closure under the generators (#words *
+    #generators images in all; the group is never listed)."""
+    gens = generating_set(spec)
     seen: set[Word] = set()
     orbits: list[tuple[Word, ...]] = []
     for w in words:
         if w not in seen:
-            orbit = tuple(sorted({g.apply_word(w) for g in group}))
-            seen.update(orbit)
-            orbits.append(orbit)
+            orbit = _closure(w, lambda v: (g.apply_word(v) for g in gens))
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
     return orbits
 
 

@@ -40,6 +40,17 @@ def primitive_matrices(draw, max_n=12):
     return a
 
 
+@st.composite
+def primitive_circulants(draw, max_n):
+    """a[i][j] = c[(j - i) % n] with c[1] = 1: rotation is an automorphism."""
+    n = draw(st.integers(2, max_n))
+    c = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c[1] = True
+    a = [[int(c[(j - i) % n]) for j in range(n)] for i in range(n)]
+    assume(least_positive_power(a) is not None)
+    return a
+
+
 def sample_phase_vectors(n):
     """Deterministic unimodular samples used by the residual suite."""
     roots = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, np.exp(2.0j * np.pi / 7.0)]

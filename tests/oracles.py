@@ -146,19 +146,40 @@ def least_positive_power(a):
     return None
 
 
-def brute_force_orbits(a, k):
-    """Automorphism orbits of the admissible length-k words, as frozensets.
-
-    The group is every alphabet permutation that preserves the matrix, by
-    trying all n! of them (n <= 6); words come from all n^k letter tuples.
-    """
+def brute_force_group(a):
+    """Every alphabet permutation (0-based, sorted) that preserves the
+    matrix, by trying all n! of them (n <= 6)."""
     n = len(a)
     assert n <= 6, "n! permutations"
-    group = [
+    return [
         p
         for p in itertools.permutations(range(n))
         if all(a[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n))
     ]
+
+
+def generated_group(gens, n):
+    """Every product of the given 1-based permutations of 1..n, as tuples."""
+    have = {tuple(range(1, n + 1))}
+    todo = list(have)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[x - 1] for x in p)
+            if q not in have:
+                have.add(q)
+                todo.append(q)
+    return have
+
+
+def brute_force_orbits(a, k):
+    """Automorphism orbits of the admissible length-k words, as frozensets.
+
+    The group is :func:`brute_force_group`; words come from all n^k
+    letter tuples.
+    """
+    n = len(a)
+    group = brute_force_group(a)
     words = [
         w
         for w in itertools.product(range(1, n + 1), repeat=k)

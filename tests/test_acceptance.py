@@ -118,7 +118,7 @@ def test_05_classical_isometries():
             spec = sl.AdjacencySpec.from_matrix(mat)
             pf = sl.perron_frobenius(spec)
             group = sl.automorphism_group(spec)
-            gens = generating_set(group) or group
+            gens = generating_set(spec) or group
             for g in gens:
                 for z in sample_phase_vectors(spec.n):
                     iso = ClassicalIsometry(phases=z, perm=g)

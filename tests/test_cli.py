@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,27 @@ class TestErrorPaths:
         assert "--output" in capsys.readouterr().err
         assert not out.exists()
 
+    # autgroup on the full 12-shift: 12! automorphisms; t-a on the full
+    # 4-shift: 16! flip-intertwiner symmetries
+    @pytest.mark.parametrize("command, n", [("autgroup", 12), ("t-a", 4)])
+    def test_group_over_cap_exits_four_at_once(
+        self, tmp_path, monkeypatch, command, n
+    ):
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"n": n, "a": [[1] * n] * n}))
+        start = time.perf_counter()
+        assert main([command, "--input", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+
+    def test_relation_pairs_over_cap_exit_four_at_once(self, monkeypatch):
+        # 12^2 + 12^4 + 12^6 word pairs
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        argv = ["repmodel", "--model", "classical", "--size", "12", "--ell", "3"]
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+
     def test_overflow_exit_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "10")
         path = tmp_path / "full.json"
@@ -224,6 +246,19 @@ class TestReportBundle:
         assert not ta["ok"]
         assert ta["error"] == "SearchCapExceeded"
         assert rep["results"]["pf"]["ok"]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_full_shift_t_a_over_cap_not_fatal(self, tmp_path, monkeypatch, n):
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        path = tmp_path / f"full{n}.json"
+        path.write_text(json.dumps({"n": n, "a": [[1] * n] * n}))
+        out = tmp_path / f"rep{n}.json"
+        start = time.perf_counter()
+        code = main(["report", "--input", str(path), "--output", str(out)])
+        assert code == 0 and time.perf_counter() - start < 5.0
+        sections = json.loads(out.read_text())["results"]
+        assert sections["t-a"]["error"] == "LengthOverflow"
+        assert all(sections[name]["ok"] for name in sections if name != "t-a")
 
     def test_deterministic_reports(self, tmp_path, fib_file):
         out1 = tmp_path / "a.json"

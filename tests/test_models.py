@@ -13,6 +13,7 @@ from shiftlab.models import (
 from shiftlab.errors import (
     DegenerateAngle,
     IndexClash,
+    LengthOverflow,
     NotBiunitary,
     NotProjection,
 )
@@ -144,6 +145,14 @@ class TestRelationCheck:
         rep = sl.relation_check(qls4, 2)
         assert rep.max_partial_isometry_defect <= 1e-9
         assert rep.max_unitarity_defect <= 1e-9
+
+    def test_word_pairs_bounded_by_cap(self, monkeypatch):
+        model = classical_model((1, 2, 3))
+        monkeypatch.setenv("ARIADNE_CAP", "90")
+        assert sl.relation_check(model, 2).words_checked == 9 + 81
+        monkeypatch.setenv("ARIADNE_CAP", "89")
+        with pytest.raises(LengthOverflow):
+            sl.relation_check(model, 2)
 
 
 class TestFullShiftNonvanishing:

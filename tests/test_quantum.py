@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
@@ -21,8 +21,8 @@ from shiftlab.quantum import (
 )
 from shiftlab.models import classical_model
 from shiftlab.errors import SearchCapExceeded
-from conftest import UNKNOWN_EXHIBIT, primitive_matrices
-from oracles import brute_force_orbits, least_positive_power
+from conftest import UNKNOWN_EXHIBIT, primitive_circulants, primitive_matrices
+from oracles import brute_force_orbits
 
 
 @pytest.fixture(scope="module")
@@ -166,17 +166,6 @@ class TestClassicalWitness:
                     )
                 else:
                     assert w.apply_word(nu) == mu
-
-
-@st.composite
-def primitive_circulants(draw, max_n):
-    """a[i][j] = c[(j - i) % n] with c[1] = 1: rotation is an automorphism."""
-    n = draw(st.integers(2, max_n))
-    c = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    c[1] = True
-    a = [[int(c[(j - i) % n]) for j in range(n)] for i in range(n)]
-    assume(least_positive_power(a) is not None)
-    return a
 
 
 def check_orbits_against_brute_force(mat, k):

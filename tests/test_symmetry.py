@@ -2,18 +2,33 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
 from shiftlab.groupoid import BisectionIndex, bisections_up_to
 from shiftlab.symmetry import (
     ClassicalIsometry,
     GraphAutomorphism,
+    _search,
     generating_set,
     isometry_unitary,
+    matrix_automorphisms,
     truncation_basis,
 )
-from shiftlab.errors import NotClosed
-from conftest import sample_phase_vectors, swap_permutation
+from shiftlab.errors import LengthOverflow, NotClosed
+from conftest import (
+    primitive_circulants,
+    primitive_matrices,
+    sample_phase_vectors,
+    swap_permutation,
+)
+from oracles import brute_force_group, generated_group
+
+
+def cycle_circulant(n):
+    """Loops plus the n-cycle i -> i + 1: its group is the rotations, C_n."""
+    return [[int((j - i) % n in (0, 1)) for j in range(n)] for i in range(n)]
 
 
 def identity_iso(n):
@@ -55,7 +70,7 @@ class TestAutomorphismGroup:
 
     def test_generating_set_generates(self, full3):
         group = sl.automorphism_group(full3)
-        gens = generating_set(group)
+        gens = generating_set(full3)
         assert 1 <= len(gens) <= 2
         have = {GraphAutomorphism.identity(3).perm}
         frontier = list(have)
@@ -67,6 +82,59 @@ class TestAutomorphismGroup:
                     have.add(q)
                     frontier.append(q)
         assert len(have) == len(group)
+
+
+class TestFirstPathSearch:
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(primitive_matrices(max_n=6), primitive_circulants(max_n=6)))
+    def test_order_and_generators_match_brute_force(self, mat):
+        n = len(mat)
+        group = {tuple(x + 1 for x in p) for p in brute_force_group(mat)}
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        assert _search(mat, first_path=True)[0] == len(group)
+        gens = [g.perm for g in generating_set(spec)]
+        assert gens == sorted(gens)
+        assert tuple(range(1, n + 1)) not in gens and set(gens) <= group
+        assert generated_group(gens, n) == group
+        assert matrix_automorphisms(mat) == sorted(group)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cyclic_circulant_has_one_generator(self, n):
+        spec = sl.AdjacencySpec.from_matrix(cycle_circulant(n))
+        rotation = tuple(range(2, n + 1)) + (1,)
+        assert [g.perm for g in generating_set(spec)] == [rotation]
+        assert len(sl.automorphism_group(spec)) == n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_rotation_generates_what_rotation_and_square_generate(self, n):
+        # e.g. (3, 4, 1, 2), the square of (2, 3, 4, 1), adds nothing
+        spec = sl.AdjacencySpec.from_matrix(cycle_circulant(n))
+        rotation = tuple(range(2, n + 1)) + (1,)
+        square = tuple(rotation[x - 1] for x in rotation)
+        group = {g.perm for g in sl.automorphism_group(spec)}
+        assert generated_group([g.perm for g in generating_set(spec)], n) == group
+        assert generated_group([rotation, square], n) == group
+
+    def test_order_over_cap_raises_before_listing(self, monkeypatch):
+        full3 = [[1] * 3] * 3
+        monkeypatch.setenv("ARIADNE_CAP", "6")
+        assert len(matrix_automorphisms(full3)) == 6
+        monkeypatch.setenv("ARIADNE_CAP", "5")
+        with pytest.raises(LengthOverflow):
+            matrix_automorphisms(full3)
+
+    def test_big_groups_are_not_listed(self, monkeypatch):
+        # S_12 has 12! elements, over the default cap: the order is refused
+        # at once, and the level-1 orbit still comes from the generators
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        spec = sl.AdjacencySpec.full_shift(12)
+        start = time.perf_counter()
+        with pytest.raises(LengthOverflow):
+            sl.automorphism_group(spec)
+        assert len(generating_set(spec)) == 11
+        assert sl.classical_fixed_points(spec, 1).dimension == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsometryUnitary:
@@ -95,7 +163,7 @@ class TestIsometryUnitary:
 
     def test_unitary_for_automorphisms(self, full3_pf):
         gammas = bisections_up_to(full3_pf.spec, 2)
-        for g in generating_set(sl.automorphism_group(full3_pf.spec)):
+        for g in generating_set(full3_pf.spec):
             for z in sample_phase_vectors(3)[:2]:
                 u = isometry_unitary(
                     ClassicalIsometry(phases=z, perm=g), full3_pf.spec, gammas, 1
@@ -121,7 +189,7 @@ class TestCommutationResidual:
         for pf in (fib_pf, full2_pf):
             n = pf.spec.n
             group = sl.automorphism_group(pf.spec)
-            gens = generating_set(group) or group  # trivial group: identity
+            gens = generating_set(pf.spec) or group  # trivial group: identity
             for g in gens:
                 for z in sample_phase_vectors(n):
                     iso = ClassicalIsometry(phases=z, perm=g)
@@ -184,7 +252,7 @@ class TestClassicalFixedPoints:
         rep = sl.classical_fixed_points(pf.spec, k)
         gammas = [BisectionIndex((), (b,)) for b in (1, 2, 3)]
         trunc = truncation_basis(pf.spec, gammas, k - 1)
-        for g in generating_set(sl.automorphism_group(pf.spec)):
+        for g in generating_set(pf.spec):
             for z in sample_phase_vectors(3)[:2]:
                 iso = ClassicalIsometry(phases=z, perm=g)
                 u = isometry_unitary(iso, pf.spec, gammas, k - 1)
