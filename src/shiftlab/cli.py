@@ -10,6 +10,7 @@ deterministic for fixed inputs and seed apart from the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -71,24 +73,6 @@ def round15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-def _clean(obj):
-    if type(obj) is int:  # most leaves; t-a can list millions of permutations
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return round15(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": round15(obj.real), "im": round15(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
-
-
 def fingerprint(spec: AdjacencySpec) -> str:
     canon = json.dumps({"n": spec.n, "a": [list(r) for r in spec.a]})
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -107,17 +91,63 @@ def _report(command: str, spec: AdjacencySpec | None, results, started: float):
         "command": command,
         "fingerprint": fingerprint(spec) if spec is not None else None,
         "version": __version__,
-        "results": _clean(results),
+        "results": results,
         "wall_time_ms": round(1000.0 * (time.perf_counter() - started), 3),
     }
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if output:
-        Path(output).write_text(text + "\n")
+@contextlib.contextmanager
+def _open_output(path, **kwargs):
+    """open(path, "w"), with a failed open or write as a parse error (exit 2)."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(obj, write, pad: str = "\n") -> None:
+    """Write obj as json.dumps(obj, indent=2, sort_keys=True) spells it,
+    piece by piece: reals to 15 digits, numpy scalars and arrays as Python
+    values, complex as {"im", "re"}, keys as str.  pad opens obj's line."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        write(json.dumps(round15(obj)))  # NaN and Infinity as json spells them
+    elif isinstance(obj, complex):
+        _write_json({"im": obj.imag, "re": obj.real}, write, pad)
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), write, pad)
+    elif isinstance(obj, dict):
+        items, inner, sep = {str(k): v for k, v in obj.items()}, pad + "  ", "{"
+        for key in sorted(items):
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(items[key], write, inner)
+            sep = ","
+        write(pad + "}" if items else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        if obj and all(type(x) is int for x in obj):  # t-a lists 9! of these
+            write("[" + inner + ("," + inner).join(map(str, obj)) + pad + "]")
+            return
+        for item in obj:
+            write(sep + inner)
+            _write_json(item, write, inner)
+            sep = ","
+        write(pad + "]" if obj else "[]")
     else:
-        print(text)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit(report: dict, output: str | None) -> None:
+    """Stream the report to --output or stdout; it is never held as text."""
+    with _open_output(output) if output else contextlib.nullcontext(sys.stdout) as fh:
+        _write_json(report, fh.write)
+        fh.write("\n")
 
 
 def _word_str(word) -> str:
@@ -192,7 +222,7 @@ def run_spectrum(
         t += 1
     if output:
         csv_path = Path(output).with_suffix(".csv")
-        with open(csv_path, "w", newline="") as fh:
+        with _open_output(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eigenvalue", "multiplicity"])
             for e, m in pairs:
@@ -208,8 +238,8 @@ def run_autgroup(spec: AdjacencySpec) -> dict:
     group = automorphism_group(spec)
     return {
         "order": len(group),
-        "permutations": [list(g.perm) for g in group],
-        "generators": [list(g.perm) for g in generating_set(spec)],
+        "permutations": [g.perm for g in group],
+        "generators": [g.perm for g in generating_set(spec)],
     }
 
 
@@ -258,7 +288,7 @@ def run_t_a(spec: AdjacencySpec) -> dict:
     return {
         "matrix": rep.matrix,
         "group_order": rep.order,
-        "permutations": [list(p) for p in rep.automorphisms],
+        "permutations": rep.automorphisms,
     }
 
 

@@ -5,9 +5,11 @@ enumeration, staying off the code paths they check.
 """
 
 import itertools
+import json
 
 import numpy as np
 
+from shiftlab.cli import round15
 from shiftlab.core import EMPTY_WORD, conformal_measure, require_admissible
 from shiftlab.spectral import _common_prefix_length, level_basis
 
@@ -186,3 +188,28 @@ def brute_force_orbits(a, k):
         if all(a[x - 1][y - 1] for x, y in zip(w, w[1:]))
     ]
     return {frozenset(tuple(p[x - 1] + 1 for x in w) for p in group) for w in words}
+
+
+def _clean(obj):
+    """The report conversions as one copying pass over the whole value."""
+    if type(obj) is int:
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return round15(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": round15(obj.real), "im": round15(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return _clean(obj.tolist())
+    if isinstance(obj, dict):
+        return {str(k): _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean(v) for v in obj]
+    return obj
+
+
+def reference_report_text(obj):
+    """A report's text the way the CLI once built it: cleaned, then
+    dumped in one string with a trailing newline."""
+    return json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,25 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from shiftlab.cli import main, round15
+import shiftlab
+from shiftlab.cli import _emit, main, round15
 from conftest import FIBONACCI
+from oracles import reference_report_text
 
 
 @pytest.fixture()
@@ -198,6 +212,28 @@ class TestErrorPaths:
         assert "--output" in capsys.readouterr().err
         assert not out.exists()
 
+    # a report into a missing directory or onto a directory, and the
+    # spectrum CSV onto a directory: (command, --output, path named)
+    @pytest.mark.parametrize(
+        "command, output, named",
+        [
+            ("pf", "missing/x.json", "missing/x.json"),
+            ("pf", ".", "."),
+            ("spectrum", "x.json", "x.csv"),
+        ],
+        ids=["missing-dir", "directory", "spectrum-csv"],
+    )
+    def test_unwritable_output_exit_two(
+        self, tmp_path, capsys, fib_file, command, output, named
+    ):
+        (tmp_path / "x.csv").mkdir()
+        argv = [command, "--input", fib_file, "--output", str(tmp_path / output)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"shiftlab: parse error: cannot write {tmp_path / named}:")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.json").exists()
+
     # autgroup on the full 12-shift: 12! automorphisms; t-a on the full
     # 4-shift: 16! flip-intertwiner symmetries
     @pytest.mark.parametrize("command, n", [("autgroup", 12), ("t-a", 4)])
@@ -279,3 +315,86 @@ class TestFormatting:
     def test_round15(self):
         assert round15(0.1 + 0.2) == 0.3
         assert round15(1.6180339887498949) == 1.61803398874989
+
+
+_KEYS = st.one_of(
+    st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(), st.floats(-2, 2)
+)
+_LEAVES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/']),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.complex_numbers(),
+    st.lists(st.floats(), max_size=3).map(np.array),
+    st.lists(st.complex_numbers(), max_size=2).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=2).map(
+        np.array
+    ),
+    st.lists(st.integers(-(2**40), 2**40), max_size=5).map(tuple),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _digest_without_wall_time(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.startswith(b'  "wall_time_ms": '):
+                digest.update(line)
+    return digest.hexdigest()
+
+
+class TestWriter:
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_same_bytes_as_reference(self, value):
+        expected = reference_report_text(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            _emit(value, str(path))
+            assert path.read_bytes() == expected.encode()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(value, None)
+        assert out.getvalue() == expected
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="peak read from VmHWM"
+    )
+    def test_full3_t_a_streams_in_bounded_memory(self, tmp_path, full3_file):
+        # 9! permutations, 42 MB of text: about 450 MiB when built as one string
+        child = (
+            "import sys\n"
+            "from shiftlab.cli import main\n"
+            "codes = [main(sys.argv[1:]), main(sys.argv[1:4])]\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(*codes, int(status.split()[0]), file=sys.stderr)\n"
+        )
+        out, piped = tmp_path / "t-a.json", tmp_path / "stdout.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+        with open(piped, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "t-a", "--input", full3_file,
+                 "--output", str(out)],
+                stdout=fh, stderr=subprocess.PIPE, env=env, check=True, text=True,
+            )
+        codes_and_peak = [int(x) for x in proc.stderr.split()]
+        assert codes_and_peak[:2] == [0, 0]
+        assert codes_and_peak[2] < 200 * 1024
+        assert out.stat().st_size > 40_000_000
+        assert _digest_without_wall_time(out) == _digest_without_wall_time(piped)
