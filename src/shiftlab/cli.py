@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -148,6 +149,7 @@ def _emit(report: dict, output: str | None) -> None:
     with _open_output(output) if output else contextlib.nullcontext(sys.stdout) as fh:
         _write_json(report, fh.write)
         fh.write("\n")
+        fh.flush()  # a closed stdout fails here, not at interpreter exit
 
 
 def _word_str(word) -> str:
@@ -441,6 +443,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except ShiftLabError as exc:
         print(f"shiftlab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the unflushed rest goes to devnull: no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("shiftlab: output closed early", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

@@ -79,13 +79,6 @@ class UnionFind:
             return lo
         return ra
 
-    def classes(self) -> list[list[int]]:
-        """Members of each class in increasing order, classes by least member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return [out[r] for r in sorted(out)]
-
 
 @dataclass(frozen=True)
 class ProjVarState:
@@ -180,10 +173,10 @@ def _q_var(n: int, i: int, j: int) -> int:
     return n * n + i * n + j
 
 
-def _u_differs(pf: PerronFrobeniusData, i: int, j: int) -> bool:
-    """Whether eigenvector entries i and j (0-based) differ at ``pf.tol``."""
-    ui, uj = float(pf.u[i]), float(pf.u[j])
-    return abs(ui - uj) > pf.tol * max(1.0, ui, uj)
+def _u_differs(pf: PerronFrobeniusData) -> np.ndarray:
+    """n x n bool: eigenvector entries i and j (0-based) differ at ``pf.tol``."""
+    u = np.asarray(pf.u, dtype=float)[:, None]
+    return np.abs(u - u.T) > pf.tol * np.maximum(np.maximum(1.0, u), u.T)
 
 
 def build_constraints(
@@ -205,18 +198,20 @@ def build_constraints(
             eqs.append((tuple(var(n, i, j) for j in range(n)), 0, (), 1))
         for j in range(n):
             eqs.append((tuple(var(n, i, j) for i in range(n)), 0, (), 1))
+    # (A p)[i][k] sums p[j][k] over successors j of i, (q A)[i][k] q[i][j]
+    # over predecessors j of k
+    succ = [[j for j in range(n) if row[j]] for row in spec.a]
+    pred = [[j for j in range(n) if spec.a[j][k]] for k in range(n)]
     for i in range(n):
         for k in range(n):
-            lhs = tuple(_p_var(n, j, k) for j in range(n) if spec.a[i][j])
-            rhs = tuple(_q_var(n, i, j) for j in range(n) if spec.a[j][k])
+            lhs = tuple(_p_var(n, j, k) for j in succ[i])
+            rhs = tuple(_q_var(n, i, j) for j in pred[k])
             eqs.append((lhs, 0, rhs, 0))
     pre: list[int] = []
     if use_pf_rule:
-        for i in range(n):
-            for j in range(n):
-                if _u_differs(pf, i, j):
-                    pre.append(_p_var(n, i, j))
-                    pre.append(_q_var(n, i, j))
+        for i, j in np.argwhere(_u_differs(pf)).tolist():
+            pre.append(_p_var(n, i, j))
+            pre.append(_q_var(n, i, j))
     return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=tuple(pre))
 
 
@@ -236,8 +231,17 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
     uf = UnionFind(system.var_count)
     state: dict[int, str] = {}
 
-    def root_state(x: int) -> str | None:
-        return state.get(uf.find(x))
+    def tally(variables: tuple[int, ...], const: int) -> tuple[int, Counter]:
+        """The constant plus the known Ones, and the free classes' counts."""
+        free: Counter[int] = Counter()
+        for v in variables:
+            r = uf.find(v)
+            st = state.get(r)
+            if st == ONE:
+                const += 1
+            elif st is None:
+                free[r] += 1
+        return const, free
 
     def assign(x: int, value: str) -> bool:
         r = uf.find(x)
@@ -269,35 +273,24 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
     for var in system.pre_zero:
         assign(var, ZERO)
 
+    # an equation with no free class left after cancelling stays so (known
+    # classes keep their value, merges add to both sides): later sweeps skip it
+    pending = system.equations
     changed = True
     while changed:
         changed = False
-        for lhs, lc, rhs, rc in system.equations:
-            lconst, lfree = lc, Counter()
-            for v in lhs:
-                st = root_state(v)
-                if st == ONE:
-                    lconst += 1
-                elif st is None:
-                    lfree[uf.find(v)] += 1
-            rconst, rfree = rc, Counter()
-            for v in rhs:
-                st = root_state(v)
-                if st == ONE:
-                    rconst += 1
-                elif st is None:
-                    rfree[uf.find(v)] += 1
-            for r in set(lfree) & set(rfree):
-                m = min(lfree[r], rfree[r])
-                lfree[r] -= m
-                rfree[r] -= m
-            lfree = +lfree
-            rfree = +rfree
+        unsettled = []
+        for eq in pending:
+            lconst, lfree = tally(eq[0], eq[1])
+            rconst, rfree = tally(eq[2], eq[3])
+            # cancel shared classes; Counter subtraction keeps positive counts
+            lfree, rfree = lfree - rfree, rfree - lfree
 
             if not lfree and not rfree:
                 if lconst != rconst:
                     raise Inconsistent(f"scalar clash {lconst} != {rconst}")
                 continue
+            unsettled.append(eq)
             if not rfree or not lfree:
                 free, d = (lfree, rconst - lconst) if not rfree else (
                     rfree,
@@ -335,6 +328,7 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
                         raise Inconsistent(
                             f"projection difference {d}/{ma} out of range"
                         )
+        pending = unsettled
 
     n = system.spec.n
     class_ids: dict[int, int] = {}
@@ -429,6 +423,42 @@ def classical_witness(
     return None
 
 
+#: support states by int8 code: 0 Possible, 1 CertainZero, 2 CertifiedNonzero
+_STATES = (POSSIBLE, CERTAIN_ZERO, CERTIFIED_NONZERO)
+_ZERO_CODE, _CERTIFIED_CODE = 1, 2
+
+
+def _support_codes(
+    pattern: PatternMatrix, pf: PerronFrobeniusData, k: int
+) -> tuple[list[Word], np.ndarray]:
+    """Level-k words and the m x m int8 array of their pairs' state codes."""
+    spec = pf.spec
+    words = enumerate_words(spec, k)
+    m = len(words)
+    zero_pos = _u_differs(pf) | [[st.is_zero for st in row] for row in pattern.p]
+    letters = np.array(words, dtype=np.intp).reshape(m, k) - 1
+    dead = np.zeros((m, m), dtype=bool)
+    for col in letters.T:
+        dead |= zero_pos[col][:, col]
+
+    if spec.is_full_shift():
+        certified = ~dead
+    else:
+        # some automorphism maps nu to mu exactly when they share an orbit
+        index = {w: i for i, w in enumerate(words)}
+        label = np.empty(m, dtype=np.intp)
+        for o, orbit in enumerate(_word_orbits(spec, words)):
+            label[[index[w] for w in orbit]] = o
+        certified = label[:, None] == label[None, :]
+        if (certified & dead).any():
+            raise Inconsistent(
+                "witnessed pair was forced to zero; propagation is unsound"
+            )
+    codes = dead.astype(np.int8)  # True is _ZERO_CODE
+    codes[certified] = _CERTIFIED_CODE
+    return words, codes
+
+
 def word_support(
     pattern: PatternMatrix, pf: PerronFrobeniusData, k: int
 ) -> SupportPattern:
@@ -440,43 +470,9 @@ def word_support(
     Possible otherwise.  Pairs mixing an admissible with an
     inadmissible word are identically zero and never indexed.
     """
-    spec = pf.spec
-    words = enumerate_words(spec, k)
-    idx = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    zero_pos = [
-        [pattern.p[a][b].is_zero or _u_differs(pf, a, b) for b in range(spec.n)]
-        for a in range(spec.n)
-    ]
-    states = [[POSSIBLE] * m for _ in range(m)]
-    for i, mu in enumerate(words):
-        for j, nu in enumerate(words):
-            if any(zero_pos[a - 1][b - 1] for a, b in zip(mu, nu)):
-                states[i][j] = CERTAIN_ZERO
-
-    if spec.is_full_shift():
-        for i in range(m):
-            for j in range(m):
-                if states[i][j] != CERTAIN_ZERO:
-                    states[i][j] = CERTIFIED_NONZERO
-    else:
-        # some automorphism maps nu to mu exactly when they share an orbit
-        for orbit in _word_orbits(spec, words):
-            members = [idx[w] for w in orbit]
-            for i in members:
-                for j in members:
-                    if states[i][j] == CERTAIN_ZERO:
-                        raise Inconsistent(
-                            "witnessed pair was forced to zero; "
-                            "propagation is unsound"
-                        )
-                    states[i][j] = CERTIFIED_NONZERO
-
-    return SupportPattern(
-        level=k,
-        words=tuple(words),
-        states=tuple(tuple(row) for row in states),
-    )
+    words, codes = _support_codes(pattern, pf, k)
+    states = np.array(_STATES, dtype=object)[codes].tolist()
+    return SupportPattern(k, tuple(words), tuple(map(tuple, states)))
 
 
 @dataclass(frozen=True)
@@ -486,13 +482,16 @@ class ErgodicityVerdict:
     witness: tuple[Word, ...] | None
 
 
-def _components(m: int, edge) -> list[list[int]]:
-    uf = UnionFind(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if edge(i, j):
-                uf.union(i, j)
-    return uf.classes()
+def _reached_from_first(edge: np.ndarray) -> np.ndarray:
+    """Bool mask of the words joined to word 0 by pairs i < j that ``edge``
+    marks: only the upper triangle is read, as an undirected graph."""
+    upper = np.triu(edge, 1)
+    adjacent = upper | upper.T
+    reached = frontier = np.arange(len(edge)) == 0
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return reached
 
 
 def ergodicity_verdict(
@@ -506,25 +505,16 @@ def ergodicity_verdict(
     one component is such an F (the coefficients summing to one stay
     inside); if even the certified-nonzero subgraph is connected, a proper
     F would need a vanishing certified coefficient, which is absurd.
-    Everything in between stays Unknown.
+    Everything in between stays Unknown.  The witness of a disconnected
+    graph is the component of the first word.
     """
     pattern = propagate(build_constraints(spec, pf))
-    support = word_support(pattern, pf, k)
-    words = support.words
-    m = len(words)
-
-    def optimistic(i: int, j: int) -> bool:
-        return support.states[i][j] != CERTAIN_ZERO
-
-    comps = _components(m, optimistic)
-    if len(comps) > 1:
-        witness = tuple(words[i] for i in comps[0])
+    words, codes = _support_codes(pattern, pf, k)
+    reached = _reached_from_first(codes != _ZERO_CODE)
+    if not reached.all():
+        witness = tuple(words[i] for i in np.flatnonzero(reached))
         return ErgodicityVerdict(NON_ERGODIC, k, witness)
-
-    def certified(i: int, j: int) -> bool:
-        return support.states[i][j] == CERTIFIED_NONZERO
-
-    if len(_components(m, certified)) == 1:
+    if _reached_from_first(codes == _CERTIFIED_CODE).all():
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     return ErgodicityVerdict(UNKNOWN, k, None)
 

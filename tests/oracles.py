@@ -6,12 +6,42 @@ enumeration, staying off the code paths they check.
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 
 from shiftlab.cli import round15
-from shiftlab.core import EMPTY_WORD, conformal_measure, require_admissible
+from shiftlab.core import (
+    EMPTY_WORD,
+    conformal_measure,
+    enumerate_words,
+    require_admissible,
+)
+from shiftlab.errors import Inconsistent
+from shiftlab.quantum import (
+    CERTAIN_ZERO,
+    CERTIFIED_NONZERO,
+    ERGODIC_CERTIFIED,
+    FREE,
+    NON_ERGODIC,
+    ONE,
+    POSSIBLE,
+    UNKNOWN,
+    ZERO,
+    ConstraintSystem,
+    ErgodicityVerdict,
+    PatternMatrix,
+    ProjVarState,
+    SupportPattern,
+    UnionFind,
+    _p_var,
+    _q_var,
+    _validate_pattern,
+    build_constraints,
+    propagate,
+)
 from shiftlab.spectral import _common_prefix_length, level_basis
+from shiftlab.symmetry import _word_orbits
 
 
 def shell_delta_values(pf, base, depth, values, extra=2):
@@ -213,3 +243,227 @@ def reference_report_text(obj):
     """A report's text the way the CLI once built it: cleaned, then
     dumped in one string with a trailing newline."""
     return json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _u_differs(pf, i, j):
+    ui, uj = float(pf.u[i]), float(pf.u[j])
+    return abs(ui - uj) > pf.tol * max(1.0, ui, uj)
+
+
+def loop_build_constraints(spec, pf, use_pf_rule=True):
+    """build_constraints as the 2n^3 loop over every (i, j, k) entry."""
+    n = spec.n
+    eqs = []
+    for var in (_p_var, _q_var):
+        for i in range(n):
+            eqs.append((tuple(var(n, i, j) for j in range(n)), 0, (), 1))
+        for j in range(n):
+            eqs.append((tuple(var(n, i, j) for i in range(n)), 0, (), 1))
+    for i in range(n):
+        for k in range(n):
+            lhs = tuple(_p_var(n, j, k) for j in range(n) if spec.a[i][j])
+            rhs = tuple(_q_var(n, i, j) for j in range(n) if spec.a[j][k])
+            eqs.append((lhs, 0, rhs, 0))
+    pre = []
+    if use_pf_rule:
+        for i in range(n):
+            for j in range(n):
+                if _u_differs(pf, i, j):
+                    pre.append(_p_var(n, i, j))
+                    pre.append(_q_var(n, i, j))
+    return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=tuple(pre))
+
+
+def sweep_propagate(system):
+    """propagate sweeping every equation until a sweep changes nothing."""
+    uf = UnionFind(system.var_count)
+    state = {}
+
+    def root_state(x):
+        return state.get(uf.find(x))
+
+    def assign(x, value):
+        r = uf.find(x)
+        old = state.get(r)
+        if old is None:
+            state[r] = value
+            return True
+        if old != value:
+            raise Inconsistent(
+                f"variable class {r} forced to both {old} and {value}"
+            )
+        return False
+
+    def merge(x, y):
+        rx, ry = uf.find(x), uf.find(y)
+        if rx == ry:
+            return False
+        sx, sy = state.get(rx), state.get(ry)
+        if sx is not None and sy is not None and sx != sy:
+            raise Inconsistent(f"merging contradictory classes {rx}, {ry}")
+        r = uf.union(rx, ry)
+        winner = sx if sx is not None else sy
+        state.pop(rx, None)
+        state.pop(ry, None)
+        if winner is not None:
+            state[r] = winner
+        return True
+
+    for var in system.pre_zero:
+        assign(var, ZERO)
+
+    changed = True
+    while changed:
+        changed = False
+        for lhs, lc, rhs, rc in system.equations:
+            lconst, lfree = lc, Counter()
+            for v in lhs:
+                st = root_state(v)
+                if st == ONE:
+                    lconst += 1
+                elif st is None:
+                    lfree[uf.find(v)] += 1
+            rconst, rfree = rc, Counter()
+            for v in rhs:
+                st = root_state(v)
+                if st == ONE:
+                    rconst += 1
+                elif st is None:
+                    rfree[uf.find(v)] += 1
+            for r in set(lfree) & set(rfree):
+                m = min(lfree[r], rfree[r])
+                lfree[r] -= m
+                rfree[r] -= m
+            lfree = +lfree
+            rfree = +rfree
+
+            if not lfree and not rfree:
+                if lconst != rconst:
+                    raise Inconsistent(f"scalar clash {lconst} != {rconst}")
+                continue
+            if not rfree or not lfree:
+                free, d = (lfree, rconst - lconst) if not rfree else (
+                    rfree,
+                    lconst - rconst,
+                )
+                weight = sum(free.values())
+                if d == 0:
+                    for r in free:
+                        changed |= assign(r, ZERO)
+                elif d == weight:
+                    for r in free:
+                        changed |= assign(r, ONE)
+                elif d < 0 or d > weight:
+                    raise Inconsistent(f"sum of {weight} projections = {d}")
+                elif len(free) == 1:
+                    raise Inconsistent(
+                        f"class multiple {weight} cannot equal {d}"
+                    )
+                continue
+            if len(lfree) == 1 and len(rfree) == 1:
+                (ra, ma), = lfree.items()
+                (rb, mb), = rfree.items()
+                if ma == mb:
+                    d = rconst - lconst
+                    if d == 0:
+                        changed |= merge(ra, rb)
+                    elif d == ma:
+                        changed |= assign(ra, ONE)
+                        changed |= assign(rb, ZERO)
+                    elif d == -ma:
+                        changed |= assign(ra, ZERO)
+                        changed |= assign(rb, ONE)
+                    else:
+                        raise Inconsistent(
+                            f"projection difference {d}/{ma} out of range"
+                        )
+
+    n = system.spec.n
+    class_ids = {}
+
+    def extract(var):
+        r = uf.find(var)
+        if r in state:
+            return ProjVarState(state[r])
+        if r not in class_ids:
+            class_ids[r] = len(class_ids)
+        return ProjVarState(FREE, class_ids[r])
+
+    p = tuple(tuple(extract(_p_var(n, i, j)) for j in range(n)) for i in range(n))
+    q = tuple(tuple(extract(_q_var(n, i, j)) for j in range(n)) for i in range(n))
+    pattern = PatternMatrix(n=n, p=p, q=q)
+    _validate_pattern(pattern)
+    return pattern
+
+
+def loop_word_support(pattern, pf, k):
+    """word_support as a double loop over every pair of words."""
+    spec = pf.spec
+    words = enumerate_words(spec, k)
+    idx = {w: i for i, w in enumerate(words)}
+    m = len(words)
+    zero_pos = [
+        [pattern.p[a][b].is_zero or _u_differs(pf, a, b) for b in range(spec.n)]
+        for a in range(spec.n)
+    ]
+    states = [[POSSIBLE] * m for _ in range(m)]
+    for i, mu in enumerate(words):
+        for j, nu in enumerate(words):
+            if any(zero_pos[a - 1][b - 1] for a, b in zip(mu, nu)):
+                states[i][j] = CERTAIN_ZERO
+
+    if spec.is_full_shift():
+        for i in range(m):
+            for j in range(m):
+                if states[i][j] != CERTAIN_ZERO:
+                    states[i][j] = CERTIFIED_NONZERO
+    else:
+        for orbit in _word_orbits(spec, words):
+            members = [idx[w] for w in orbit]
+            for i in members:
+                for j in members:
+                    if states[i][j] == CERTAIN_ZERO:
+                        raise Inconsistent(
+                            "witnessed pair was forced to zero; "
+                            "propagation is unsound"
+                        )
+                    states[i][j] = CERTIFIED_NONZERO
+
+    return SupportPattern(
+        level=k,
+        words=tuple(words),
+        states=tuple(tuple(row) for row in states),
+    )
+
+
+def _components(m, edge):
+    """Union-find components over the pairs i < j with edge(i, j): members
+    in increasing order, components by least member."""
+    uf = UnionFind(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if edge(i, j):
+                uf.union(i, j)
+    out = {}
+    for x in range(m):
+        out.setdefault(uf.find(x), []).append(x)
+    return [out[r] for r in sorted(out)]
+
+
+def loop_ergodicity_verdict(spec, pf, k, pattern=None):
+    """ergodicity_verdict from union-find components of loop_word_support;
+    ``pattern`` replaces the propagated one when given."""
+    if pattern is None:
+        pattern = propagate(build_constraints(spec, pf))
+    support = loop_word_support(pattern, pf, k)
+    words = support.words
+    m = len(words)
+    comps = _components(m, lambda i, j: support.states[i][j] != CERTAIN_ZERO)
+    if len(comps) > 1:
+        return ErgodicityVerdict(NON_ERGODIC, k, tuple(words[i] for i in comps[0]))
+    certified = _components(
+        m, lambda i, j: support.states[i][j] == CERTIFIED_NONZERO
+    )
+    if len(certified) == 1:
+        return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
+    return ErgodicityVerdict(UNKNOWN, k, None)

@@ -234,6 +234,20 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.json").exists()
 
+    def test_stdout_closed_early_exits_one_quietly(self, full3_file):
+        # `shiftlab t-a ... | head -c 20`: the reader leaves mid-report
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shiftlab.cli", "t-a", "--input", full3_file],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert head.startswith(b"{")
+        assert err == "shiftlab: output closed early\n"
+
     # autgroup on the full 12-shift: 12! automorphisms; t-a on the full
     # 4-shift: 16! flip-intertwiner symmetries
     @pytest.mark.parametrize("command, n", [("autgroup", 12), ("t-a", 4)])

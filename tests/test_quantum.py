@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
+from shiftlab import quantum
 from shiftlab.quantum import (
     CERTAIN_ZERO,
     CERTIFIED_NONZERO,
@@ -15,14 +17,22 @@ from shiftlab.quantum import (
     ERGODIC_CERTIFIED,
     NON_ERGODIC,
     UNKNOWN,
+    PatternMatrix,
     PerLegWitness,
+    ProjVarState,
     _p_var,
     _q_var,
 )
 from shiftlab.models import classical_model
-from shiftlab.errors import SearchCapExceeded
+from shiftlab.errors import Inconsistent, SearchCapExceeded
 from conftest import UNKNOWN_EXHIBIT, primitive_circulants, primitive_matrices
-from oracles import brute_force_orbits
+from oracles import (
+    brute_force_orbits,
+    loop_build_constraints,
+    loop_ergodicity_verdict,
+    loop_word_support,
+    sweep_propagate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +257,98 @@ class TestErgodicityVerdict:
         assert np.ptp(pf.u) < 1e-12  # constant eigenvector: no pre-zeroing
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == UNKNOWN
+
+
+def _propagated(propagate, system):
+    """The pattern, or the Inconsistent message propagation stops with."""
+    try:
+        return propagate(system)
+    except Inconsistent as exc:
+        return str(exc)
+
+
+class TestAgainstLoopReferences:
+    """The array and settled-equation passes against the loops they replace."""
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=6), primitive_circulants(max_n=6)),
+        st.integers(0, 3),
+    )
+    def test_supports_and_verdicts(self, mat, k):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        pattern = sl.propagate(sl.build_constraints(spec, pf))
+        sup = sl.word_support(pattern, pf, k)
+        assert sup == loop_word_support(pattern, pf, k)
+        assert sl.ergodicity_verdict(spec, pf, k) == loop_ergodicity_verdict(
+            spec, pf, k
+        )
+
+    @pytest.mark.parametrize("zero_at", [(0, 1), (1, 0)])
+    def test_only_upper_triangle_read(self, monkeypatch, full2, full2_pf, zero_at):
+        # one Zero off the diagonal: the pair of level-1 words is CertainZero
+        # one way round and CertifiedNonzero the other
+        free = ProjVarState("free", 0)
+        grid = [[free, free], [free, free]]
+        grid[zero_at[0]][zero_at[1]] = ProjVarState("0")
+        pattern = PatternMatrix(2, tuple(map(tuple, grid)), tuple(map(tuple, grid)))
+        monkeypatch.setattr(quantum, "propagate", lambda system: pattern)
+        v = sl.ergodicity_verdict(full2, full2_pf, 1)
+        assert v == loop_ergodicity_verdict(full2, full2_pf, 1, pattern)
+        if zero_at == (0, 1):  # states[0][1] is read: no edge
+            assert v.verdict == NON_ERGODIC and v.witness == ((1,),)
+        else:
+            assert v.verdict == ERGODIC_CERTIFIED
+
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=6), primitive_circulants(max_n=6)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_constraints_and_propagation(self, mat, pf_rule, data):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        system = sl.build_constraints(spec, pf, use_pf_rule=pf_rule)
+        assert system == loop_build_constraints(spec, pf, use_pf_rule=pf_rule)
+        assert _propagated(sl.propagate, system) == _propagated(
+            sweep_propagate, system
+        )
+        # a few more pre-zeroed variables: about a third of these systems
+        # are contradictory, and the first Inconsistent raised must agree
+        open_vars = sorted(set(range(system.var_count)) - set(system.pre_zero))
+        extra = data.draw(st.lists(st.sampled_from(open_vars), min_size=1, max_size=3))
+        zeroed = replace(system, pre_zero=system.pre_zero + tuple(extra))
+        assert _propagated(sl.propagate, zeroed) == _propagated(
+            sweep_propagate, zeroed
+        )
+
+    def test_inconsistent_message_pinned(self, full2, full2_pf):
+        system = sl.build_constraints(full2, full2_pf)
+        # p[0][0] = p[0][1] = 0 empties the first row of a magic grid
+        zeroed = replace(system, pre_zero=(_p_var(2, 0, 0), _p_var(2, 0, 1)))
+        message = _propagated(sl.propagate, zeroed)
+        assert message == "scalar clash 0 != 1"
+        assert message == _propagated(sweep_propagate, zeroed)
+
+    def test_level2_verdict_n128_in_bounded_time(self):
+        # 10% ones over a 128-cycle with one loop: primitive, 1,739 level-2
+        # words (3 million pairs) and distinct PF entries, which pre-zero
+        # every off-diagonal variable and isolate each word
+        n = 128
+        rng = np.random.default_rng(20261018)
+        a = (rng.random((n, n)) < 0.1).astype(int)
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1
+        a[0, 0] = 1
+        spec = sl.AdjacencySpec.from_matrix(a)
+        pf = sl.perron_frobenius(spec)
+        start = time.perf_counter()
+        v = sl.ergodicity_verdict(spec, pf, 2)
+        assert time.perf_counter() - start < 2.0
+        assert v.verdict == NON_ERGODIC and v.witness == ((1, 1),)
 
 
 class TestTAAnalysis:
