@@ -121,25 +121,16 @@ class PatternMatrix:
     def grid_strings(self) -> dict[str, list[str]]:
         """Rows over {'.', '0', '1', class letters}; '.' marks a singleton
         Free entry, letters mark Free entries merged into a shared class."""
-        counts: Counter[int] = Counter()
-        for grid in (self.p, self.q):
-            for row in grid:
-                for st in row:
-                    if st.kind == FREE:
-                        counts[st.class_id] += 1
+        free = [
+            st.class_id
+            for grid in (self.p, self.q)
+            for row in grid
+            for st in row
+            if st.kind == FREE
+        ]
+        shared = [c for c, count in Counter(free).items() if count > 1]
         letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        letter_of: dict[int, str] = {}
-        for grid in (self.p, self.q):
-            for row in grid:
-                for st in row:
-                    if (
-                        st.kind == FREE
-                        and counts[st.class_id] > 1
-                        and st.class_id not in letter_of
-                    ):
-                        letter_of[st.class_id] = letters[
-                            len(letter_of) % len(letters)
-                        ]
+        letter_of = {c: letters[k % len(letters)] for k, c in enumerate(shared)}
 
         def render(grid):  # ZERO and ONE print as themselves
             return [

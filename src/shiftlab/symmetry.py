@@ -9,6 +9,7 @@ the extension phases cancel, so each block picks up a single scalar.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -69,13 +70,14 @@ def _closure(start, images) -> set:
     return seen
 
 
-def _search(a: Sequence[Sequence[int]], first_path: bool) -> tuple[int, list]:
-    """Backtracking with in/out-degree pruning; leaves come out sorted.
+def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
+    """First-path search (McKay, 1981) with in/out-degree pruning.
 
-    List mode returns the order and every leaf.  First-path mode (McKay,
-    1981) follows the identity, leaves it at point i for image j only when
-    j is outside i's orbit under the leaves found so far, stops there at
-    the least leaf, and returns the order and those leaves (generators).
+    For each point i, deepest first, it follows the identity on the points
+    below i and stops at the least leaf for each image of i outside i's
+    orbit so far; those leaves are the generators, sorted.  Returns the
+    order, the generators and the chain: chain[i] maps each point p of i's
+    orbit to an element that fixes the points below i and takes i to p.
     """
     n = len(a)
     profile = [(sum(a[i]), sum(row[i] for row in a), a[i][i]) for i in range(n)]
@@ -84,11 +86,12 @@ def _search(a: Sequence[Sequence[int]], first_path: bool) -> tuple[int, list]:
     assignment: list[int] = []
     used = [False] * n
 
-    def extend(i: int) -> bool:  # True once first-path mode hits a leaf
+    def extend(i: int, images: Sequence[int] = ()) -> bool:
+        """True at the least leaf below, with i taken into images if given."""
         if i == n:
             found.append(tuple(x + 1 for x in assignment))
-            return first_path
-        for j in candidates[i]:
+            return True
+        for j in images or candidates[i]:
             if used[j]:
                 continue
             for k in range(i):
@@ -104,39 +107,39 @@ def _search(a: Sequence[Sequence[int]], first_path: bool) -> tuple[int, list]:
                     return True
         return False
 
-    def path(i: int) -> int:
-        """Order of the group fixing the points < i, which the path fixes."""
-        if i == n:
-            return 1
-        order, orbit = 1, set()
-        for j in candidates[i]:  # i itself comes first: the path goes on
-            if j < i or j in orbit or any(
-                a[k][j] != a[k][i] or a[j][k] != a[i][k] for k in range(i)
-            ):
-                continue
-            used[j] = True
-            assignment.append(j)
-            if j == i:
-                order, orbit = path(i + 1), {i}
-            elif extend(i + 1):
-                orbit = _closure(i, lambda x: (g[x] - 1 for g in found))
-            assignment.pop()
-            used[j] = False
-        return order * len(orbit)
-
-    if first_path:
-        return path(0), found
-    extend(0)
-    return len(found), found
+    chain: list[dict[int, tuple[int, ...]]] = []
+    for i in reversed(range(n)):
+        orbit = {i: tuple(range(1, n + 1))}
+        chain.insert(0, orbit)
+        assignment[:], used[:] = range(i), [k < i for k in range(n)]
+        for j in candidates[i]:
+            if j not in orbit and extend(i, [j]):
+                todo = list(orbit)
+                for p in todo:  # todo grows with the orbit
+                    for g in found:
+                        if (q := g[p] - 1) not in orbit:
+                            orbit[q] = tuple(g[x - 1] for x in orbit[p])
+                            todo.append(q)
+    return math.prod(map(len, chain)), found, chain
 
 
 def matrix_automorphisms(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Every automorphism of a 0/1 matrix, sorted; the order comes first,
-    and a group above ``word_cap()`` raises LengthOverflow unlisted."""
-    order, limit = _search(a, first_path=True)[0], word_cap()
+    """Every automorphism of a 0/1 matrix, sorted: the products g·u along
+    the chain, depth first, taking each level's points p in ascending g(p).
+    A group above ``word_cap()`` raises LengthOverflow unlisted."""
+    (order, _, chain), limit = _search(a), word_cap()
     if order > limit:
         raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
-    return _search(a, first_path=False)[1]
+    levels = [orbit for orbit in chain if len(orbit) > 1]  # skip 1-point orbits
+    out, stack = [], [(tuple(range(1, len(a) + 1)), 0)]
+    while stack:  # the elements below g agree with it on the levels < i
+        g, i = stack.pop()
+        if i == len(levels):
+            out.append(g)
+            continue
+        for p in sorted(levels[i], key=g.__getitem__, reverse=True):  # pop ascending
+            stack.append((tuple(g[x - 1] for x in levels[i][p]), i + 1))
+    return out
 
 
 def automorphism_group(spec: AdjacencySpec) -> list[GraphAutomorphism]:
@@ -147,7 +150,7 @@ def automorphism_group(spec: AdjacencySpec) -> list[GraphAutomorphism]:
 def generating_set(spec: AdjacencySpec) -> list[GraphAutomorphism]:
     """First-path generators of the automorphism group, sorted (identity
     excluded, so the trivial group has none); nothing is listed."""
-    return [GraphAutomorphism(p) for p in _search(spec.a, first_path=True)[1]]
+    return [GraphAutomorphism(p) for p in _search(spec.a)[1]]
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,37 @@ def brute_force_group(a):
     ]
 
 
+def backtrack_automorphisms(a):
+    """Every automorphism of a 0/1 matrix (1-based, sorted), as the leaves
+    of a backtracking search with in/out-degree pruning."""
+    n = len(a)
+    profile = [(sum(a[i]), sum(row[i] for row in a), a[i][i]) for i in range(n)]
+    candidates = [[j for j in range(n) if profile[j] == p] for p in profile]
+    found = []
+    assignment = []
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            found.append(tuple(x + 1 for x in assignment))
+            return
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            for k in range(i):
+                if a[assignment[k]][j] != a[k][i] or a[j][assignment[k]] != a[i][k]:
+                    break
+            else:
+                used[j] = True
+                assignment.append(j)
+                extend(i + 1)
+                assignment.pop()
+                used[j] = False
+
+    extend(0)
+    return found
+
+
 def generated_group(gens, n):
     """Every product of the given 1-based permutations of 1..n, as tuples."""
     have = {tuple(range(1, n + 1))}

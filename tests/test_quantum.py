@@ -76,6 +76,15 @@ class TestPropagate:
         assert grids["p"] == ["10", "01"]
         assert grids["q"] == ["10", "01"]
 
+    def test_shared_classes_lettered_in_first_seen_order(self):
+        # four shared classes, read row-major through p and then q
+        spec = sl.AdjacencySpec.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+        pattern = sl.propagate(sl.build_constraints(spec, sl.perron_frobenius(spec)))
+        assert pattern.grid_strings() == {
+            "p": ["ab0", "cd0", "001"],
+            "q": ["dc0", "ba0", "001"],
+        }
+
     def test_full_shift_all_free(self, full2_pattern):
         for i in range(1, 3):
             for j in range(1, 3):
@@ -393,6 +402,15 @@ class TestTAAnalysis:
             )
         ]
         assert sorted(rep.automorphisms) == sorted(brute)
+
+    def test_circulant_listing_is_bounded(self):
+        # loops plus the 2-step 5-cycle: a group of order 20 on 25 letters,
+        # whose backtracking leaves sit under many dead-end branches
+        a = [[int((j - i) % 5 in (0, 2)) for j in range(5)] for i in range(5)]
+        start = time.perf_counter()
+        rep = sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a))
+        assert time.perf_counter() - start < 0.7
+        assert rep.order == 20
 
     def test_cap(self):
         spec = sl.AdjacencySpec.full_shift(7)

@@ -1,12 +1,15 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
+from shiftlab.core import word_cap
 from shiftlab.groupoid import BisectionIndex, bisections_up_to
+from shiftlab.quantum import t_a_matrix
 from shiftlab.symmetry import (
     ClassicalIsometry,
     GraphAutomorphism,
@@ -23,12 +26,34 @@ from conftest import (
     sample_phase_vectors,
     swap_permutation,
 )
-from oracles import brute_force_group, generated_group
+from oracles import (
+    backtrack_automorphisms,
+    brute_force_group,
+    generated_group,
+    least_positive_power,
+)
 
 
 def cycle_circulant(n):
     """Loops plus the n-cycle i -> i + 1: its group is the rotations, C_n."""
     return [[int((j - i) % n in (0, 1)) for j in range(n)] for i in range(n)]
+
+
+def t_a_circulants(max_n):
+    """t-a matrices (n^2 letters) of every primitive circulant, n = 2..max_n."""
+    for n in range(2, max_n + 1):
+        for c in itertools.product((0, 1), repeat=n):
+            a = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+            if least_positive_power(a) is not None:
+                yield t_a_matrix(sl.AdjacencySpec.from_matrix(a)).tolist()
+
+
+def assert_list_matches_backtracking(mat):
+    order, gens, _ = _search(mat)
+    group = matrix_automorphisms(mat)
+    assert group == backtrack_automorphisms(mat)
+    assert order == len(group)
+    assert generated_group(gens, len(mat)) == set(group)
 
 
 def identity_iso(n):
@@ -92,12 +117,29 @@ class TestFirstPathSearch:
         n = len(mat)
         group = {tuple(x + 1 for x in p) for p in brute_force_group(mat)}
         spec = sl.AdjacencySpec.from_matrix(mat)
-        assert _search(mat, first_path=True)[0] == len(group)
+        assert _search(mat)[0] == len(group)
         gens = [g.perm for g in generating_set(spec)]
         assert gens == sorted(gens)
         assert tuple(range(1, n + 1)) not in gens and set(gens) <= group
         assert generated_group(gens, n) == group
         assert matrix_automorphisms(mat) == sorted(group)
+
+    def test_t_a_circulants_match_backtracking(self):
+        # n^2 letters: out of reach of the n! brute force; of the 14
+        # circulants only the full 4-shift's group is over the cap
+        listable = [m for m in t_a_circulants(4) if _search(m)[0] <= word_cap()]
+        assert len(listable) == 13
+        for mat in listable:
+            assert_list_matches_backtracking(mat)
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_matrices(max_n=3))
+    def test_t_a_of_random_matrices_match_backtracking(self, a):
+        assume(a != [[1] * 3] * 3)  # its 9! list is the circulant test's
+        assert_list_matches_backtracking(
+            t_a_matrix(sl.AdjacencySpec.from_matrix(a)).tolist()
+        )
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cyclic_circulant_has_one_generator(self, n):
