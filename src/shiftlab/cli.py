@@ -45,6 +45,7 @@ from .errors import (
 )
 from .groupoid import count_bisections
 from .models import (
+    capped_word_pairs,
     classical_model,
     normality_element_norm,
     qls_magic,
@@ -297,14 +298,14 @@ def run_t_a(spec: AdjacencySpec) -> dict:
 def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dict:
     _require_positive("ell", ell)
     _require_positive("size", size)
+    # an over-cap request fails before the model is built
+    capped_word_pairs(4 if kind == "two-projection" else size, ell)
     if kind == "two-projection":
         model = two_projection_magic(theta)
     elif kind == "qls":
         model = qls_magic(random_qls_vectors(size, seed=seed))
-    elif kind == "classical":
-        model = classical_model(tuple(range(1, size + 1)))
     else:
-        raise ParseError(f"unknown model kind {kind!r}")
+        model = classical_model(tuple(range(1, size + 1)))
     rep = relation_check(model, ell)
     norms = {
         f"{i},{k},{l}": normality_element_norm(model, i, k, l)

@@ -16,8 +16,15 @@ from shiftlab.core import (
     conformal_measure,
     enumerate_words,
     require_admissible,
+    word_cap,
 )
-from shiftlab.errors import Inconsistent
+from shiftlab.errors import Inconsistent, LengthOverflow
+from shiftlab.models import (
+    RelationReport,
+    word_op_adjoint,
+    word_op_mul,
+    word_operator,
+)
 from shiftlab.quantum import (
     CERTAIN_ZERO,
     CERTIFIED_NONZERO,
@@ -498,3 +505,54 @@ def loop_ergodicity_verdict(spec, pf, k, pattern=None):
     if len(certified) == 1:
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     return ErgodicityVerdict(UNKNOWN, k, None)
+
+
+def dense_relation_defect(model, ell):
+    """relation_check's RelationReport with the partial-isometry defect
+    from materializing X*X as a dense d^m x d^m matrix for each of the
+    sum n^(2m) word pairs and taking ||(X*X)^2 - X*X||."""
+    n = model.n
+    checked = sum(n ** (2 * m) for m in range(1, ell + 1))
+    if checked > word_cap():
+        raise LengthOverflow(f"{checked} word pairs exceed cap {word_cap()}")
+    worst_pi = 0.0
+    for m in range(1, ell + 1):
+        words = list(itertools.product(range(1, n + 1), repeat=m))
+        for mu in words:
+            for nu in words:
+                x = word_operator(model, mu, nu)
+                xx = word_op_mul(word_op_adjoint(x), x)
+                dense = xx.materialize()
+                worst_pi = max(
+                    worst_pi, float(np.linalg.norm(dense @ dense - dense, 2))
+                )
+    eye = np.eye(model.dim)
+    worst_uni = 0.0
+    for i in range(1, n + 1):
+        row_range = sum(model.entry(i, j) for j in range(1, n + 1))
+        col_range = sum(model.entry(j, i) for j in range(1, n + 1))
+        worst_uni = max(
+            worst_uni,
+            float(np.linalg.norm(row_range - eye, 2)),
+            float(np.linalg.norm(col_range - eye, 2)),
+        )
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            if i == k:
+                continue
+            mixed_col = sum(
+                model.entry(i, j) @ model.entry(k, j) for j in range(1, n + 1)
+            )
+            mixed_row = sum(
+                model.entry(j, i) @ model.entry(j, k) for j in range(1, n + 1)
+            )
+            worst_uni = max(
+                worst_uni,
+                float(np.linalg.norm(mixed_col, 2)),
+                float(np.linalg.norm(mixed_row, 2)),
+            )
+    return RelationReport(
+        max_partial_isometry_defect=worst_pi,
+        max_unitarity_defect=worst_uni,
+        words_checked=checked,
+    )

@@ -269,6 +269,29 @@ class TestErrorPaths:
         assert main(argv) == 4
         assert time.perf_counter() - start < 1.0
 
+    # (argv, what the one-line message names): 120 * 119 * 118 normality
+    # triples; qls 12^2 + 12^4 + 12^6 word pairs, refused before the model's
+    # polar fits; a length whose pair count has over 24,000 digits
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--model", "classical", "--size", "120", "--ell", "1"],
+             "1685040 normality triples"),
+            (["--model", "qls", "--size", "12", "--ell", "3"], "word pairs"),
+            (["--model", "two-projection", "--ell", "20000"], "word pairs"),
+        ],
+        ids=["triples", "qls-pairs", "huge-ell"],
+    )
+    def test_repmodel_counts_over_cap_exit_four_at_once(
+        self, capsys, monkeypatch, argv, named
+    ):
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        start = time.perf_counter()
+        assert main(["repmodel"] + argv) == 4
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+
     def test_overflow_exit_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "10")
         path = tmp_path / "full.json"

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 import shiftlab as sl
 from shiftlab.models import (
+    MagicUnitaryModel,
     classical_model,
     generator_operator,
     qls_magic,
@@ -18,6 +21,7 @@ from shiftlab.errors import (
     NotProjection,
 )
 from conftest import fourier_qls_vectors, random_projection
+from oracles import dense_relation_defect
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,100 @@ class TestRelationCheck:
         monkeypatch.setenv("ARIADNE_CAP", "89")
         with pytest.raises(LengthOverflow):
             sl.relation_check(model, 2)
+
+
+def rotated_latin_square(n, seed):
+    """Cyclic Latin square of basis vectors turned by a seeded unitary: a
+    quantum Latin square whose projections are not diagonal (the random
+    search finds none at n = 3)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return np.array([[u[:, (i + j) % n] for j in range(n)] for i in range(n)])
+
+
+def random_grid_model(n, dim, seed):
+    """Magic-unitary shape with random complex entries: no entry is a
+    projection, so the partial-isometry defect is of order one or more."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n, dim, dim)
+    entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return MagicUnitaryModel(n=n, dim=dim, entries=entries)
+
+
+ORACLE_CASES = [
+    *[(f"two-projection-{t}", lambda t=t: two_projection_magic(t), 2)
+      for t in (0.1, 0.7, 1.2, 1.5)],
+    ("two-projection-pi/5", lambda: two_projection_magic(np.pi / 5), 3),
+    *[(f"qls2-seed{k}", lambda k=k: qls_magic(random_qls_vectors(2, seed=k)), 3)
+      for k in (0, 1, 2)],
+    *[(f"qls3-seed{k}", lambda k=k: qls_magic(rotated_latin_square(3, k)), 3)
+      for k in (0, 1)],
+    *[(f"qls4-seed{k}", lambda k=k: qls_magic(random_qls_vectors(4, seed=k)), 2)
+      for k in (0, 1, 5)],
+    ("classical-21", lambda: classical_model((2, 1)), 3),
+    ("classical-231", lambda: classical_model((2, 3, 1)), 3),
+    ("classical-2143", lambda: classical_model((2, 1, 4, 3)), 2),
+    ("classical-4321", lambda: classical_model((4, 3, 2, 1)), 2),
+    *[(f"non-projection-{n}x{d}-seed{k}", lambda a=(n, d, k): random_grid_model(*a), 3)
+      for n, d, k in ((2, 1, 0), (2, 3, 1), (3, 2, 2))],
+]
+
+
+class TestRelationCheckOracle:
+    """relation_check from per-leg spectra against the dense d^m x d^m loop."""
+
+    @pytest.mark.parametrize(
+        "build, ell", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_matches_dense_loop(self, build, ell):
+        model = build()
+        got = sl.relation_check(model, ell)
+        want = dense_relation_defect(model, ell)
+        assert got.words_checked == want.words_checked
+        assert got.max_unitarity_defect == want.max_unitarity_defect
+        a, b = got.max_partial_isometry_defect, want.max_partial_isometry_defect
+        if b > 1e-6:
+            assert abs(a - b) <= 1e-12 * b
+        else:
+            assert abs(a - b) <= 1e-14
+
+    def test_non_projection_defect_is_order_one(self):
+        # the formula must not assume the entries are projections
+        rep = sl.relation_check(random_grid_model(2, 2, 7), 1)
+        assert rep.max_partial_isometry_defect > 0.1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: two_projection_magic(np.pi / 5),
+            lambda: qls_magic(random_qls_vectors(4, seed=1)),
+            lambda: classical_model((2, 1, 4, 3)),
+        ],
+        ids=["two-projection", "qls", "classical"],
+    )
+    def test_length_four_in_bounded_time(self, build):
+        # 69,904 word pairs; the dense loop does not end within 120 s on qls
+        model = build()
+        start = time.perf_counter()
+        rep = sl.relation_check(model, 4)
+        assert time.perf_counter() - start < 2.0
+        assert rep.words_checked == 16 + 16**2 + 16**3 + 16**4
+        assert rep.max_partial_isometry_defect < 1e-10
+
+    def test_normality_triples_bounded_by_cap(self, monkeypatch):
+        # 16 word pairs, 4 * 3 * 2 = 24 normality triples
+        model = classical_model((1, 2, 3, 4))
+        monkeypatch.setenv("ARIADNE_CAP", "24")
+        assert sl.relation_check(model, 1).words_checked == 16
+        monkeypatch.setenv("ARIADNE_CAP", "23")
+        with pytest.raises(LengthOverflow, match="24 normality triples"):
+            sl.relation_check(model, 1)
+
+    def test_huge_length_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(LengthOverflow, match="up to length 5 "):
+            sl.relation_check(two_projection_magic(np.pi / 5), 10**9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFullShiftNonvanishing:
