@@ -61,13 +61,15 @@ from .quantum import (
     t_a_analysis,
 )
 from .spectral import MERGE_TOL, spectrum
-from .symmetry import automorphism_group, classical_fixed_points, generating_set
+from .symmetry import classical_fixed_points, generating_set, matrix_automorphisms
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_NOT_PRIMITIVE = 3
 EXIT_OVERFLOW = 4
+
+ROW_CHUNK = 1024  # rows of a 2-D integer array per write (full3's t-a has 9!)
 
 
 def round15(x: float) -> float:
@@ -123,7 +125,10 @@ def _write_json(obj, write, pad: str = "\n") -> None:
     elif isinstance(obj, complex):
         _write_json({"im": obj.imag, "re": obj.real}, write, pad)
     elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), write, pad)
+        if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
+            _write_int_rows(obj, write, pad)
+        else:
+            _write_json(obj.tolist(), write, pad)
     elif isinstance(obj, dict):
         items, inner, sep = {str(k): v for k, v in obj.items()}, pad + "  ", "{"
         for key in sorted(items):
@@ -133,9 +138,6 @@ def _write_json(obj, write, pad: str = "\n") -> None:
         write(pad + "}" if items else "{}")
     elif isinstance(obj, (list, tuple)):
         inner, sep = pad + "  ", "["
-        if obj and all(type(x) is int for x in obj):  # t-a lists 9! of these
-            write("[" + inner + ("," + inner).join(map(str, obj)) + pad + "]")
-            return
         for item in obj:
             write(sep + inner)
             _write_json(item, write, inner)
@@ -143,6 +145,17 @@ def _write_json(obj, write, pad: str = "\n") -> None:
         write(pad + "]" if obj else "[]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_int_rows(rows: np.ndarray, write, pad: str) -> None:
+    """rows.tolist() as _write_json spells it: one %-format per ROW_CHUNK rows."""
+    inner, deeper = pad + "  ", pad + "    "
+    row = "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1]) + inner + "]"
+    for start in range(0, len(rows), ROW_CHUNK):
+        chunk = rows[start : start + ROW_CHUNK]
+        text = ("," + inner).join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+        write(("," if start else "[") + inner + text)
+    write(pad + "]")
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -238,10 +251,10 @@ def run_spectrum(
 
 
 def run_autgroup(spec: AdjacencySpec) -> dict:
-    group = automorphism_group(spec)
+    group = matrix_automorphisms(spec.a)
     return {
         "order": len(group),
-        "permutations": [g.perm for g in group],
+        "permutations": group,
         "generators": [g.perm for g in generating_set(spec)],
     }
 
@@ -291,7 +304,7 @@ def run_t_a(spec: AdjacencySpec) -> dict:
     return {
         "matrix": rep.matrix,
         "group_order": rep.order,
-        "permutations": rep.automorphisms,
+        "permutations": rep.permutations,
     }
 
 

@@ -32,12 +32,7 @@ from .core import (
     enumerate_words,
 )
 from .errors import Inconsistent, SearchCapExceeded
-from .symmetry import (
-    GraphAutomorphism,
-    _word_orbits,
-    automorphism_group,
-    matrix_automorphisms,
-)
+from .symmetry import GraphAutomorphism, _word_orbits, matrix_automorphisms
 
 ZERO = "0"
 ONE = "1"
@@ -401,9 +396,10 @@ def classical_witness(
     """
     if len(mu) != len(nu):
         raise ValueError("words must have equal length")
-    for g in automorphism_group(spec):
-        if g.apply_word(nu) == mu:
-            return g
+    group = matrix_automorphisms(spec.a)
+    aligned = (group[:, [x - 1 for x in nu]] == mu).all(axis=1)
+    if aligned.any():  # the rows are sorted: this is the least such one
+        return GraphAutomorphism(tuple(group[aligned.argmax()].tolist()))
     if spec.is_full_shift():
         perms = []
         for a, b in zip(mu, nu):
@@ -513,11 +509,15 @@ def ergodicity_verdict(
 @dataclass(frozen=True, eq=False)
 class TAReport:
     matrix: np.ndarray
-    automorphisms: tuple[tuple[int, ...], ...]
+    permutations: np.ndarray  # (order, n^2), sorted rows
+
+    @property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.permutations.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.automorphisms)
+        return len(self.permutations)
 
 
 def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
@@ -539,4 +539,4 @@ def t_a_analysis(spec: AdjacencySpec) -> TAReport:
         )
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())
-    return TAReport(matrix=_frozen(t), automorphisms=tuple(perms))
+    return TAReport(matrix=_frozen(t), permutations=_frozen(perms))

@@ -9,6 +9,7 @@ the extension phases cancel, so each block picks up a single scalar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -123,28 +124,30 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
     return math.prod(map(len, chain)), found, chain
 
 
-def matrix_automorphisms(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Every automorphism of a 0/1 matrix, sorted: the products g·u along
-    the chain, depth first, taking each level's points p in ascending g(p).
-    A group above ``word_cap()`` raises LengthOverflow unlisted."""
+def matrix_automorphisms(a: Sequence[Sequence[int]]) -> np.ndarray:
+    """Every automorphism of a 0/1 matrix as the rows of one sorted
+    (order, n) integer array: the products g·u along the chain, built a
+    level at a time, each row's children taken in ascending g(p).  A group
+    above ``word_cap()`` raises LengthOverflow unlisted."""
     (order, _, chain), limit = _search(a), word_cap()
     if order > limit:
         raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
-    levels = [orbit for orbit in chain if len(orbit) > 1]  # skip 1-point orbits
-    out, stack = [], [(tuple(range(1, len(a) + 1)), 0)]
-    while stack:  # the elements below g agree with it on the levels < i
-        g, i = stack.pop()
-        if i == len(levels):
-            out.append(g)
+    n = len(a)
+    dtype = np.min_scalar_type(-n - 1)  # the least signed type that holds n
+    rows = np.arange(1, n + 1, dtype=dtype)[None, :]
+    for orbit in chain:
+        if len(orbit) == 1:  # the rows already agree on a 1-point level
             continue
-        for p in sorted(levels[i], key=g.__getitem__, reverse=True):  # pop ascending
-            stack.append((tuple(g[x - 1] for x in levels[i][p]), i + 1))
-    return out
+        points = np.fromiter(orbit, dtype=np.intp, count=len(orbit))
+        u = np.array(list(orbit.values()), dtype=np.intp) - 1
+        ranks = np.argsort(rows[:, points], axis=1)
+        rows = rows[:, u][np.arange(len(rows))[:, None], ranks].reshape(-1, n)
+    return rows
 
 
 def automorphism_group(spec: AdjacencySpec) -> list[GraphAutomorphism]:
     """Complete automorphism group, sorted; LengthOverflow past ``word_cap()``."""
-    return [GraphAutomorphism(p) for p in matrix_automorphisms(spec.a)]
+    return [GraphAutomorphism(tuple(p)) for p in matrix_automorphisms(spec.a).tolist()]
 
 
 def generating_set(spec: AdjacencySpec) -> list[GraphAutomorphism]:
@@ -182,30 +185,17 @@ class TruncationBasis:
     def locate(self, gamma: BisectionIndex, cell: Word) -> int | None:
         try:
             g = self.gammas.index(gamma)
+            return self.offsets[g] + self.bases[g].cells.index(cell)
         except ValueError:
             return None
-        try:
-            c = self.bases[g].cells.index(cell)
-        except ValueError:
-            return None
-        return self.offsets[g] + c
 
 
 def truncation_basis(
     spec: AdjacencySpec, gammas: list[BisectionIndex], depth: int
 ) -> TruncationBasis:
     bases = [level_basis(spec, g.s_word, depth) for g in gammas]
-    offsets = []
-    total = 0
-    for b in bases:
-        offsets.append(total)
-        total += b.size
-    return TruncationBasis(
-        gammas=tuple(gammas),
-        bases=tuple(bases),
-        offsets=tuple(offsets),
-        size=total,
-    )
+    *offsets, size = itertools.accumulate((b.size for b in bases), initial=0)
+    return TruncationBasis(tuple(gammas), tuple(bases), tuple(offsets), size)
 
 
 def _relabeled_index(

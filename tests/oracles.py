@@ -38,6 +38,7 @@ from shiftlab.quantum import (
     ConstraintSystem,
     ErgodicityVerdict,
     PatternMatrix,
+    PerLegWitness,
     ProjVarState,
     SupportPattern,
     UnionFind,
@@ -48,7 +49,7 @@ from shiftlab.quantum import (
     propagate,
 )
 from shiftlab.spectral import _common_prefix_length, level_basis
-from shiftlab.symmetry import _word_orbits
+from shiftlab.symmetry import GraphAutomorphism, _word_orbits, automorphism_group
 
 
 def shell_delta_values(pf, base, depth, values, extra=2):
@@ -505,6 +506,23 @@ def loop_ergodicity_verdict(spec, pf, k, pattern=None):
     if len(certified) == 1:
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     return ErgodicityVerdict(UNKNOWN, k, None)
+
+
+def loop_classical_witness(spec, mu, nu):
+    """classical_witness as a loop over the listed group's elements."""
+    if len(mu) != len(nu):
+        raise ValueError("words must have equal length")
+    for g in automorphism_group(spec):
+        if g.apply_word(nu) == mu:
+            return g
+    if spec.is_full_shift():
+        perms = []
+        for a, b in zip(mu, nu):
+            perm = list(range(1, spec.n + 1))
+            perm[b - 1], perm[a - 1] = perm[a - 1], perm[b - 1]
+            perms.append(GraphAutomorphism(tuple(perm)))
+        return PerLegWitness(tuple(perms))
+    return None
 
 
 def dense_relation_defect(model, ell):

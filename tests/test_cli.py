@@ -17,7 +17,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab
-from shiftlab.cli import _emit, main, round15
+from shiftlab.cli import ROW_CHUNK, _emit, main, round15
 from conftest import FIBONACCI
 from oracles import reference_report_text
 
@@ -357,6 +357,22 @@ class TestFormatting:
 _KEYS = st.one_of(
     st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(), st.floats(-2, 2)
 )
+# heights 0, 1, 3 and past one write chunk; widths 0 and 3
+_ARRAY_SHAPES = [(0, 3), (3, 0), (1, 3), (3, 3), (ROW_CHUNK + 5, 3)]
+_INT_DTYPES = [np.int8, np.int16, np.int64, np.uint64]
+
+
+def _int_array(dtype, shape, seed):
+    """A 2-D array over the dtype's whole range, negatives included."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+
+
+def _bool_array(shape, seed):
+    return np.random.default_rng(seed).integers(0, 2, shape).astype(bool)
+
+
 _LEAVES = st.one_of(
     st.integers(-(2**70), 2**70),
     st.booleans(),
@@ -374,6 +390,13 @@ _LEAVES = st.one_of(
         np.array
     ),
     st.lists(st.integers(-(2**40), 2**40), max_size=5).map(tuple),
+    st.builds(
+        _int_array,
+        st.sampled_from(_INT_DTYPES),
+        st.sampled_from(_ARRAY_SHAPES),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(_bool_array, st.sampled_from(_ARRAY_SHAPES), st.integers(0, 2**32 - 1)),
 )
 _VALUES = st.recursive(
     _LEAVES,
@@ -409,6 +432,25 @@ class TestWriter:
         with contextlib.redirect_stdout(out):
             _emit(value, None)
         assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("shape", _ARRAY_SHAPES)
+    @pytest.mark.parametrize("dtype", _INT_DTYPES + [bool])
+    def test_two_dimensional_arrays_same_bytes(self, dtype, shape):
+        arr = _bool_array(shape, 7) if dtype is bool else _int_array(dtype, shape, 7)
+        value = {"a": [arr, {"b": arr}], "c": arr}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(value, None)
+        assert out.getvalue() == reference_report_text(value)
+
+    def test_full3_t_a_writes_in_bounded_time(self, tmp_path, full3_file, monkeypatch):
+        # 9! rows of 9 letters: listed and written from one integer array
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        out = tmp_path / "t-a.json"
+        start = time.perf_counter()
+        assert main(["t-a", "--input", full3_file, "--output", str(out)]) == 0
+        assert time.perf_counter() - start < 1.5
+        assert out.stat().st_size > 40_000_000
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="peak read from VmHWM"

@@ -25,9 +25,15 @@ from shiftlab.quantum import (
 )
 from shiftlab.models import classical_model
 from shiftlab.errors import Inconsistent, SearchCapExceeded
-from conftest import UNKNOWN_EXHIBIT, primitive_circulants, primitive_matrices
+from conftest import (
+    FIBONACCI,
+    UNKNOWN_EXHIBIT,
+    primitive_circulants,
+    primitive_matrices,
+)
 from oracles import (
     brute_force_orbits,
+    loop_classical_witness,
     loop_build_constraints,
     loop_ergodicity_verdict,
     loop_word_support,
@@ -185,6 +191,21 @@ class TestClassicalWitness:
                     )
                 else:
                     assert w.apply_word(nu) == mu
+
+    @pytest.mark.parametrize(
+        "mat",
+        [FIBONACCI, UNKNOWN_EXHIBIT] + [[[1] * n] * n for n in (2, 3, 4)],
+        ids=["fib", "unknown-exhibit", "full2", "full3", "full4"],
+    )
+    def test_same_witness_as_group_loop(self, mat):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        for k in (1, 2):
+            words = sl.enumerate_words(spec, k)
+            for mu in words:
+                for nu in words:
+                    assert sl.classical_witness(spec, mu, nu) == (
+                        loop_classical_witness(spec, mu, nu)
+                    )
 
 
 def check_orbits_against_brute_force(mat, k):

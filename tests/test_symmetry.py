@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import numpy as np
@@ -21,6 +22,8 @@ from shiftlab.symmetry import (
 )
 from shiftlab.errors import LengthOverflow, NotClosed
 from conftest import (
+    FIBONACCI,
+    UNKNOWN_EXHIBIT,
     primitive_circulants,
     primitive_matrices,
     sample_phase_vectors,
@@ -51,9 +54,11 @@ def t_a_circulants(max_n):
 def assert_list_matches_backtracking(mat):
     order, gens, _ = _search(mat)
     group = matrix_automorphisms(mat)
-    assert group == backtrack_automorphisms(mat)
-    assert order == len(group)
-    assert generated_group(gens, len(mat)) == set(group)
+    assert group.dtype.kind in "iu" and group.shape == (order, len(mat))
+    rows = group.tolist()
+    assert rows == [list(p) for p in backtrack_automorphisms(mat)]
+    assert all(x < y for x, y in zip(rows, rows[1:]))  # strictly increasing
+    assert generated_group(gens, len(mat)) == set(map(tuple, rows))
 
 
 def identity_iso(n):
@@ -122,7 +127,7 @@ class TestFirstPathSearch:
         assert gens == sorted(gens)
         assert tuple(range(1, n + 1)) not in gens and set(gens) <= group
         assert generated_group(gens, n) == group
-        assert matrix_automorphisms(mat) == sorted(group)
+        assert matrix_automorphisms(mat).tolist() == [list(p) for p in sorted(group)]
 
     def test_t_a_circulants_match_backtracking(self):
         # n^2 letters: out of reach of the n! brute force; of the 14
@@ -140,6 +145,51 @@ class TestFirstPathSearch:
         assert_list_matches_backtracking(
             t_a_matrix(sl.AdjacencySpec.from_matrix(a)).tolist()
         )
+
+    def test_listing_sweep_matches_backtracking(self):
+        # any 0/1 matrix, primitive or not: the listing only needs the chain
+        rng = random.Random(20261020)
+        mats = [
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            for n in range(1, 7)
+            for _ in range(40)
+        ]
+        mats += [
+            [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+            for n in range(1, 6)
+            for c in itertools.product((0, 1), repeat=n)
+        ]
+        mats += [t_a_matrix(sl.AdjacencySpec.from_matrix(FIBONACCI)).tolist()]
+        mats += [t_a_matrix(sl.AdjacencySpec.full_shift(2)).tolist()]
+        for mat in mats:
+            assert_list_matches_backtracking(mat)
+
+    def test_trivial_group_is_the_identity_row(self):
+        group = matrix_automorphisms(UNKNOWN_EXHIBIT)
+        assert group.shape == (1, 4) and group.tolist() == [[1, 2, 3, 4]]
+
+    def test_one_point_levels_between_larger_ones(self):
+        # (1 2) and (4 5): the chain's orbits have sizes 2, 1, 1, 2, 1
+        mat = [
+            [0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0],
+            [1, 1, 0, 1, 1],
+            [0, 0, 1, 1, 0],
+            [0, 0, 1, 0, 1],
+        ]
+        assert [len(orbit) for orbit in _search(mat)[2]] == [2, 1, 1, 2, 1]
+        assert_list_matches_backtracking(mat)
+        assert matrix_automorphisms(mat).tolist() == [
+            [1, 2, 3, 4, 5], [1, 2, 3, 5, 4], [2, 1, 3, 4, 5], [2, 1, 3, 5, 4]
+        ]
+
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_letters_fit_the_smallest_dtype(self, n):
+        # int8 holds the letters 1..127 but not 128
+        group = matrix_automorphisms(cycle_circulant(n))
+        assert group.dtype == (np.int8 if n < 128 else np.int16)
+        rotations = [[(i + r) % n + 1 for i in range(n)] for r in range(n)]
+        assert group.tolist() == sorted(rotations)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cyclic_circulant_has_one_generator(self, n):
