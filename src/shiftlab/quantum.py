@@ -178,27 +178,32 @@ def build_constraints(
     relations and can be disabled for experimentation.
     """
     n = spec.n
+    p = np.arange(n * n).reshape(n, n)  # p[i, j] is _p_var(n, i, j)
+    q = p + n * n
+    a = spec.matrix.astype(bool)
     eqs: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = []
-    for var in (_p_var, _q_var):
-        for i in range(n):
-            eqs.append((tuple(var(n, i, j) for j in range(n)), 0, (), 1))
-        for j in range(n):
-            eqs.append((tuple(var(n, i, j) for i in range(n)), 0, (), 1))
+    for grid in (p, q):
+        eqs += [(line, 0, (), 1) for line in map(tuple, grid.tolist())]
+        eqs += [(line, 0, (), 1) for line in map(tuple, grid.T.tolist())]
     # (A p)[i][k] sums p[j][k] over successors j of i, (q A)[i][k] q[i][j]
-    # over predecessors j of k
-    succ = [[j for j in range(n) if row[j]] for row in spec.a]
-    pred = [[j for j in range(n) if spec.a[j][k]] for k in range(n)]
+    # over predecessors j of k: rhs[k][i] lists the latter
+    rhs = [q[:, a[:, k]].tolist() for k in range(n)]
     for i in range(n):
-        for k in range(n):
-            lhs = tuple(_p_var(n, j, k) for j in succ[i])
-            rhs = tuple(_q_var(n, i, j) for j in pred[k])
-            eqs.append((lhs, 0, rhs, 0))
-    pre: list[int] = []
+        lhs = p[a[i]].T.tolist()
+        eqs += [(tuple(lhs[k]), 0, tuple(rhs[k][i]), 0) for k in range(n)]
+    pre: tuple[int, ...] = ()
     if use_pf_rule:
-        for i, j in np.argwhere(_u_differs(pf)).tolist():
-            pre.append(_p_var(n, i, j))
-            pre.append(_q_var(n, i, j))
-    return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=tuple(pre))
+        flat = np.flatnonzero(_u_differs(pf))
+        pre = tuple(np.stack([flat, flat + n * n], axis=1).ravel().tolist())
+    return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=pre)
+
+
+#: variable codes in propagation, and the line rules' messages by index
+_ZERO_VAR, _ONE_VAR, _FREE_VAR = 0, 1, 2
+_LINE_RULES = (
+    "a line of a magic pattern is all zero",
+    "two ones in one line of a pattern",
+)
 
 
 def propagate(system: ConstraintSystem) -> PatternMatrix:
@@ -213,24 +218,34 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
         agree, and forces a (One, Zero) split when they differ by one;
       * scalar-against-scalar disagreement is a contradiction.
     The result does not depend on the order of ``system.equations``.
+
+    A pre-zeroed variable is never merged or reassigned (only free classes
+    are) and adds nothing to a tally, so it is dropped from every equation
+    before the first sweep.
     """
-    uf = UnionFind(system.var_count)
+    n = system.spec.n
+    size = system.var_count
+    codes = np.full(size, _FREE_VAR, dtype=np.int8)
+    codes[np.fromiter(system.pre_zero, np.intp, len(system.pre_zero))] = _ZERO_VAR
+    kept = (codes != _ZERO_VAR).tolist()
+    uf = UnionFind(size)
+    find = uf.find
     state: dict[int, str] = {}
 
-    def tally(variables: tuple[int, ...], const: int) -> tuple[int, Counter]:
+    def tally(variables: list[int], const: int) -> tuple[int, dict[int, int]]:
         """The constant plus the known Ones, and the free classes' counts."""
-        free: Counter[int] = Counter()
+        free: dict[int, int] = {}
         for v in variables:
-            r = uf.find(v)
+            r = find(v)
             st = state.get(r)
-            if st == ONE:
+            if st is None:
+                free[r] = free.get(r, 0) + 1
+            elif st == ONE:
                 const += 1
-            elif st is None:
-                free[r] += 1
         return const, free
 
     def assign(x: int, value: str) -> bool:
-        r = uf.find(x)
+        r = find(x)
         old = state.get(r)
         if old is None:
             state[r] = value
@@ -242,7 +257,7 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
         return False
 
     def merge(x: int, y: int) -> bool:
-        rx, ry = uf.find(x), uf.find(y)
+        rx, ry = find(x), find(y)
         if rx == ry:
             return False
         sx, sy = state.get(rx), state.get(ry)
@@ -256,12 +271,12 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
             state[r] = winner
         return True
 
-    for var in system.pre_zero:
-        assign(var, ZERO)
-
     # an equation with no free class left after cancelling stays so (known
     # classes keep their value, merges add to both sides): later sweeps skip it
-    pending = system.equations
+    pending = [
+        ([v for v in lhs if kept[v]], lc, [v for v in rhs if kept[v]], rc)
+        for lhs, lc, rhs, rc in system.equations
+    ]
     changed = True
     while changed:
         changed = False
@@ -269,8 +284,13 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
         for eq in pending:
             lconst, lfree = tally(eq[0], eq[1])
             rconst, rfree = tally(eq[2], eq[3])
-            # cancel shared classes; Counter subtraction keeps positive counts
-            lfree, rfree = lfree - rfree, rfree - lfree
+            if lfree and rfree:  # cancel shared classes, keep positive counts
+                for r in lfree.keys() & rfree.keys():
+                    shared = min(lfree[r], rfree[r])
+                    for free in (lfree, rfree):
+                        free[r] -= shared
+                        if not free[r]:
+                            del free[r]
 
             if not lfree and not rfree:
                 if lconst != rconst:
@@ -316,38 +336,33 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
                         )
         pending = unsettled
 
-    n = system.spec.n
-    class_ids: dict[int, int] = {}
+    # one shared state per value and per free class; classes are numbered
+    # in order of their first variable
+    known = {ZERO: ProjVarState(ZERO), ONE: ProjVarState(ONE)}
+    cells = [known[ZERO]] * size
+    classes: dict[int, ProjVarState] = {}
+    for v in np.flatnonzero(codes != _ZERO_VAR).tolist():
+        r = find(v)
+        st = state.get(r)
+        if st is None:
+            if r not in classes:
+                classes[r] = ProjVarState(FREE, len(classes))
+            cells[v] = classes[r]
+        else:
+            cells[v] = known[st]
+            codes[v] = _ONE_VAR if st == ONE else _ZERO_VAR
 
-    def extract(var: int) -> ProjVarState:
-        r = uf.find(var)
-        if r in state:  # ZERO or ONE
-            return ProjVarState(state[r])
-        if r not in class_ids:
-            class_ids[r] = len(class_ids)
-        return ProjVarState(FREE, class_ids[r])
-
-    p = tuple(
-        tuple(extract(_p_var(n, i, j)) for j in range(n)) for i in range(n)
+    # p before q, row i before column i, all-zero before two ones
+    grids = codes.reshape(2, n, n)
+    lines = np.stack([grids, grids.transpose(0, 2, 1)], axis=2)
+    broken = np.stack(
+        [(lines == _ZERO_VAR).all(axis=-1), (lines == _ONE_VAR).sum(axis=-1) > 1],
+        axis=-1,
     )
-    q = tuple(
-        tuple(extract(_q_var(n, i, j)) for j in range(n)) for i in range(n)
-    )
-    pattern = PatternMatrix(n=n, p=p, q=q)
-    _validate_pattern(pattern)
-    return pattern
-
-
-def _validate_pattern(pattern: PatternMatrix) -> None:
-    for grid in (pattern.p, pattern.q):
-        for i in range(pattern.n):
-            row = [grid[i][j] for j in range(pattern.n)]
-            col = [grid[j][i] for j in range(pattern.n)]
-            for line in (row, col):
-                if all(st.is_zero for st in line):
-                    raise Inconsistent("a line of a magic pattern is all zero")
-                if sum(st.is_one for st in line) > 1:
-                    raise Inconsistent("two ones in one line of a pattern")
+    if broken.any():
+        raise Inconsistent(_LINE_RULES[broken.argmax() % 2])
+    rows = [tuple(cells[s : s + n]) for s in range(0, size, n)]
+    return PatternMatrix(n=n, p=tuple(rows[:n]), q=tuple(rows[n:]))
 
 
 def collapse_report(pattern: PatternMatrix) -> str:
@@ -417,8 +432,10 @@ _ZERO_CODE, _CERTIFIED_CODE = 1, 2
 
 def _support_codes(
     pattern: PatternMatrix, pf: PerronFrobeniusData, k: int
-) -> tuple[list[Word], np.ndarray]:
-    """Level-k words and the m x m int8 array of their pairs' state codes."""
+) -> tuple[list[Word], np.ndarray, int | None]:
+    """Level-k words, the m x m int8 array of their pairs' state codes, and
+    the number of automorphism orbits of the words (None on the full shift,
+    where no orbits are formed)."""
     spec = pf.spec
     words = enumerate_words(spec, k)
     m = len(words)
@@ -428,14 +445,17 @@ def _support_codes(
     for col in letters.T:
         dead |= zero_pos[col][:, col]
 
+    orbit_count = None
     if spec.is_full_shift():
         certified = ~dead
     else:
         # some automorphism maps nu to mu exactly when they share an orbit
         index = {w: i for i, w in enumerate(words)}
         label = np.empty(m, dtype=np.intp)
-        for o, orbit in enumerate(_word_orbits(spec, words)):
+        orbits = _word_orbits(spec, words)
+        for o, orbit in enumerate(orbits):
             label[[index[w] for w in orbit]] = o
+        orbit_count = len(orbits)
         certified = label[:, None] == label[None, :]
         if (certified & dead).any():
             raise Inconsistent(
@@ -443,7 +463,7 @@ def _support_codes(
             )
     codes = dead.astype(np.int8)  # True is _ZERO_CODE
     codes[certified] = _CERTIFIED_CODE
-    return words, codes
+    return words, codes, orbit_count
 
 
 def word_support(
@@ -457,7 +477,7 @@ def word_support(
     Possible otherwise.  Pairs mixing an admissible with an
     inadmissible word are identically zero and never indexed.
     """
-    words, codes = _support_codes(pattern, pf, k)
+    words, codes, _ = _support_codes(pattern, pf, k)
     states = np.array(_STATES, dtype=object)[codes].tolist()
     return SupportPattern(k, tuple(words), tuple(map(tuple, states)))
 
@@ -467,18 +487,6 @@ class ErgodicityVerdict:
     verdict: str  # ErgodicCertified | NonErgodic | Unknown
     level: int
     witness: tuple[Word, ...] | None
-
-
-def _reached_from_first(edge: np.ndarray) -> np.ndarray:
-    """Bool mask of the words joined to word 0 by pairs i < j that ``edge``
-    marks: only the upper triangle is read, as an undirected graph."""
-    upper = np.triu(edge, 1)
-    adjacent = upper | upper.T
-    reached = frontier = np.arange(len(edge)) == 0
-    while frontier.any():
-        frontier = adjacent[frontier].any(axis=0) & ~reached
-        reached = reached | frontier
-    return reached
 
 
 def ergodicity_verdict(
@@ -494,14 +502,23 @@ def ergodicity_verdict(
     F would need a vanishing certified coefficient, which is absurd.
     Everything in between stays Unknown.  The witness of a disconnected
     graph is the component of the first word.
+
+    The certified subgraph needs no search of its own: on the full shift
+    it is the not-certainly-zero graph itself, and elsewhere its pairs are
+    the same-orbit pairs, so its components are the orbits.
     """
     pattern = propagate(build_constraints(spec, pf))
-    words, codes = _support_codes(pattern, pf, k)
-    reached = _reached_from_first(codes != _ZERO_CODE)
+    words, codes, orbit_count = _support_codes(pattern, pf, k)
+    upper = np.triu(codes != _ZERO_CODE, 1)
+    adjacent = upper | upper.T
+    reached = frontier = np.arange(len(words)) == 0
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
     if not reached.all():
         witness = tuple(words[i] for i in np.flatnonzero(reached))
         return ErgodicityVerdict(NON_ERGODIC, k, witness)
-    if _reached_from_first(codes == _CERTIFIED_CODE).all():
+    if orbit_count in (None, 1):  # None: the full shift
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     return ErgodicityVerdict(UNKNOWN, k, None)
 

@@ -44,7 +44,6 @@ from shiftlab.quantum import (
     UnionFind,
     _p_var,
     _q_var,
-    _validate_pattern,
     build_constraints,
     propagate,
 )
@@ -433,6 +432,20 @@ def sweep_propagate(system):
     pattern = PatternMatrix(n=n, p=p, q=q)
     _validate_pattern(pattern)
     return pattern
+
+
+def _validate_pattern(pattern):
+    """Raise Inconsistent at the first line of a grid that is all Zero or
+    holds two Ones: p before q, row i before column i."""
+    for grid in (pattern.p, pattern.q):
+        for i in range(pattern.n):
+            row = [grid[i][j] for j in range(pattern.n)]
+            col = [grid[j][i] for j in range(pattern.n)]
+            for line in (row, col):
+                if all(st.is_zero for st in line):
+                    raise Inconsistent("a line of a magic pattern is all zero")
+                if sum(st.is_one for st in line) > 1:
+                    raise Inconsistent("two ones in one line of a pattern")
 
 
 def loop_word_support(pattern, pf, k):

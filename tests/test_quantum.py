@@ -17,6 +17,7 @@ from shiftlab.quantum import (
     ERGODIC_CERTIFIED,
     NON_ERGODIC,
     UNKNOWN,
+    ConstraintSystem,
     PatternMatrix,
     PerLegWitness,
     ProjVarState,
@@ -280,6 +281,26 @@ class TestErgodicityVerdict:
         ]
         assert verdicts == [NON_ERGODIC] * 3
 
+    @pytest.mark.parametrize(
+        "mat, orbit_count, verdict",
+        [
+            # every pair is certified: no orbits are formed
+            ([[1] * 3] * 3, None, ERGODIC_CERTIFIED),
+            # the 6 ordered pairs of distinct letters are one S3 orbit
+            ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1, ERGODIC_CERTIFIED),
+            # loops plus the 3-cycle: (i, i) and (i, i + 1) are two orbits
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2, UNKNOWN),
+        ],
+    )
+    def test_certified_connectivity_from_orbit_count(self, mat, orbit_count, verdict):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        pattern = sl.propagate(sl.build_constraints(spec, pf))
+        assert quantum._support_codes(pattern, pf, 2)[2] == orbit_count
+        v = sl.ergodicity_verdict(spec, pf, 2)
+        assert v.verdict == verdict
+        assert v == loop_ergodicity_verdict(spec, pf, 2)
+
     def test_unknown_exhibit_pinned(self):
         spec = sl.AdjacencySpec.from_matrix(UNKNOWN_EXHIBIT)
         assert len(sl.automorphism_group(spec)) == 1
@@ -295,6 +316,39 @@ def _propagated(propagate, system):
         return propagate(system)
     except Inconsistent as exc:
         return str(exc)
+
+
+def _random_primitive(n, seed):
+    """10% ones over an n-cycle with one loop: primitive, and (as random
+    graphs go) with pairwise distinct PF entries."""
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < 0.1).astype(int)
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1
+    a[0, 0] = 1
+    return a.tolist()
+
+
+def _circulant(n, steps):
+    return [[int((j - i) % n in steps) for j in range(n)] for i in range(n)]
+
+
+def _check_propagation(mat, pf_rule, draw_extra, draws=1):
+    """build_constraints and propagate against the loop references, as
+    built and with ``draws`` sets of more pre-zeroed variables, each from
+    ``draw_extra(open variables)``.  Returns the built system."""
+    spec = sl.AdjacencySpec.from_matrix(mat)
+    pf = sl.perron_frobenius(spec)
+    system = sl.build_constraints(spec, pf, use_pf_rule=pf_rule)
+    assert system == loop_build_constraints(spec, pf, use_pf_rule=pf_rule)
+    assert _propagated(sl.propagate, system) == _propagated(sweep_propagate, system)
+    open_vars = sorted(set(range(system.var_count)) - set(system.pre_zero))
+    for _ in range(draws):
+        extra = tuple(draw_extra(open_vars))
+        zeroed = replace(system, pre_zero=system.pre_zero + extra)
+        assert _propagated(sl.propagate, zeroed) == _propagated(
+            sweep_propagate, zeroed
+        )
+    return system
 
 
 class TestAgainstLoopReferences:
@@ -340,21 +394,61 @@ class TestAgainstLoopReferences:
         st.data(),
     )
     def test_constraints_and_propagation(self, mat, pf_rule, data):
-        spec = sl.AdjacencySpec.from_matrix(mat)
-        pf = sl.perron_frobenius(spec)
-        system = sl.build_constraints(spec, pf, use_pf_rule=pf_rule)
-        assert system == loop_build_constraints(spec, pf, use_pf_rule=pf_rule)
-        assert _propagated(sl.propagate, system) == _propagated(
-            sweep_propagate, system
-        )
         # a few more pre-zeroed variables: about a third of these systems
         # are contradictory, and the first Inconsistent raised must agree
-        open_vars = sorted(set(range(system.var_count)) - set(system.pre_zero))
-        extra = data.draw(st.lists(st.sampled_from(open_vars), min_size=1, max_size=3))
-        zeroed = replace(system, pre_zero=system.pre_zero + tuple(extra))
-        assert _propagated(sl.propagate, zeroed) == _propagated(
-            sweep_propagate, zeroed
+        _check_propagation(
+            mat,
+            pf_rule,
+            lambda open_vars: data.draw(
+                st.lists(st.sampled_from(open_vars), min_size=1, max_size=3)
+            ),
         )
+
+    @pytest.mark.parametrize(
+        "mat, pf_rule",
+        [
+            # distinct PF entries pre-zero every off-diagonal variable
+            *((_random_primitive(n, seed=n), True) for n in (16, 24, 32)),
+            # a constant eigenvector and no PF rule: every variable starts
+            # free, and the extra zeros of n = 5, 6 and 9 leave merged
+            # classes shared by a p and a q variable
+            *(
+                (_circulant(n, steps), False)
+                for n, steps in [(5, (0, 1)), (6, (1, 2)), (9, (1, 3)), (12, (0, 1, 5))]
+            ),
+        ],
+        ids=lambda x: f"n{len(x)}" if isinstance(x, list) else f"pf_rule={x}",
+    )
+    def test_constraints_and_propagation_at_scale(self, mat, pf_rule):
+        rng = random.Random(len(mat))
+        system = _check_propagation(
+            mat,
+            pf_rule,
+            lambda open_vars: rng.sample(open_vars, rng.randint(1, 3)),
+            draws=4,
+        )
+        n = len(mat)
+        assert len(system.pre_zero) == (2 * (n * n - n) if pf_rule else 0)
+
+    @pytest.mark.parametrize(
+        "pre_zero, forced_ones, message",
+        [
+            # p column 0 all zero, p row 0 two Ones: row 0 is read first
+            ((0, 3, 6), (1, 2), "two ones in one line of a pattern"),
+            # p row 0 all zero, p column 1 two Ones: line 0 is read first
+            ((0, 1, 2), (4, 7), "a line of a magic pattern is all zero"),
+            # q row 0 all zero, p row 2 two Ones: p is read first
+            ((9, 10, 11), (7, 8), "two ones in one line of a pattern"),
+        ],
+    )
+    def test_line_rules_pinned(self, full3, pre_zero, forced_ones, message):
+        # no magic-row equations: only the line rules after the fixpoint
+        # see the empty line and the doubled One
+        system = ConstraintSystem(
+            spec=full3, equations=((forced_ones, 0, (), 2),), pre_zero=pre_zero
+        )
+        assert _propagated(sl.propagate, system) == message
+        assert _propagated(sweep_propagate, system) == message
 
     def test_inconsistent_message_pinned(self, full2, full2_pf):
         system = sl.build_constraints(full2, full2_pf)
@@ -365,15 +459,9 @@ class TestAgainstLoopReferences:
         assert message == _propagated(sweep_propagate, zeroed)
 
     def test_level2_verdict_n128_in_bounded_time(self):
-        # 10% ones over a 128-cycle with one loop: primitive, 1,739 level-2
-        # words (3 million pairs) and distinct PF entries, which pre-zero
-        # every off-diagonal variable and isolate each word
-        n = 128
-        rng = np.random.default_rng(20261018)
-        a = (rng.random((n, n)) < 0.1).astype(int)
-        a[np.arange(n), (np.arange(n) + 1) % n] = 1
-        a[0, 0] = 1
-        spec = sl.AdjacencySpec.from_matrix(a)
+        # 1,739 level-2 words (3 million pairs) and distinct PF entries,
+        # which pre-zero every off-diagonal variable and isolate each word
+        spec = sl.AdjacencySpec.from_matrix(_random_primitive(128, seed=20261018))
         pf = sl.perron_frobenius(spec)
         start = time.perf_counter()
         v = sl.ergodicity_verdict(spec, pf, 2)
