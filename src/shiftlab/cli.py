@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from . import __version__
 from .core import (
     DEFAULT_PF_TOL,
     AdjacencySpec,
+    PerronFrobeniusData,
     ahlfors_profile,
     conformal_measure,
     enumerate_words,
@@ -170,13 +172,22 @@ def _word_str(word) -> str:
     return "".join(str(x) for x in word)
 
 
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise ParseError(f"--{flag} must be >= 1, got {value}")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Every command's flags, checked before any analysis runs."""
+    for flag in ("depth", "level", "ell", "size"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ParseError(f"--{flag} must be >= 1, got {value}")
+    if hasattr(args, "cutoff"):
+        if not 1 <= args.cutoff < math.inf:
+            raise ParseError(f"--cutoff must be finite and >= 1, got {args.cutoff}")
+        if args.output and Path(args.output).suffix == ".csv":
+            raise ParseError(
+                f"--output {args.output} would be overwritten by the eigenvalue CSV"
+            )
 
 
-def run_pf(spec: AdjacencySpec, tol: float) -> dict:
-    pf = perron_frobenius(spec, tol=tol)
+def run_pf(pf: PerronFrobeniusData) -> dict:
     return {
         "primitivity_exponent": pf.primitivity_exponent,
         "lambda_max": pf.lambda_max,
@@ -188,13 +199,11 @@ def run_pf(spec: AdjacencySpec, tol: float) -> dict:
     }
 
 
-def run_measures(spec: AdjacencySpec, tol: float, depth: int) -> dict:
-    _require_positive("depth", depth)
-    pf = perron_frobenius(spec, tol=tol)
+def run_measures(pf: PerronFrobeniusData, depth: int) -> dict:
     table = {}
     for m in range(1, depth + 1):
         rows = []
-        for w in enumerate_words(spec, m):
+        for w in enumerate_words(pf.spec, m):
             rows.append(
                 {
                     "word": _word_str(w),
@@ -206,7 +215,7 @@ def run_measures(spec: AdjacencySpec, tol: float, depth: int) -> dict:
         table[str(m)] = rows
     c_min, c_max = ahlfors_profile(pf, depth)
     counts = {
-        f"{r_len}.{s_len}": count_bisections(spec, r_len, s_len)
+        f"{r_len}.{s_len}": count_bisections(pf.spec, r_len, s_len)
         for total in range(1, depth + 1)
         for r_len in range(total)
         for s_len in [total - r_len]
@@ -218,16 +227,7 @@ def run_measures(spec: AdjacencySpec, tol: float, depth: int) -> dict:
     }
 
 
-def run_spectrum(
-    spec: AdjacencySpec, tol: float, cutoff: float, output: str | None
-) -> dict:
-    if not 1 <= cutoff < math.inf:
-        raise ParseError(f"--cutoff must be finite and >= 1, got {cutoff}")
-    if output and Path(output).suffix == ".csv":
-        raise ParseError(
-            f"--output {output} would be overwritten by the eigenvalue CSV"
-        )
-    pf = perron_frobenius(spec, tol=tol)
+def run_spectrum(pf: PerronFrobeniusData, cutoff: float, output: str | None) -> dict:
     pairs = spectrum(pf, cutoff)
     counting = {}
     t = 1
@@ -260,7 +260,6 @@ def run_autgroup(spec: AdjacencySpec) -> dict:
 
 
 def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:
-    _require_positive("level", level)
     rep = classical_fixed_points(spec, level)
     return {
         "level": rep.level,
@@ -271,9 +270,8 @@ def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:
     }
 
 
-def run_pattern(spec: AdjacencySpec, tol: float, pf_rule: bool) -> dict:
-    pf = perron_frobenius(spec, tol=tol)
-    system = build_constraints(spec, pf, use_pf_rule=pf_rule)
+def run_pattern(pf: PerronFrobeniusData, pf_rule: bool) -> dict:
+    system = build_constraints(pf.spec, pf, use_pf_rule=pf_rule)
     pattern = propagate(system)
     grids = pattern.grid_strings()
     return {
@@ -284,10 +282,8 @@ def run_pattern(spec: AdjacencySpec, tol: float, pf_rule: bool) -> dict:
     }
 
 
-def run_ergodicity(spec: AdjacencySpec, tol: float, level: int) -> dict:
-    _require_positive("level", level)
-    pf = perron_frobenius(spec, tol=tol)
-    verdict = ergodicity_verdict(spec, pf, level)
+def run_ergodicity(pf: PerronFrobeniusData, level: int) -> dict:
+    verdict = ergodicity_verdict(pf.spec, pf, level)
     return {
         "level": verdict.level,
         "verdict": verdict.verdict,
@@ -309,8 +305,6 @@ def run_t_a(spec: AdjacencySpec) -> dict:
 
 
 def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dict:
-    _require_positive("ell", ell)
-    _require_positive("size", size)
     # an over-cap request fails before the model is built
     capped_word_pairs(4 if kind == "two-projection" else size, ell)
     if kind == "two-projection":
@@ -337,29 +331,24 @@ def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dic
     }
 
 
-def run_report(spec: AdjacencySpec, tol: float) -> dict:
-    """Bundle of all analyses; per-section failures recorded, not fatal."""
-    depth, cutoff, level = 4, 5.0, 3
+def run_report(spec: AdjacencySpec, pf) -> dict:
+    """Every analysis with its command's handler and the flags below, on one
+    PF computation; per-section failures recorded, not fatal."""
+    args = argparse.Namespace(
+        depth=4, cutoff=5.0, level=3, output=None, no_pf_rule=False
+    )
     bundle: dict = {}
-
-    def section(name, fn):
+    for name, handler in _HANDLERS.items():
+        if name == "report":
+            continue
         try:
-            bundle[name] = {"ok": True, "results": fn()}
+            bundle[name] = {"ok": True, "results": handler(spec, pf, args)}
         except ShiftLabError as exc:
             bundle[name] = {
                 "ok": False,
                 "error": type(exc).__name__,
                 "message": str(exc),
             }
-
-    section("pf", lambda: run_pf(spec, tol))
-    section("measures", lambda: run_measures(spec, tol, depth))
-    section("spectrum", lambda: run_spectrum(spec, tol, cutoff, None))
-    section("autgroup", lambda: run_autgroup(spec))
-    section("pattern", lambda: run_pattern(spec, tol, True))
-    section("classical-fix", lambda: run_classical_fix(spec, level))
-    section("ergodicity", lambda: run_ergodicity(spec, tol, level))
-    section("t-a", lambda: run_t_a(spec))
     return bundle
 
 
@@ -410,17 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# each command's flags, handed to its handler as plain arguments
+# each command's handler: (spec, cached PF computation, parsed flags)
 _HANDLERS = {
-    "pf": lambda spec, a: run_pf(spec, a.tol),
-    "measures": lambda spec, a: run_measures(spec, a.tol, a.depth),
-    "spectrum": lambda spec, a: run_spectrum(spec, a.tol, a.cutoff, a.output),
-    "autgroup": lambda spec, a: run_autgroup(spec),
-    "classical-fix": lambda spec, a: run_classical_fix(spec, a.level),
-    "pattern": lambda spec, a: run_pattern(spec, a.tol, not a.no_pf_rule),
-    "ergodicity": lambda spec, a: run_ergodicity(spec, a.tol, a.level),
-    "t-a": lambda spec, a: run_t_a(spec),
-    "report": lambda spec, a: run_report(spec, a.tol),
+    "pf": lambda spec, pf, a: run_pf(pf()),
+    "measures": lambda spec, pf, a: run_measures(pf(), a.depth),
+    "spectrum": lambda spec, pf, a: run_spectrum(pf(), a.cutoff, a.output),
+    "autgroup": lambda spec, pf, a: run_autgroup(spec),
+    "pattern": lambda spec, pf, a: run_pattern(pf(), not a.no_pf_rule),
+    "classical-fix": lambda spec, pf, a: run_classical_fix(spec, a.level),
+    "ergodicity": lambda spec, pf, a: run_ergodicity(pf(), a.level),
+    "t-a": lambda spec, pf, a: run_t_a(spec),
+    "report": lambda spec, pf, a: run_report(spec, pf),
 }
 
 
@@ -434,14 +423,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ParseError(f"--seed must be >= 0, got {args.seed}")
         word_cap()  # a malformed ARIADNE_CAP fails here, not in a report section
-        if args.command == "repmodel":
-            spec = None
+        spec = None if args.command == "repmodel" else load_spec(args.input)
+        _check_flags(args)
+        if spec is None:
             results = run_repmodel(
                 args.model, args.theta, args.ell, args.size, args.seed
             )
         else:
-            spec = load_spec(args.input)
-            results = _HANDLERS[args.command](spec, args)
+            # a failed PF computation is not cached: each report section
+            # that needs it recomputes it and records its own error
+            pf = functools.cache(lambda: perron_frobenius(spec, tol=args.tol))
+            results = _HANDLERS[args.command](spec, pf, args)
         _emit(_report(args.command, spec, results, started), args.output)
     except ParseError as exc:
         print(f"shiftlab: parse error: {exc}", file=sys.stderr)

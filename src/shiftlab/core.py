@@ -13,6 +13,7 @@ empty word ``()`` is admissible and indexes the whole space.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -271,15 +272,21 @@ def require_admissible(spec: AdjacencySpec, word: Word) -> None:
         raise NotAdmissible(f"word {word} is not admissible")
 
 
-def ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
-    """Number of admissible words of a length ending at each letter."""
+def _ending_count_steps(spec: AdjacencySpec):
+    """ending_counts at the lengths 1, 2, 3, ... in turn, without end."""
     counts = [1] * spec.n
-    for _ in range(length - 1):
+    while True:
+        yield counts
         counts = [
             sum(counts[i] * spec.a[i][j] for i in range(spec.n))
             for j in range(spec.n)
         ]
-    return counts
+
+
+def ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
+    """Number of admissible words of a length ending at each letter."""
+    steps = _ending_count_steps(spec)
+    return next(itertools.islice(steps, max(length, 1) - 1, None))
 
 
 def count_words(spec: AdjacencySpec, length: int) -> int:
@@ -294,11 +301,18 @@ def count_words(spec: AdjacencySpec, length: int) -> int:
 def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
     """All admissible words of a length, lexicographically sorted."""
     limit = word_cap()
-    total = count_words(spec, length)  # raises ValueError on length < 0
-    if total > limit:
-        raise LengthOverflow(f"{total} words of length {length} exceed cap {limit}")
+    if length < 0:
+        raise ValueError("length must be >= 0")
     if length == 0:
         return [EMPTY_WORD]
+    # counting stops at the first length whose total passes the cap: totals
+    # never fall with the length, since every letter has a successor
+    for m, counts in enumerate(_ending_count_steps(spec), 1):
+        total = sum(counts)
+        if total > limit:
+            raise LengthOverflow(f"{total} words of length {m} exceed cap {limit}")
+        if m == length:
+            break
     words: list[Word] = []
     stack: list[Word] = [(x,) for x in range(spec.n, 0, -1)]
     while stack:

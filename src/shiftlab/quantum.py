@@ -221,7 +221,9 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
 
     A pre-zeroed variable is never merged or reassigned (only free classes
     are) and adds nothing to a tally, so it is dropped from every equation
-    before the first sweep.
+    before the first sweep.  The classes a rule sets or merges are free
+    roots of the same equation's tally, distinct once shared ones cancel,
+    so every rule that fires changes the state.
     """
     n = system.spec.n
     size = system.var_count
@@ -243,33 +245,6 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
             elif st == ONE:
                 const += 1
         return const, free
-
-    def assign(x: int, value: str) -> bool:
-        r = find(x)
-        old = state.get(r)
-        if old is None:
-            state[r] = value
-            return True
-        if old != value:
-            raise Inconsistent(
-                f"variable class {r} forced to both {old} and {value}"
-            )
-        return False
-
-    def merge(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        sx, sy = state.get(rx), state.get(ry)
-        if sx is not None and sy is not None and sx != sy:
-            raise Inconsistent(f"merging contradictory classes {rx}, {ry}")
-        r = uf.union(rx, ry)
-        winner = sx if sx is not None else sy
-        state.pop(rx, None)
-        state.pop(ry, None)
-        if winner is not None:
-            state[r] = winner
-        return True
 
     # an equation with no free class left after cancelling stays so (known
     # classes keep their value, merges add to both sides): later sweeps skip it
@@ -303,12 +278,9 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
                     lconst - rconst,
                 )
                 weight = sum(free.values())
-                if d == 0:
-                    for r in free:
-                        changed |= assign(r, ZERO)
-                elif d == weight:
-                    for r in free:
-                        changed |= assign(r, ONE)
+                if d in (0, weight):
+                    state.update(dict.fromkeys(free, ONE if d else ZERO))
+                    changed = True
                 elif d < 0 or d > weight:
                     raise Inconsistent(f"sum of {weight} projections = {d}")
                 elif len(free) == 1:
@@ -323,17 +295,16 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
                 if ma == mb:
                     d = rconst - lconst
                     if d == 0:
-                        changed |= merge(ra, rb)
+                        uf.union(ra, rb)
                     elif d == ma:
-                        changed |= assign(ra, ONE)
-                        changed |= assign(rb, ZERO)
+                        state[ra], state[rb] = ONE, ZERO
                     elif d == -ma:
-                        changed |= assign(ra, ZERO)
-                        changed |= assign(rb, ONE)
+                        state[ra], state[rb] = ZERO, ONE
                     else:
                         raise Inconsistent(
                             f"projection difference {d}/{ma} out of range"
                         )
+                    changed = True
         pending = unsettled
 
     # one shared state per value and per free class; classes are numbered

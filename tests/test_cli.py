@@ -17,8 +17,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab
+import shiftlab.cli
+from shiftlab import perron_frobenius
 from shiftlab.cli import ROW_CHUNK, _emit, main, round15
-from conftest import FIBONACCI
+from conftest import FIBONACCI, UNKNOWN_EXHIBIT
 from oracles import reference_report_text
 
 
@@ -244,6 +246,7 @@ class TestErrorPaths:
         head = proc.stdout.read(20)
         proc.stdout.close()
         err = proc.stderr.read().decode()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert head.startswith(b"{")
         assert err == "shiftlab: output closed early\n"
@@ -292,6 +295,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1
 
+    # past about level 20,600 the exact Fibonacci word count has more
+    # digits than int-to-str allows, and the count itself takes level steps
+    @pytest.mark.parametrize("command", ["classical-fix", "ergodicity"])
+    def test_word_length_over_cap_exits_four_at_once(
+        self, capsys, monkeypatch, fib_file, command
+    ):
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        start = time.perf_counter()
+        assert main([command, "--input", fib_file, "--level", "30000"]) == 4
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == (
+            "shiftlab: enumeration overflow: "
+            "1346269 words of length 29 exceed cap 1000000\n"
+        )
+
     def test_overflow_exit_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "10")
         path = tmp_path / "full.json"
@@ -332,6 +351,61 @@ class TestReportBundle:
         sections = json.loads(out.read_text())["results"]
         assert sections["t-a"]["error"] == "LengthOverflow"
         assert all(sections[name]["ok"] for name in sections if name != "t-a")
+
+    def test_one_pf_computation(self, tmp_path, monkeypatch, fib_file):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return perron_frobenius(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab.cli, "perron_frobenius", counted)
+        out = tmp_path / "rep.json"
+        assert main(["report", "--input", fib_file, "--output", str(out)]) == 0
+        assert len(calls) == 1
+        sections = json.loads(out.read_text())["results"]
+        assert all(section["ok"] for section in sections.values())
+
+    def test_failed_pf_recorded_in_every_section_that_needs_it(self, tmp_path):
+        path = tmp_path / "cycle3.json"
+        cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        path.write_text(json.dumps({"n": 3, "a": cycle}))
+        out = tmp_path / "rep.json"
+        assert main(["report", "--input", str(path), "--output", str(out)]) == 0
+        sections = json.loads(out.read_text())["results"]
+        wielandt = "no power up to the Wielandt bound 5 is strictly positive"
+        for name in ["pf", "measures", "spectrum", "pattern", "ergodicity"]:
+            assert sections[name] == {
+                "ok": False,
+                "error": "NotPrimitive",
+                "message": wielandt,
+            }
+        for name in ["autgroup", "classical-fix", "t-a"]:
+            assert sections[name]["ok"]
+
+    @pytest.mark.parametrize(
+        "matrix", [FIBONACCI, UNKNOWN_EXHIBIT], ids=["fib", "unknown"]
+    )
+    def test_sections_equal_standalone_commands(self, tmp_path, capsys, matrix):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"n": len(matrix), "a": matrix}))
+        code, rep = run_json(capsys, "report", "--input", str(path))
+        assert code == 0
+        flags = {
+            "measures": ["--depth", "4"],
+            "spectrum": ["--cutoff", "5"],
+            "classical-fix": ["--level", "3"],
+            "ergodicity": ["--level", "3"],
+        }
+        assert sorted(rep["results"]) == [
+            "autgroup", "classical-fix", "ergodicity", "measures", "pattern",
+            "pf", "spectrum", "t-a",
+        ]
+        for name, section in rep["results"].items():
+            code, alone = run_json(
+                capsys, name, "--input", str(path), *flags.get(name, [])
+            )
+            assert code == 0 and section == {"ok": True, "results": alone["results"]}
 
     def test_deterministic_reports(self, tmp_path, fib_file):
         out1 = tmp_path / "a.json"

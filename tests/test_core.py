@@ -174,6 +174,17 @@ class TestWords:
         with pytest.raises(LengthOverflow):
             sl.enumerate_words(full2, 30)
 
+    def test_cap_overflow_names_the_first_length_past_it(self, fib, monkeypatch):
+        # the exact count of length 10**9 would take 10**9 big-int steps
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(
+            LengthOverflow,
+            match=r"^1346269 words of length 29 exceed cap 1000000$",
+        ):
+            sl.enumerate_words(fib, 10**9)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMeasures:
     def test_full_shift_closed_form(self, full2_pf):
