@@ -47,9 +47,9 @@ from .errors import (
 )
 from .groupoid import count_bisections
 from .models import (
+    _normality_norms,
     capped_word_pairs,
     classical_model,
-    normality_element_norm,
     qls_magic,
     random_qls_vectors,
     relation_check,
@@ -314,11 +314,11 @@ def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dic
     else:
         model = classical_model(tuple(range(1, size + 1)))
     rep = relation_check(model, ell)
-    norms = {
-        f"{i},{k},{l}": normality_element_norm(model, i, k, l)
-        for i, k, l in itertools.permutations(range(1, model.n + 1), 3)
-        if model.n >= 4
-    }
+    norms = {}
+    if model.n >= 4:
+        triples = itertools.permutations(range(1, model.n + 1), 3)
+        values = _normality_norms(model).tolist()
+        norms = {f"{i},{k},{l}": v for (i, k, l), v in zip(triples, values)}
     return {
         "model": kind,
         "grid_size": model.n,

@@ -313,15 +313,22 @@ def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
             raise LengthOverflow(f"{total} words of length {m} exceed cap {limit}")
         if m == length:
             break
+    # depth first along one path: a word is copied once, at its leaf
     words: list[Word] = []
-    stack: list[Word] = [(x,) for x in range(spec.n, 0, -1)]
-    while stack:
-        w = stack.pop()
-        if len(w) == length:
-            words.append(w)
+    path: list[int] = []
+    branches = [iter(range(1, spec.n + 1))]  # one per open prefix length
+    while branches:
+        if len(path) == length - 1:
+            head = tuple(path)
+            words.extend([head + (x,) for x in branches.pop()])
+        elif (x := next(branches[-1], None)) is not None:
+            path.append(x)
+            branches.append(iter(spec.successors(x)))
             continue
-        for nxt in reversed(spec.successors(w[-1])):
-            stack.append(w + (nxt,))
+        else:
+            branches.pop()
+        if path:
+            path.pop()
     return words
 
 

@@ -18,8 +18,12 @@ from shiftlab.core import (
     require_admissible,
     word_cap,
 )
-from shiftlab.errors import Inconsistent, LengthOverflow
+from shiftlab.errors import Inconsistent, LengthOverflow, NotBiunitary
 from shiftlab.models import (
+    QLS_ATTEMPTS,
+    QLS_MIN_OVERLAP,
+    QLS_SWEEPS,
+    QLS_TOL,
     RelationReport,
     word_op_adjoint,
     word_op_mul,
@@ -586,4 +590,50 @@ def dense_relation_defect(model, ell):
         max_partial_isometry_defect=worst_pi,
         max_unitarity_defect=worst_uni,
         words_checked=checked,
+    )
+
+
+def loop_qls_vectors(n, seed=0):
+    """random_qls_vectors one matrix at a time: a separate polar fit (SVD)
+    per row and per column, the residual checked after every sweep as the
+    largest 2-norm over the rows and columns, and the overlaps of every
+    vector pair in four nested loops."""
+
+    def nearest_unitary(m):
+        u, _, vh = np.linalg.svd(m)
+        return u @ vh
+
+    def residual(grid):
+        eye = np.eye(n)
+        worst = 0.0
+        for i in range(n):
+            worst = max(worst, np.linalg.norm(grid[i] @ grid[i].conj().T - eye, 2))
+            worst = max(
+                worst, np.linalg.norm(grid[:, i] @ grid[:, i].conj().T - eye, 2)
+            )
+        return worst
+
+    def min_free_overlap(grid):
+        best = np.inf
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            if i != k and j != l:
+                best = min(best, abs(np.vdot(grid[i, j], grid[k, l])))
+        return float(best)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(QLS_ATTEMPTS):
+        grid = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+        for _ in range(QLS_SWEEPS):
+            for i in range(n):
+                grid[i] = nearest_unitary(grid[i])
+            for j in range(n):
+                grid[:, j] = nearest_unitary(grid[:, j])
+            if residual(grid) < QLS_TOL:
+                break
+        if residual(grid) >= QLS_TOL:
+            continue
+        if min_free_overlap(grid) > QLS_MIN_OVERLAP:
+            return grid
+    raise NotBiunitary(
+        f"no generic biunitary grid found in {QLS_ATTEMPTS} seeded attempts"
     )

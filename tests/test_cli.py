@@ -295,6 +295,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert named in err and len(err.strip().splitlines()) == 1
 
+    def test_large_classical_model_in_bounded_time(self):
+        # 59,280 normality triples and an n^3 unitarity check on n = 40
+        # (about 2.4 s as one SVD per triple and a loop over the pairs)
+        start = time.perf_counter()
+        out = shiftlab.cli.run_repmodel("classical", 0.5, 1, 40, 0)
+        assert time.perf_counter() - start < 1.0
+        assert len(out["normality_norms"]) == 40 * 39 * 38
+        assert out["max_normality_norm"] == 0.0
+        assert out["unitarity_defect"] == 0.0
+
     # past about level 20,600 the exact Fibonacci word count has more
     # digits than int-to-str allows, and the count itself takes level steps
     @pytest.mark.parametrize("command", ["classical-fix", "ergodicity"])

@@ -1,11 +1,14 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 import shiftlab as sl
+import shiftlab.models
 from shiftlab.models import (
     MagicUnitaryModel,
+    _normality_norms,
     classical_model,
     generator_operator,
     qls_magic,
@@ -21,7 +24,7 @@ from shiftlab.errors import (
     NotProjection,
 )
 from conftest import fourier_qls_vectors, random_projection
-from oracles import dense_relation_defect
+from oracles import dense_relation_defect, loop_qls_vectors
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,45 @@ class TestQlsMagic:
         bad[:, :, 0] = 1.0
         with pytest.raises(NotBiunitary):
             qls_magic(bad)
+
+
+def qls_or_error(build, n, seed):
+    try:
+        return build(n, seed=seed)
+    except NotBiunitary as exc:
+        return str(exc)
+
+
+class TestRandomQlsVectors:
+    """Stacked polar fits against one SVD per row and per column."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_per_matrix_loop(self, n):
+        # every seed at n = 3 and seed 14 at n = 6 end in NotBiunitary
+        for seed in range(20):
+            got = qls_or_error(random_qls_vectors, n, seed)
+            want = qls_or_error(loop_qls_vectors, n, seed)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+
+    def test_at_most_three_svds_per_sweep(self, monkeypatch):
+        # one SVD fits every row, one every column, one is the residual;
+        # fitting matrix by matrix takes 2n per sweep
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(shiftlab.models, "QLS_ATTEMPTS", 1)
+        monkeypatch.setattr(shiftlab.models, "QLS_SWEEPS", 5)
+        with pytest.raises(NotBiunitary):
+            random_qls_vectors(4, seed=0)
+        assert 0 < len(calls) <= 3 * 5
 
 
 class TestWordOperators:
@@ -283,6 +325,21 @@ class TestNormalityElement:
         m = two_projection_magic(np.pi / 5)
         # grid entry (3, 2) crosses the blocks and is the zero matrix
         assert sl.normality_element_norm(m, 1, 3, 2) == 0.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *[lambda n=n: qls_magic(random_qls_vectors(n, seed=0)) for n in (4, 5, 6)],
+            lambda: two_projection_magic(np.pi / 5),
+            lambda: classical_model(tuple(range(1, 11))),
+        ],
+        ids=["qls4", "qls5", "qls6", "two-projection", "classical10"],
+    )
+    def test_batched_norms_equal_single_triples(self, build):
+        model = build()
+        triples = itertools.permutations(range(1, model.n + 1), 3)
+        want = [sl.normality_element_norm(model, *t) for t in triples]
+        assert _normality_norms(model).tolist() == want
 
     def test_index_clash(self, qls4):
         with pytest.raises(IndexClash):
