@@ -63,7 +63,7 @@ from .quantum import (
     t_a_analysis,
 )
 from .spectral import MERGE_TOL, spectrum
-from .symmetry import classical_fixed_points, generating_set, matrix_automorphisms
+from .symmetry import _listed_group, classical_fixed_points
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -150,13 +150,27 @@ def _write_json(obj, write, pad: str = "\n") -> None:
 
 
 def _write_int_rows(rows: np.ndarray, write, pad: str) -> None:
-    """rows.tolist() as _write_json spells it: one %-format per ROW_CHUNK rows."""
+    """rows.tolist() as _write_json spells it, ROW_CHUNK rows per write.
+
+    Each row carries the "," before it, which the first row trades for
+    "[".  A chunk whose entries all lie in 0..9 (a group on at most 9
+    letters, a 0/1 matrix) is one row's bytes tiled, with chunk + 48 put
+    into the digit slots; any other chunk is one %-format of the repeated
+    row."""
     inner, deeper = pad + "  ", pad + "    "
-    row = "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1]) + inner + "]"
+    row = "," + inner + "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1])
+    row += inner + "]"
+    template = np.frombuffer((row % ((0,) * rows.shape[1])).encode(), dtype=np.uint8)
+    slots = np.flatnonzero(template == ord("0"))  # pad holds no digits
     for start in range(0, len(rows), ROW_CHUNK):
         chunk = rows[start : start + ROW_CHUNK]
-        text = ("," + inner).join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-        write(("," if start else "[") + inner + text)
+        if 0 <= chunk.min() and chunk.max() <= 9:
+            buf = np.tile(template, (len(chunk), 1))
+            buf[:, slots] = chunk + 48
+            text = buf.tobytes().decode()
+        else:
+            text = row * len(chunk) % tuple(chunk.ravel().tolist())
+        write(text if start else "[" + text[1:])
     write(pad + "]")
 
 
@@ -251,12 +265,8 @@ def run_spectrum(pf: PerronFrobeniusData, cutoff: float, output: str | None) -> 
 
 
 def run_autgroup(spec: AdjacencySpec) -> dict:
-    group = matrix_automorphisms(spec.a)
-    return {
-        "order": len(group),
-        "permutations": group,
-        "generators": [g.perm for g in generating_set(spec)],
-    }
+    group, generators = _listed_group(spec.a)
+    return {"order": len(group), "permutations": group, "generators": generators}
 
 
 def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:

@@ -124,12 +124,9 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
     return math.prod(map(len, chain)), found, chain
 
 
-def matrix_automorphisms(a: Sequence[Sequence[int]]) -> np.ndarray:
-    """Every automorphism of a 0/1 matrix as the rows of one sorted
-    (order, n) integer array: the products g·u along the chain, built a
-    level at a time, each row's children taken in ascending g(p).  A group
-    above ``word_cap()`` raises LengthOverflow unlisted."""
-    (order, _, chain), limit = _search(a), word_cap()
+def _listed_group(a: Sequence[Sequence[int]]) -> tuple[np.ndarray, list]:
+    """matrix_automorphisms(a) and the generators, from one _search."""
+    (order, found, chain), limit = _search(a), word_cap()
     if order > limit:
         raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
     n = len(a)
@@ -142,7 +139,15 @@ def matrix_automorphisms(a: Sequence[Sequence[int]]) -> np.ndarray:
         u = np.array(list(orbit.values()), dtype=np.intp) - 1
         ranks = np.argsort(rows[:, points], axis=1)
         rows = rows[:, u][np.arange(len(rows))[:, None], ranks].reshape(-1, n)
-    return rows
+    return rows, found
+
+
+def matrix_automorphisms(a: Sequence[Sequence[int]]) -> np.ndarray:
+    """Every automorphism of a 0/1 matrix as the rows of one sorted
+    (order, n) integer array: the products g·u along the chain, built a
+    level at a time, each row's children taken in ascending g(p).  A group
+    above ``word_cap()`` raises LengthOverflow unlisted."""
+    return _listed_group(a)[0]
 
 
 def automorphism_group(spec: AdjacencySpec) -> list[GraphAutomorphism]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import shiftlab
 import shiftlab.cli
-from shiftlab import perron_frobenius
+from shiftlab import AdjacencySpec, perron_frobenius, t_a_analysis
 from shiftlab.cli import ROW_CHUNK, _emit, main, round15
 from conftest import FIBONACCI, UNKNOWN_EXHIBIT
 from oracles import reference_report_text
@@ -73,6 +73,16 @@ class TestDispatch:
         code, rep = run_json(capsys, "autgroup", "--input", full3_file)
         assert code == 0
         assert rep["results"]["order"] == 6
+
+    def test_autgroup_searches_once(self, capsys, monkeypatch, full3_file):
+        searched = []
+        search = shiftlab.symmetry._search
+        monkeypatch.setattr(
+            shiftlab.symmetry, "_search", lambda a: searched.append(a) or search(a)
+        )
+        code, rep = run_json(capsys, "autgroup", "--input", full3_file)
+        assert code == 0 and len(rep["results"]["generators"]) == 2
+        assert len(searched) == 1
 
     def test_spectrum_writes_csv(self, tmp_path, fib_file):
         out = tmp_path / "spec.json"
@@ -453,6 +463,26 @@ def _int_array(dtype, shape, seed):
     return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
 
 
+def _digit_array(dtype, shape, seed):
+    """A 2-D array of one-digit entries: every chunk is written from bytes."""
+    return np.random.default_rng(seed).integers(0, 10, shape).astype(dtype)
+
+
+def _one_digit_cases():
+    """One-digit arrays of every shape, then ROW_CHUNK + 5 rows whose last
+    row holds a 10 or a -1, so the two chunks take different paths, and the
+    same rows rolled so that the off-digit chunk comes first."""
+    for dtype in _INT_DTYPES:
+        name = np.dtype(dtype).name
+        for shape in _ARRAY_SHAPES:
+            yield pytest.param(_digit_array(dtype, shape, 7), id=f"{name}-{shape}")
+        for odd in (10, -1) if np.issubdtype(dtype, np.signedinteger) else (10,):
+            arr = _digit_array(dtype, (ROW_CHUNK + 5, 3), 7)
+            arr[-1, 1] = odd
+            yield pytest.param(arr, id=f"{name}-{odd}-last")
+            yield pytest.param(np.roll(arr, 5, axis=0), id=f"{name}-{odd}-first")
+
+
 def _bool_array(shape, seed):
     return np.random.default_rng(seed).integers(0, 2, shape).astype(bool)
 
@@ -476,6 +506,12 @@ _LEAVES = st.one_of(
     st.lists(st.integers(-(2**40), 2**40), max_size=5).map(tuple),
     st.builds(
         _int_array,
+        st.sampled_from(_INT_DTYPES),
+        st.sampled_from(_ARRAY_SHAPES),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        _digit_array,
         st.sampled_from(_INT_DTYPES),
         st.sampled_from(_ARRAY_SHAPES),
         st.integers(0, 2**32 - 1),
@@ -526,6 +562,25 @@ class TestWriter:
         with contextlib.redirect_stdout(out):
             _emit(value, None)
         assert out.getvalue() == reference_report_text(value)
+
+    @pytest.mark.parametrize("arr", _one_digit_cases())
+    def test_one_digit_chunks_same_bytes(self, arr):
+        value = {"a": [arr, {"b": arr}], "c": arr}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(value, None)
+        assert out.getvalue() == reference_report_text(value)
+
+    def test_full3_t_a_listing_writes_fast(self, tmp_path, monkeypatch):
+        # 9! rows of 9 one-digit letters, 42 MB: about 0.5 s as %-formats
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        perms = t_a_analysis(AdjacencySpec.from_matrix([[1] * 3] * 3)).permutations
+        assert perms.shape == (362_880, 9)
+        out = tmp_path / "t-a.json"
+        start = time.perf_counter()
+        _emit({"results": {"permutations": perms}}, str(out))
+        assert time.perf_counter() - start < 0.2
+        assert out.stat().st_size > 40_000_000
 
     def test_full3_t_a_writes_in_bounded_time(self, tmp_path, full3_file, monkeypatch):
         # 9! rows of 9 letters: listed and written from one integer array
