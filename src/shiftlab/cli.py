@@ -56,10 +56,9 @@ from .models import (
     two_projection_magic,
 )
 from .quantum import (
-    build_constraints,
+    _live_pattern,
     collapse_report,
     ergodicity_verdict,
-    propagate,
     t_a_analysis,
 )
 from .spectral import MERGE_TOL, spectrum
@@ -129,6 +128,13 @@ def _write_json(obj, write, pad: str = "\n") -> None:
     elif isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
             _write_int_rows(obj, write, pad)
+        elif (
+            obj.ndim in (1, 2)
+            and obj.dtype.kind == "f"
+            and obj.size
+            and np.isfinite(obj).all()
+        ):
+            _write_float_rows(obj, write, pad)
         else:
             _write_json(obj.tolist(), write, pad)
     elif isinstance(obj, dict):
@@ -171,6 +177,27 @@ def _write_int_rows(rows: np.ndarray, write, pad: str) -> None:
         else:
             text = row * len(chunk) % tuple(chunk.ravel().tolist())
         write(text if start else "[" + text[1:])
+    write(pad + "]")
+
+
+def _float_row(values: list[float], pad: str) -> str:
+    """A list of finite reals as _write_json spells it: json.dumps writes a
+    finite float as its repr."""
+    inner = pad + "  "
+    text = ("," + inner).join(map(repr, map(round15, values)))
+    return "[" + inner + text + pad + "]"
+
+
+def _write_float_rows(rows: np.ndarray, write, pad: str) -> None:
+    """A nonempty 1-D or 2-D array of finite reals as _write_json spells
+    rows.tolist(), a row per write."""
+    if rows.ndim == 1:
+        write(_float_row(rows.tolist(), pad))
+        return
+    inner, sep = pad + "  ", "["
+    for row in rows.tolist():
+        write(sep + inner + _float_row(row, inner))
+        sep = ","
     write(pad + "]")
 
 
@@ -281,8 +308,7 @@ def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:
 
 
 def run_pattern(pf: PerronFrobeniusData, pf_rule: bool) -> dict:
-    system = build_constraints(pf.spec, pf, use_pf_rule=pf_rule)
-    pattern = propagate(system)
+    pattern = _live_pattern(pf.spec, pf, use_pf_rule=pf_rule)
     grids = pattern.grid_strings()
     return {
         "p": grids["p"],

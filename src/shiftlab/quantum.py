@@ -19,6 +19,7 @@ resulting graphs decides ergodicity of the level-k action.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -165,6 +166,75 @@ def _u_differs(pf: PerronFrobeniusData) -> np.ndarray:
     return np.abs(u - u.T) > pf.tol * np.maximum(np.maximum(1.0, u), u.T)
 
 
+#: variable codes in propagation, and the line rules' messages by index
+_ZERO_VAR, _ONE_VAR, _FREE_VAR = 0, 1, 2
+_LINE_RULES = (
+    "a line of a magic pattern is all zero",
+    "two ones in one line of a pattern",
+)
+
+
+def _pf_codes(pf: PerronFrobeniusData, use_pf_rule: bool) -> np.ndarray:
+    """Each variable's code before propagation: Zero where the eigenvector
+    rule pre-zeroes it, else free."""
+    n = len(pf.u)
+    codes = np.full(2 * n * n, _FREE_VAR, dtype=np.int8)
+    if use_pf_rule:
+        codes[np.tile(_u_differs(pf).ravel(), 2)] = _ZERO_VAR
+    return codes
+
+
+def _constraint_arrays(
+    spec: AdjacencySpec, kept: np.ndarray
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+    """The equations of ``build_constraints`` as index arrays, with only the
+    variables where ``kept`` is True.
+
+    Returns ``(sides, rhs_const)``: ``sides`` holds, for the left and then
+    the right side, the variable of every occurrence and the index of its
+    equation, ordered by equation and then by position; ``rhs_const`` is
+    each equation's right constant (every left constant is 0).
+    """
+    n = spec.n
+    a = spec.matrix.astype(bool)
+    grids = np.arange(2 * n * n).reshape(2, n, n)  # _p_var and _q_var
+    kept_p, kept_q = kept.reshape(2, n, n)
+    # magic lines of p, then of q, rows before columns: each sums to 1
+    lines = np.stack([grids, grids.transpose(0, 2, 1)], axis=1).reshape(4 * n, n)
+    on_line = kept[lines]
+    # equation 4n + i n + k: (A p)[i][k] sums p[j][k] over successors j of
+    # i, (q A)[i][k] sums q[i][j] over predecessors j of k
+    ik, k, j = _cube_entries(a[:, None, :] & kept_p.T)
+    lhs = (
+        np.concatenate([lines[on_line], j * n + k]),
+        np.concatenate([np.flatnonzero(on_line) // n, 4 * n + ik]),
+    )
+    ik, k, j = _cube_entries(a.T & kept_q[:, None, :])
+    rhs = (n * n + ik - k + j, 4 * n + ik)
+    rhs_const = (np.arange(4 * n + n * n) < 4 * n).astype(np.intp)
+    return (lhs, rhs), rhs_const
+
+
+def _cube_entries(cube: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(i n + k, k, j) of the true entries, in order, of an (n, n, n) bool
+    array indexed (i, k, j)."""
+    n = len(cube)
+    flat = np.flatnonzero(cube)
+    ik = flat // n  # floor division by hand: % on int64 is several times slower
+    return ik, ik - ik // n * n, flat - ik * n
+
+
+def _split(
+    var: np.ndarray, eq: np.ndarray, ids: np.ndarray
+) -> list[tuple[int, ...]]:
+    """The variables of each equation in ``ids``, from occurrence arrays
+    ordered by equation."""
+    values = tuple(var.tolist())
+    starts = np.searchsorted(eq, ids).tolist()
+    ends = np.searchsorted(eq, ids, side="right").tolist()
+    return [values[s:e] for s, e in zip(starts, ends)]
+
+
 def build_constraints(
     spec: AdjacencySpec,
     pf: PerronFrobeniusData,
@@ -178,32 +248,31 @@ def build_constraints(
     relations and can be disabled for experimentation.
     """
     n = spec.n
-    p = np.arange(n * n).reshape(n, n)  # p[i, j] is _p_var(n, i, j)
-    q = p + n * n
-    a = spec.matrix.astype(bool)
-    eqs: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = []
-    for grid in (p, q):
-        eqs += [(line, 0, (), 1) for line in map(tuple, grid.tolist())]
-        eqs += [(line, 0, (), 1) for line in map(tuple, grid.T.tolist())]
-    # (A p)[i][k] sums p[j][k] over successors j of i, (q A)[i][k] q[i][j]
-    # over predecessors j of k: rhs[k][i] lists the latter
-    rhs = [q[:, a[:, k]].tolist() for k in range(n)]
-    for i in range(n):
-        lhs = p[a[i]].T.tolist()
-        eqs += [(tuple(lhs[k]), 0, tuple(rhs[k][i]), 0) for k in range(n)]
-    pre: tuple[int, ...] = ()
-    if use_pf_rule:
-        flat = np.flatnonzero(_u_differs(pf))
-        pre = tuple(np.stack([flat, flat + n * n], axis=1).ravel().tolist())
-    return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=pre)
+    sides, rhs_const = _constraint_arrays(spec, np.ones(2 * n * n, dtype=bool))
+    ids = np.arange(len(rhs_const))
+    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
+    eqs = tuple(zip(lhs, itertools.repeat(0), rhs, rhs_const.tolist()))
+    flat = np.flatnonzero(_pf_codes(pf, use_pf_rule)[: n * n] == _ZERO_VAR)
+    pre = tuple(np.stack([flat, flat + n * n], axis=1).ravel().tolist())
+    return ConstraintSystem(spec=spec, equations=eqs, pre_zero=pre)
 
 
-#: variable codes in propagation, and the line rules' messages by index
-_ZERO_VAR, _ONE_VAR, _FREE_VAR = 0, 1, 2
-_LINE_RULES = (
-    "a line of a magic pattern is all zero",
-    "two ones in one line of a pattern",
-)
+def _live_pattern(
+    spec: AdjacencySpec, pf: PerronFrobeniusData, use_pf_rule: bool = True
+) -> PatternMatrix:
+    """``propagate(build_constraints(spec, pf, use_pf_rule))``, with only the
+    live equations turned into Python tuples: those that keep a variable on
+    either side, or whose constants differ (a clash keeps its place in
+    order)."""
+    codes = _pf_codes(pf, use_pf_rule)
+    sides, rhs_const = _constraint_arrays(spec, codes != _ZERO_VAR)
+    live = rhs_const != 0
+    for _, eq in sides:
+        live[eq] = True
+    ids = np.flatnonzero(live)
+    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
+    equations = list(zip(lhs, itertools.repeat(0), rhs, rhs_const[ids].tolist()))
+    return _sweep(spec.n, codes, equations)
 
 
 def propagate(system: ConstraintSystem) -> PatternMatrix:
@@ -221,15 +290,31 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
 
     A pre-zeroed variable is never merged or reassigned (only free classes
     are) and adds nothing to a tally, so it is dropped from every equation
-    before the first sweep.  The classes a rule sets or merges are free
-    roots of the same equation's tally, distinct once shared ones cancel,
-    so every rule that fires changes the state.
+    before the first sweep, and so is an equation left with no variable
+    and equal constants.
     """
-    n = system.spec.n
-    size = system.var_count
-    codes = np.full(size, _FREE_VAR, dtype=np.int8)
+    codes = np.full(system.var_count, _FREE_VAR, dtype=np.int8)
     codes[np.fromiter(system.pre_zero, np.intp, len(system.pre_zero))] = _ZERO_VAR
     kept = (codes != _ZERO_VAR).tolist()
+    equations = []
+    for lhs, lc, rhs, rc in system.equations:
+        lhs = [v for v in lhs if kept[v]]
+        rhs = [v for v in rhs if kept[v]]
+        if lhs or rhs or lc != rc:
+            equations.append((lhs, lc, rhs, rc))
+    return _sweep(system.spec.n, codes, equations)
+
+
+def _sweep(n: int, codes: np.ndarray, equations: list) -> PatternMatrix:
+    """Sweep the equations, which hold no variable that ``codes`` marks
+    Zero, until a sweep changes nothing; then the pattern, with ``codes``
+    updated and checked by the line rules.
+
+    The classes a rule sets or merges are free roots of the same
+    equation's tally, distinct once shared ones cancel, so every rule that
+    fires changes the state.
+    """
+    size = len(codes)
     uf = UnionFind(size)
     find = uf.find
     state: dict[int, str] = {}
@@ -248,10 +333,7 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
 
     # an equation with no free class left after cancelling stays so (known
     # classes keep their value, merges add to both sides): later sweeps skip it
-    pending = [
-        ([v for v in lhs if kept[v]], lc, [v for v in rhs if kept[v]], rc)
-        for lhs, lc, rhs, rc in system.equations
-    ]
+    pending = equations
     changed = True
     while changed:
         changed = False
@@ -478,7 +560,7 @@ def ergodicity_verdict(
     it is the not-certainly-zero graph itself, and elsewhere its pairs are
     the same-orbit pairs, so its components are the orbits.
     """
-    pattern = propagate(build_constraints(spec, pf))
+    pattern = _live_pattern(spec, pf)
     words, codes, orbit_count = _support_codes(pattern, pf, k)
     upper = np.triu(codes != _ZERO_CODE, 1)
     adjacent = upper | upper.T

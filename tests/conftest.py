@@ -51,6 +51,16 @@ def primitive_circulants(draw, max_n):
     return a
 
 
+def random_primitive(n, seed):
+    """10% ones over an n-cycle with one loop: primitive, and (as random
+    graphs go) with pairwise distinct PF entries."""
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < 0.1).astype(int)
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1
+    a[0, 0] = 1
+    return a.tolist()
+
+
 def sample_phase_vectors(n):
     """Deterministic unimodular samples used by the residual suite."""
     roots = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, np.exp(2.0j * np.pi / 7.0)]

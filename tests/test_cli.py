@@ -20,7 +20,7 @@ import shiftlab
 import shiftlab.cli
 from shiftlab import AdjacencySpec, perron_frobenius, t_a_analysis
 from shiftlab.cli import ROW_CHUNK, _emit, main, round15
-from conftest import FIBONACCI, UNKNOWN_EXHIBIT
+from conftest import FIBONACCI, UNKNOWN_EXHIBIT, random_primitive
 from oracles import reference_report_text
 
 
@@ -483,6 +483,20 @@ def _one_digit_cases():
             yield pytest.param(np.roll(arr, 5, axis=0), id=f"{name}-{odd}-first")
 
 
+def _float_cases():
+    """Reals whose repr is an edge case; arrays of shapes (1, n), (n, 1)
+    and (0,); and arrays holding NaN or an infinity, which keep the
+    per-leaf path."""
+    edge = np.array([-0.0, 1e16, 5e-324, 0.1 + 0.2, 1 / 3])
+    yield pytest.param(edge, id="edge-reals")
+    yield pytest.param(edge[None, :], id="1xn")
+    yield pytest.param(edge[:, None], id="nx1")
+    yield pytest.param(np.zeros(0), id="empty")
+    for bad in (math.nan, math.inf, -math.inf):
+        yield pytest.param(np.array([0.5, bad]), id=f"1d-{bad}")
+        yield pytest.param(np.array([[0.5, 1e16], [bad, 1 / 3]]), id=f"2d-{bad}")
+
+
 def _bool_array(shape, seed):
     return np.random.default_rng(seed).integers(0, 2, shape).astype(bool)
 
@@ -571,6 +585,14 @@ class TestWriter:
             _emit(value, None)
         assert out.getvalue() == reference_report_text(value)
 
+    @pytest.mark.parametrize("arr", _float_cases())
+    def test_float_rows_same_bytes(self, arr):
+        value = {"a": [arr, {"b": arr}], "c": arr}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(value, None)
+        assert out.getvalue() == reference_report_text(value)
+
     def test_full3_t_a_listing_writes_fast(self, tmp_path, monkeypatch):
         # 9! rows of 9 one-digit letters, 42 MB: about 0.5 s as %-formats
         monkeypatch.delenv("ARIADNE_CAP", raising=False)
@@ -616,3 +638,28 @@ class TestWriter:
         assert codes_and_peak[2] < 200 * 1024
         assert out.stat().st_size > 40_000_000
         assert _digest_without_wall_time(out) == _digest_without_wall_time(piped)
+
+
+def test_cli_runs_never_import_numpy_ma(tmp_path, fib_file, full3_file):
+    # numpy's set routines (np.unique, np.union1d, ...) import numpy.ma on
+    # first use, about 15 ms of every process that reaches one
+    rand64 = tmp_path / "rand64.json"
+    rand64.write_text(json.dumps({"n": 64, "a": random_primitive(64, seed=64)}))
+    child = (
+        "import sys\n"
+        "from shiftlab.cli import main\n"
+        "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+    out = str(tmp_path / "report.json")
+    for argv in (
+        ["report", "--input", fib_file],
+        ["report", "--input", full3_file],
+        ["ergodicity", "--input", str(rand64)],
+        ["repmodel"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv, "--output", out],
+            capture_output=True, env=env, check=True, text=True,
+        )
+        assert proc.stdout.split() == ["0", "False"], argv

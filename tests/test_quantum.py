@@ -31,6 +31,7 @@ from conftest import (
     UNKNOWN_EXHIBIT,
     primitive_circulants,
     primitive_matrices,
+    random_primitive,
 )
 from oracles import (
     brute_force_orbits,
@@ -318,16 +319,6 @@ def _propagated(propagate, system):
         return str(exc)
 
 
-def _random_primitive(n, seed):
-    """10% ones over an n-cycle with one loop: primitive, and (as random
-    graphs go) with pairwise distinct PF entries."""
-    rng = np.random.default_rng(seed)
-    a = (rng.random((n, n)) < 0.1).astype(int)
-    a[np.arange(n), (np.arange(n) + 1) % n] = 1
-    a[0, 0] = 1
-    return a.tolist()
-
-
 def _circulant(n, steps):
     return [[int((j - i) % n in steps) for j in range(n)] for i in range(n)]
 
@@ -378,7 +369,7 @@ class TestAgainstLoopReferences:
         grid = [[free, free], [free, free]]
         grid[zero_at[0]][zero_at[1]] = ProjVarState("0")
         pattern = PatternMatrix(2, tuple(map(tuple, grid)), tuple(map(tuple, grid)))
-        monkeypatch.setattr(quantum, "propagate", lambda system: pattern)
+        monkeypatch.setattr(quantum, "_live_pattern", lambda spec, pf: pattern)
         v = sl.ergodicity_verdict(full2, full2_pf, 1)
         assert v == loop_ergodicity_verdict(full2, full2_pf, 1, pattern)
         if zero_at == (0, 1):  # states[0][1] is read: no edge
@@ -408,7 +399,7 @@ class TestAgainstLoopReferences:
         "mat, pf_rule",
         [
             # distinct PF entries pre-zero every off-diagonal variable
-            *((_random_primitive(n, seed=n), True) for n in (16, 24, 32)),
+            *((random_primitive(n, seed=n), True) for n in (16, 24, 32)),
             # a constant eigenvector and no PF rule: every variable starts
             # free, and the extra zeros of n = 5, 6 and 9 leave merged
             # classes shared by a p and a q variable
@@ -429,6 +420,39 @@ class TestAgainstLoopReferences:
         )
         n = len(mat)
         assert len(system.pre_zero) == (2 * (n * n - n) if pf_rule else 0)
+
+    @seed(20261021)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=8), primitive_circulants(max_n=8)),
+        st.booleans(),
+    )
+    def test_live_equations_same_pattern(self, mat, pf_rule):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        live = _propagated(lambda s: quantum._live_pattern(s, pf, pf_rule), spec)
+        system = sl.build_constraints(spec, pf, pf_rule)
+        assert live == _propagated(sl.propagate, system)
+
+    @pytest.mark.parametrize("pf_rule", [True, False])
+    def test_only_live_equations_reach_the_sweep(self, monkeypatch, pf_rule):
+        # distinct PF entries keep only the 2n diagonal variables: a magic
+        # line keeps one, and intertwining equation (i, k) one per side
+        # exactly when a[i][k] = 1; with no pre-zeroing every equation lives
+        mat = random_primitive(128, seed=20261018)
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        sweep, counts = quantum._sweep, []
+
+        def counting_sweep(n, codes, equations):
+            counts.append(len(equations))
+            return sweep(n, codes, equations)
+
+        monkeypatch.setattr(quantum, "_sweep", counting_sweep)
+        pattern = quantum._live_pattern(spec, pf, pf_rule)
+        n = len(mat)
+        assert counts == [4 * n + (int(np.sum(mat)) if pf_rule else n * n)]
+        assert pattern == sl.propagate(sl.build_constraints(spec, pf, pf_rule))
 
     @pytest.mark.parametrize(
         "pre_zero, forced_ones, message",
@@ -461,7 +485,7 @@ class TestAgainstLoopReferences:
     def test_level2_verdict_n128_in_bounded_time(self):
         # 1,739 level-2 words (3 million pairs) and distinct PF entries,
         # which pre-zero every off-diagonal variable and isolate each word
-        spec = sl.AdjacencySpec.from_matrix(_random_primitive(128, seed=20261018))
+        spec = sl.AdjacencySpec.from_matrix(random_primitive(128, seed=20261018))
         pf = sl.perron_frobenius(spec)
         start = time.perf_counter()
         v = sl.ergodicity_verdict(spec, pf, 2)
