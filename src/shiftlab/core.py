@@ -272,9 +272,10 @@ def require_admissible(spec: AdjacencySpec, word: Word) -> None:
         raise NotAdmissible(f"word {word} is not admissible")
 
 
-def _ending_count_steps(spec: AdjacencySpec):
-    """ending_counts at the lengths 1, 2, 3, ... in turn, without end."""
-    counts = [1] * spec.n
+def _ending_count_steps(spec: AdjacencySpec, start: int | None = None):
+    """ending_counts at the lengths 1, 2, 3, ... in turn, without end;
+    only of the words that begin with ``start`` when it is given."""
+    counts = [1 if start in (None, j + 1) else 0 for j in range(spec.n)]
     while True:
         yield counts
         counts = [
@@ -300,6 +301,14 @@ def count_words(spec: AdjacencySpec, length: int) -> int:
 
 def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
     """All admissible words of a length, lexicographically sorted."""
+    return _walk_words(spec, length)
+
+
+def _walk_words(
+    spec: AdjacencySpec, length: int, start: int | None = None
+) -> list[Word]:
+    """enumerate_words, keeping only the words that begin with ``start``
+    when it is given."""
     limit = word_cap()
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -307,7 +316,7 @@ def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
         return [EMPTY_WORD]
     # counting stops at the first length whose total passes the cap: totals
     # never fall with the length, since every letter has a successor
-    for m, counts in enumerate(_ending_count_steps(spec), 1):
+    for m, counts in enumerate(_ending_count_steps(spec, start), 1):
         total = sum(counts)
         if total > limit:
             raise LengthOverflow(f"{total} words of length {m} exceed cap {limit}")
@@ -316,7 +325,8 @@ def enumerate_words(spec: AdjacencySpec, length: int) -> list[Word]:
     # depth first along one path: a word is copied once, at its leaf
     words: list[Word] = []
     path: list[int] = []
-    branches = [iter(range(1, spec.n + 1))]  # one per open prefix length
+    # one branch per open prefix length
+    branches = [iter(range(1, spec.n + 1) if start is None else (start,))]
     while branches:
         if len(path) == length - 1:
             head = tuple(path)

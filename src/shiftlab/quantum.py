@@ -33,7 +33,12 @@ from .core import (
     enumerate_words,
 )
 from .errors import Inconsistent, SearchCapExceeded
-from .symmetry import GraphAutomorphism, _word_orbits, matrix_automorphisms
+from .symmetry import (
+    GraphAutomorphism,
+    UnionFind,
+    _orbit_roots,
+    matrix_automorphisms,
+)
 
 ZERO = "0"
 ONE = "1"
@@ -52,28 +57,6 @@ INDETERMINATE = "Indeterminate"
 
 #: largest alphabet whose n^2-letter flip-intertwiner group is searched
 T_A_MAX_N = 6
-
-
-class UnionFind:
-    """Disjoint sets over 0..size-1; the smaller root wins every union."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins: keeps class extraction deterministic
-            lo, hi = min(ra, rb), max(ra, rb)
-            self.parent[hi] = lo
-            return lo
-        return ra
 
 
 @dataclass(frozen=True)
@@ -235,6 +218,20 @@ def _split(
     return [values[s:e] for s, e in zip(starts, ends)]
 
 
+def _live_equations(spec: AdjacencySpec, kept: np.ndarray) -> list[tuple]:
+    """The equations of ``build_constraints`` with only the variables where
+    ``kept`` is True, as tuples in order, and only the live ones: those that
+    keep a variable on either side, or whose constants differ (a clash keeps
+    its place in order).  With every variable kept, every equation lives."""
+    sides, rhs_const = _constraint_arrays(spec, kept)
+    live = rhs_const != 0
+    for _, eq in sides:
+        live[eq] = True
+    ids = np.flatnonzero(live)
+    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
+    return list(zip(lhs, itertools.repeat(0), rhs, rhs_const[ids].tolist()))
+
+
 def build_constraints(
     spec: AdjacencySpec,
     pf: PerronFrobeniusData,
@@ -248,10 +245,7 @@ def build_constraints(
     relations and can be disabled for experimentation.
     """
     n = spec.n
-    sides, rhs_const = _constraint_arrays(spec, np.ones(2 * n * n, dtype=bool))
-    ids = np.arange(len(rhs_const))
-    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
-    eqs = tuple(zip(lhs, itertools.repeat(0), rhs, rhs_const.tolist()))
+    eqs = tuple(_live_equations(spec, np.ones(2 * n * n, dtype=bool)))
     flat = np.flatnonzero(_pf_codes(pf, use_pf_rule)[: n * n] == _ZERO_VAR)
     pre = tuple(np.stack([flat, flat + n * n], axis=1).ravel().tolist())
     return ConstraintSystem(spec=spec, equations=eqs, pre_zero=pre)
@@ -261,18 +255,9 @@ def _live_pattern(
     spec: AdjacencySpec, pf: PerronFrobeniusData, use_pf_rule: bool = True
 ) -> PatternMatrix:
     """``propagate(build_constraints(spec, pf, use_pf_rule))``, with only the
-    live equations turned into Python tuples: those that keep a variable on
-    either side, or whose constants differ (a clash keeps its place in
-    order)."""
+    live equations turned into Python tuples."""
     codes = _pf_codes(pf, use_pf_rule)
-    sides, rhs_const = _constraint_arrays(spec, codes != _ZERO_VAR)
-    live = rhs_const != 0
-    for _, eq in sides:
-        live[eq] = True
-    ids = np.flatnonzero(live)
-    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
-    equations = list(zip(lhs, itertools.repeat(0), rhs, rhs_const[ids].tolist()))
-    return _sweep(spec.n, codes, equations)
+    return _sweep(spec.n, codes, _live_equations(spec, codes != _ZERO_VAR))
 
 
 def propagate(system: ConstraintSystem) -> PatternMatrix:
@@ -503,13 +488,9 @@ def _support_codes(
         certified = ~dead
     else:
         # some automorphism maps nu to mu exactly when they share an orbit
-        index = {w: i for i, w in enumerate(words)}
-        label = np.empty(m, dtype=np.intp)
-        orbits = _word_orbits(spec, words)
-        for o, orbit in enumerate(orbits):
-            label[[index[w] for w in orbit]] = o
-        orbit_count = len(orbits)
-        certified = label[:, None] == label[None, :]
+        root = np.array(_orbit_roots(spec, words), dtype=np.intp)
+        orbit_count = int((root == np.arange(m)).sum())
+        certified = root[:, None] == root[None, :]
         if (certified & dead).any():
             raise Inconsistent(
                 "witnessed pair was forced to zero; propagation is unsound"
@@ -602,7 +583,8 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
 
 
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
-    """Commuting permutations of the flip-intertwiner (LengthOverflow past the cap)."""
+    """Commuting permutations of the flip-intertwiner: SearchCapExceeded for
+    n > T_A_MAX_N, LengthOverflow for a group over ``word_cap()``."""
     if spec.n > T_A_MAX_N:
         raise SearchCapExceeded(
             f"n = {spec.n} exceeds the n <= {T_A_MAX_N} permutation-search cap"

@@ -34,6 +34,7 @@ from .core import (
     PerronFrobeniusData,
     Word,
     _frozen,
+    _walk_words,
     conformal_measure,
     is_admissible,
     word_cap,
@@ -66,24 +67,17 @@ class LevelBasis:
 
 
 def level_basis(spec: AdjacencySpec, base: Word, depth: int) -> LevelBasis:
+    """The cells of C(base) at a relative depth: the tails of the admissible
+    words of length depth + 1 that start at base's last letter, in order
+    (LengthOverflow when those words are over ``word_cap()``)."""
     if not base:
         raise NotAdmissible("level basis needs a nonempty base word")
     if not is_admissible(spec, base):
         raise NotAdmissible(f"base {base} is not admissible")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    limit = word_cap()
-    cells: list[Word] = [()]
-    for _ in range(depth):
-        nxt = []
-        for nu in cells:
-            last = (base + nu)[-1]
-            for c in spec.successors(last):
-                nxt.append(nu + (c,))
-        if len(nxt) > limit:
-            raise LengthOverflow(f"level basis exceeds cap {limit}")
-        cells = nxt
-    return LevelBasis(base=base, depth=depth, cells=tuple(cells))
+    words = _walk_words(spec, depth + 1, start=base[-1])
+    return LevelBasis(base=base, depth=depth, cells=tuple(w[1:] for w in words))
 
 
 def cell_measures(pf: PerronFrobeniusData, basis: LevelBasis) -> np.ndarray:

@@ -61,14 +61,26 @@ class GraphAutomorphism:
         return cls(tuple(range(1, n + 1)))
 
 
-def _closure(start, images) -> set:
-    """Everything reached from start by repeatedly taking images(x)."""
-    seen, todo = {start}, [start]
-    while todo:
-        new = set(images(todo.pop())) - seen
-        seen |= new
-        todo.extend(new)
-    return seen
+class UnionFind:
+    """Disjoint sets over 0..size-1; the smaller root wins every union, so
+    every root is the least member of its set."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            lo, hi = min(ra, rb), max(ra, rb)
+            self.parent[hi] = lo
+            return lo
+        return ra
 
 
 def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
@@ -277,19 +289,24 @@ def commutation_residual(
     return float(np.linalg.norm(u @ d - d @ u, 2))
 
 
+def _orbit_roots(spec: AdjacencySpec, words: list[Word]) -> list[int]:
+    """Index of the least word in each word's automorphism orbit, for all
+    admissible words of one length, sorted: one union per word and
+    generator (the group is never listed)."""
+    index = {w: i for i, w in enumerate(words)}
+    uf = UnionFind(len(words))
+    for g in generating_set(spec):
+        for i, w in enumerate(words):
+            uf.union(i, index[g.apply_word(w)])
+    return [uf.find(i) for i in range(len(words))]
+
+
 def _word_orbits(spec: AdjacencySpec, words: list[Word]) -> list[tuple[Word, ...]]:
-    """Automorphism orbits of sorted words: each unseen word is the least
-    member of a new orbit, its closure under the generators (#words *
-    #generators images in all; the group is never listed)."""
-    gens = generating_set(spec)
-    seen: set[Word] = set()
-    orbits: list[tuple[Word, ...]] = []
-    for w in words:
-        if w not in seen:
-            orbit = _closure(w, lambda v: (g.apply_word(v) for g in gens))
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-    return orbits
+    """Automorphism orbits of sorted words, each sorted, by least member."""
+    orbits: dict[int, list[Word]] = {}
+    for w, root in zip(words, _orbit_roots(spec, words)):
+        orbits.setdefault(root, []).append(w)
+    return [tuple(orbit) for orbit in orbits.values()]
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,30 @@ from shiftlab.quantum import (
     PerLegWitness,
     ProjVarState,
     SupportPattern,
-    UnionFind,
     _p_var,
     _q_var,
     build_constraints,
     propagate,
 )
 from shiftlab.spectral import _common_prefix_length, level_basis
-from shiftlab.symmetry import GraphAutomorphism, _word_orbits, automorphism_group
+from shiftlab.symmetry import (
+    GraphAutomorphism,
+    UnionFind,
+    _word_orbits,
+    automorphism_group,
+)
+
+
+def loop_level_basis(spec, base, depth):
+    """level_basis as a breadth-first loop: each depth's cells extend the
+    last ones by every successor, with the cap checked after each depth."""
+    limit = word_cap()
+    cells = [()]
+    for _ in range(depth):
+        cells = [nu + (c,) for nu in cells for c in spec.successors((base + nu)[-1])]
+        if len(cells) > limit:
+            raise LengthOverflow(f"level basis exceeds cap {limit}")
+    return cells
 
 
 def shell_delta_values(pf, base, depth, values, extra=2):

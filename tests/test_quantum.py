@@ -25,6 +25,7 @@ from shiftlab.quantum import (
     _q_var,
 )
 from shiftlab.models import classical_model
+from shiftlab.symmetry import _orbit_roots
 from shiftlab.errors import Inconsistent, SearchCapExceeded
 from conftest import (
     FIBONACCI,
@@ -250,6 +251,21 @@ class TestWordOrbits:
     )
     def test_random_primitive(self, mat, k):
         check_orbits_against_brute_force(mat, k)
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=5), primitive_circulants(max_n=5)),
+        st.integers(1, 3),
+    )
+    def test_roots_are_least_orbit_indices(self, mat, k):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        words = sl.enumerate_words(spec, k)
+        roots = _orbit_roots(spec, words)
+        index = {w: i for i, w in enumerate(words)}
+        for orbit in brute_force_orbits(mat, k):
+            members = [index[w] for w in orbit]
+            assert {roots[i] for i in members} == {min(members)}
 
 
 class TestErgodicityVerdict:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import shiftlab as sl
 from shiftlab.groupoid import BisectionIndex, count_bisections
@@ -10,8 +12,13 @@ from shiftlab.spectral import (
     merge_multiset,
 )
 from shiftlab.errors import LengthOverflow, PrefixMismatch
-from conftest import UNKNOWN_EXHIBIT
-from oracles import embed_level, eigenvalue_multiset, shell_delta_values
+from conftest import UNKNOWN_EXHIBIT, primitive_matrices
+from oracles import (
+    embed_level,
+    eigenvalue_multiset,
+    loop_level_basis,
+    shell_delta_values,
+)
 
 WIELANDT3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
 
@@ -68,6 +75,40 @@ class TestDeltaMatrix:
         assert cells_mass == pytest.approx(
             sl.conformal_measure(fib_pf, (1,)), abs=1e-13
         )
+
+
+def _cells_or_overflow(build, spec, base, depth):
+    try:
+        return tuple(build(spec, base, depth))
+    except LengthOverflow:
+        return LengthOverflow
+
+
+class TestLevelBasis:
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_matrices(max_n=8), st.sampled_from([None, 1, 2, 5, 20, 100]))
+    def test_matches_breadth_first_loop(self, mat, cap):
+        # under a cap, both overflow at the same depths; cells agree elsewhere
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        bases = sl.enumerate_words(spec, 1) + sl.enumerate_words(spec, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setenv("ARIADNE_CAP", str(cap))
+            for base in bases:
+                for depth in range(5):
+                    got = _cells_or_overflow(
+                        lambda *a: level_basis(*a).cells, spec, base, depth
+                    )
+                    want = _cells_or_overflow(loop_level_basis, spec, base, depth)
+                    assert got == want
+
+    def test_overflow_names_the_first_length_over_cap(self, fib, monkeypatch):
+        # words from letter 1 of lengths 1..4 number 1, 2, 3, 5
+        monkeypatch.setenv("ARIADNE_CAP", "3")
+        assert level_basis(fib, (2, 1), 2).size == 3
+        with pytest.raises(LengthOverflow, match="^5 words of length 4 exceed cap 3$"):
+            level_basis(fib, (2, 1), 3)
 
 
 class TestEigenvalueFormula:
