@@ -42,7 +42,6 @@ from .errors import (
     LengthOverflow,
     NotPrimitive,
     ParseError,
-    SearchCapExceeded,
     ShiftLabError,
 )
 from .groupoid import count_bisections
@@ -480,9 +479,6 @@ def main(argv: list[str] | None = None) -> int:
     except LengthOverflow as exc:
         print(f"shiftlab: enumeration overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except SearchCapExceeded as exc:
-        print(f"shiftlab: search cap: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ShiftLabError as exc:
         print(f"shiftlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

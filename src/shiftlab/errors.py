@@ -46,7 +46,7 @@ class Inconsistent(ShiftLabError):
 
 
 class SearchCapExceeded(ShiftLabError):
-    """Permutation search over n^2 letters is above the configured cap."""
+    """An automorphism search visits more nodes than ``ARIADNE_CAP``."""
 
 
 class DegenerateAngle(ShiftLabError):

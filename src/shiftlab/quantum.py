@@ -31,8 +31,9 @@ from .core import (
     Word,
     _frozen,
     enumerate_words,
+    word_cap,
 )
-from .errors import Inconsistent, SearchCapExceeded
+from .errors import Inconsistent, LengthOverflow
 from .symmetry import (
     GraphAutomorphism,
     UnionFind,
@@ -54,10 +55,6 @@ UNKNOWN = "Unknown"
 
 DUAL_FREE_GROUP = "DualFreeGroup"
 INDETERMINATE = "Indeterminate"
-
-#: largest alphabet whose n^2-letter flip-intertwiner group is searched
-T_A_MAX_N = 6
-
 
 @dataclass(frozen=True)
 class ProjVarState:
@@ -573,22 +570,15 @@ class TAReport:
 
 def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
     """(A^t (x) A) composed with the tensor flip, an n^2 x n^2 0/1 matrix."""
-    n = spec.n
-    a = spec.matrix
-    flip = np.zeros((n * n, n * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            flip[i * n + j, j * n + i] = 1
-    return np.kron(a.T, a) @ flip
+    n, a = spec.n, spec.matrix
+    return np.kron(a.T, a)[:, np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
-    """Commuting permutations of the flip-intertwiner: SearchCapExceeded for
-    n > T_A_MAX_N, LengthOverflow for a group over ``word_cap()``."""
-    if spec.n > T_A_MAX_N:
-        raise SearchCapExceeded(
-            f"n = {spec.n} exceeds the n <= {T_A_MAX_N} permutation-search cap"
-        )
+    """Commuting permutations of the flip-intertwiner; past ``word_cap()``:
+    LengthOverflow in n^4 entries or group elements, SearchCapExceeded in nodes."""
+    if spec.n**4 > word_cap():
+        raise LengthOverflow(f"{spec.n**4} t-a matrix entries exceed cap {word_cap()}")
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())
     return TAReport(matrix=_frozen(t), permutations=_frozen(perms))

@@ -9,6 +9,7 @@ the extension phases cancel, so each block picks up a single scalar.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections.abc import Sequence
@@ -24,7 +25,7 @@ from .core import (
     is_admissible,
     word_cap,
 )
-from .errors import LengthOverflow, NotClosed
+from .errors import LengthOverflow, NotClosed, SearchCapExceeded
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
 from .spectral import LevelBasis, dirac_block, level_basis
 
@@ -84,36 +85,67 @@ class UnionFind:
 
 
 def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
-    """First-path search (McKay, 1981) with in/out-degree pruning.
+    """First-path search (McKay, 1981) pruned by equitable refinement.
 
     For each point i, deepest first, it follows the identity on the points
-    below i and stops at the least leaf for each image of i outside i's
-    orbit so far; those leaves are the generators, sorted.  Returns the
-    order, the generators and the chain: chain[i] maps each point p of i's
-    orbit to an element that fixes the points below i and takes i to p.
+    below i and stops at the least leaf for each image j of i outside i's
+    orbit so far; those leaves are the generators, sorted.  Loop bits colour
+    the points; each mapping gives the point and its image a new colour and,
+    unless nothing can split, refines both sides together: images keep
+    colours and class sizes, as automorphisms do.  Past ``word_cap()`` nodes:
+    SearchCapExceeded.  Returns (order, generators, chain): chain[i] maps each
+    point p of i's orbit to an element fixing the points below i, taking i to p.
     """
-    n = len(a)
-    profile = [(sum(a[i]), sum(row[i] for row in a), a[i][i]) for i in range(n)]
-    candidates = [[j for j in range(n) if profile[j] == p] for p in profile]
+    n, limit, nodes = len(a), word_cap(), itertools.count(1)
+    m = np.array(a, dtype=np.int64).reshape(n, n)
+    w0, w1, w2 = np.frombuffer(hashlib.shake_128().digest(72 * n), "i8").reshape(3, -1)
     found: list[tuple[int, ...]] = []
     assignment: list[int] = []
     used = [False] * n
 
-    def extend(i: int, images: Sequence[int] = ()) -> bool:
+    def refine(*sides: list[int]) -> list[list[int]]:
+        """Stable colourings ranked over all sides; a collision only merges classes."""
+        c = np.array(sides)
+        while len(set((k := w0[c] + w1[c] @ m.T + w2[c] @ m).flat)) > len(set(c.flat)):
+            c = np.searchsorted(np.sort(k, axis=None), k)
+        return c.tolist()
+
+    def split(c: list[int], v: int) -> set | None:
+        """Column and row v on each class of c without v, None if they vary: if
+        not, v's own colour splits no class of c or of any finer colouring."""
+        cells = {(col, a[y][v], a[v][y]) for y, col in enumerate(c) if y != v}
+        return cells if len(cells) == len({cell[0] for cell in cells}) else None
+
+    tops = refine(np.diag(m).tolist())  # tops[i]: the points below i fixed
+    alone = (np.bincount(tops[0])[tops[0]] == 1).tolist()  # fixed by the root
+    flat = [set() if alone[v] else split(tops[0], v) for v in range(n)]
+    for k in range(n - 1):
+        top = tops[k] if alone[k] else tops[k][:k] + [n + k] + tops[k][k + 1 :]
+        tops.append(top if flat[k] is not None else refine(top)[0])
+
+    def extend(i: int, src: list, tgt: list, images: Sequence[int] = ()) -> bool:
         """True at the least leaf below, with i taken into images if given."""
         if i == n:
             found.append(tuple(x + 1 for x in assignment))
             return True
-        for j in images or candidates[i]:
-            if used[j]:
+        if next(nodes) > limit:
+            raise SearchCapExceeded(f"search exceeds cap {limit} nodes")
+        for j in images or range(n):
+            if used[j] or tgt[j] != src[i]:
                 continue
             for k in range(i):
                 if a[assignment[k]][j] != a[k][i] or a[j][assignment[k]] != a[i][k]:
                     break
             else:
+                new = [src[:], tgt[:]]
+                new[0][i] = new[1][j] = 2 * n + i  # a colour no class has
+                if flat[i] is None or flat[i] != flat[j]:
+                    new = refine(*new)
+                    if sorted(new[0]) != sorted(new[1]):
+                        continue
                 used[j] = True
                 assignment.append(j)
-                hit = extend(i + 1)
+                hit = extend(i + 1, *new)
                 assignment.pop()
                 used[j] = False
                 if hit:
@@ -124,9 +156,12 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
     for i in reversed(range(n)):
         orbit = {i: tuple(range(1, n + 1))}
         chain.insert(0, orbit)
+        if alone[i]:
+            continue
+        top = tops[i]
         assignment[:], used[:] = range(i), [k < i for k in range(n)]
-        for j in candidates[i]:
-            if j not in orbit and extend(i, [j]):
+        for j in range(i + 1, n):
+            if top[j] == top[i] and j not in orbit and extend(i, top, top, [j]):
                 todo = list(orbit)
                 for p in todo:  # todo grows with the orbit
                     for g in found:

@@ -121,6 +121,24 @@ class TestDispatch:
         ]
         assert rep["results"]["group_order"] > 1
 
+    def test_t_a_on_seven_letters(self, capsys, tmp_path, monkeypatch):
+        # loops plus the 7-cycle: 49 letters, a group of order 28
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        path = tmp_path / "cycle7.json"
+        a = [[int((j - i) % 7 in (0, 1)) for j in range(7)] for i in range(7)]
+        path.write_text(json.dumps({"n": 7, "a": a}))
+        code, rep = run_json(capsys, "t-a", "--input", str(path))
+        assert code == 0 and rep["results"]["group_order"] == 28
+
+    def test_search_past_the_cap_exits_one(self, capsys, tmp_path, monkeypatch):
+        # the search for S_12 takes 77 nodes
+        monkeypatch.setenv("ARIADNE_CAP", "50")
+        path = tmp_path / "full12.json"
+        path.write_text(json.dumps({"n": 12, "a": [[1] * 12] * 12}))
+        assert main(["autgroup", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "shiftlab: SearchCapExceeded: search exceeds cap 50 nodes\n"
+
     def test_repmodel(self, capsys):
         code, rep = run_json(
             capsys, "repmodel", "--model", "two-projection", "--ell", "2"
@@ -349,6 +367,7 @@ class TestReportBundle:
         assert sections["ergodicity"]["results"]["verdict"] == "NonErgodic"
 
     def test_large_alphabet_records_cap_not_fatal(self, tmp_path):
+        # the search ends; its group, S_49, is over the listing cap
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"n": 7, "a": [[1] * 7] * 7}))
         out = tmp_path / "rep7.json"
@@ -356,7 +375,7 @@ class TestReportBundle:
         rep = json.loads(out.read_text())
         ta = rep["results"]["t-a"]
         assert not ta["ok"]
-        assert ta["error"] == "SearchCapExceeded"
+        assert ta["error"] == "LengthOverflow"
         assert rep["results"]["pf"]["ok"]
 
     @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -26,7 +27,7 @@ from shiftlab.quantum import (
 )
 from shiftlab.models import classical_model
 from shiftlab.symmetry import _orbit_roots
-from shiftlab.errors import Inconsistent, SearchCapExceeded
+from shiftlab.errors import Inconsistent, LengthOverflow, SearchCapExceeded
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
@@ -36,6 +37,7 @@ from conftest import (
 )
 from oracles import (
     brute_force_orbits,
+    least_positive_power,
     loop_classical_witness,
     loop_build_constraints,
     loop_ergodicity_verdict,
@@ -562,6 +564,82 @@ class TestTAAnalysis:
         assert rep.order == 20
 
     def test_cap(self):
+        # S_49 is searched in about a thousand nodes; its order, 49!, is
+        # over the listing cap
         spec = sl.AdjacencySpec.full_shift(7)
-        with pytest.raises(SearchCapExceeded):
+        with pytest.raises(LengthOverflow):
             sl.t_a_analysis(spec)
+
+    def test_matrix_over_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # 32^4 entries: the 1024 x 1024 matrix and its lists are never formed
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        monkeypatch.setattr(quantum, "t_a_matrix", None)
+        start = time.perf_counter()
+        message = r"^1048576 t-a matrix entries exceed cap 1000000$"
+        with pytest.raises(LengthOverflow, match=message):
+            sl.t_a_analysis(sl.AdjacencySpec.full_shift(32))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "c",
+        [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 1, 1, 1, 0, 0)],
+        ids=lambda c: "".join(map(str, c)),
+    )
+    def test_n6_circulants_in_under_a_second(self, c):
+        # 36 letters, a group of order 24, and dead-end branches under
+        # images that share a degree profile with the true ones
+        a = [[c[(j - i) % 6] for j in range(6)] for i in range(6)]
+        start = time.perf_counter()
+        rep = sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a))
+        assert time.perf_counter() - start < 1.0
+        assert rep.order == 24
+
+    def test_every_primitive_circulant_up_to_n7_is_bounded(self, monkeypatch):
+        # 206 circulants with up to 49 letters: each lists its group, or
+        # fails with a typed cap error, in under 2 s (about 2 s in all)
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        outcomes = {}
+        for n in range(2, 8):
+            for c in itertools.product((0, 1), repeat=n):
+                a = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+                if least_positive_power(a) is None:
+                    continue
+                start = time.perf_counter()
+                try:
+                    outcome = sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a)).order
+                except (LengthOverflow, SearchCapExceeded) as exc:
+                    outcome = type(exc).__name__
+                assert time.perf_counter() - start < 2.0, c
+                outcomes[c] = outcome
+        assert len(outcomes) == 206
+        assert outcomes[(1, 1, 0, 0, 0, 0, 0)] == 28
+        # only groups over the listing cap fail, none of them by the search
+        # cap: the full 4- to 7-shifts and three n = 6 circulants
+        failed = {c: v for c, v in outcomes.items() if not isinstance(v, int)}
+        assert failed == dict.fromkeys(
+            [
+                (1, 1, 1, 1),
+                (1, 1, 1, 1, 1),
+                (0, 1, 1, 0, 1, 1),
+                (1, 0, 1, 1, 0, 1),
+                (1, 1, 0, 1, 1, 0),
+                (1, 1, 1, 1, 1, 1),
+                (1, 1, 1, 1, 1, 1, 1),
+            ],
+            "LengthOverflow",
+        )
+
+    def test_small_cap_stops_the_search(self, monkeypatch):
+        # S_12 is searched in 77 nodes; loops plus the 7-cycle's 2401 t-a
+        # entries are refused before its search (97 nodes) starts
+        full12 = sl.AdjacencySpec.full_shift(12)
+        a = [[int((j - i) % 7 in (0, 1)) for j in range(7)] for i in range(7)]
+        monkeypatch.setenv("ARIADNE_CAP", "50")
+        with pytest.raises(SearchCapExceeded, match=r"^search exceeds cap 50 nodes$"):
+            sl.symmetry.generating_set(full12)
+        with pytest.raises(SearchCapExceeded):
+            sl.automorphism_group(full12)
+        with pytest.raises(LengthOverflow, match=r"^2401 t-a matrix entries"):
+            sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a))
+        monkeypatch.setenv("ARIADNE_CAP", "77")
+        assert len(sl.symmetry.generating_set(full12)) == 11
