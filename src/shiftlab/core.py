@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,7 +148,19 @@ class AdjacencySpec:
         ]
 
     def successors(self, letter: int) -> tuple[int, ...]:
-        return tuple(j + 1 for j in range(self.n) if self.a[letter - 1][j])
+        return self._successors[letter - 1]
+
+    # each letter's successors and predecessors, in order (index letter - 1),
+    # built on first use: the PF data needs neither
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        letters = range(1, self.n + 1)
+        return tuple(tuple(itertools.compress(letters, row)) for row in self.a)
+
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        letters = range(1, self.n + 1)
+        return tuple(tuple(itertools.compress(letters, col)) for col in zip(*self.a))
 
     def is_full_shift(self) -> bool:
         return all(all(row) for row in self.a)
@@ -274,13 +287,13 @@ def require_admissible(spec: AdjacencySpec, word: Word) -> None:
 
 def _ending_count_steps(spec: AdjacencySpec, start: int | None = None):
     """ending_counts at the lengths 1, 2, 3, ... in turn, without end;
-    only of the words that begin with ``start`` when it is given."""
+    only of the words that begin with ``start`` when it is given.  A step
+    sums each letter's predecessors' counts: nnz(A) additions of exact ints."""
     counts = [1 if start in (None, j + 1) else 0 for j in range(spec.n)]
     while True:
         yield counts
         counts = [
-            sum(counts[i] * spec.a[i][j] for i in range(spec.n))
-            for j in range(spec.n)
+            sum([counts[i - 1] for i in pred]) for pred in spec._predecessors
         ]
 
 

@@ -190,6 +190,17 @@ def relative_cell(gamma, alpha, beta):
     return beta[len(s):]
 
 
+def loop_ending_counts(spec, length):
+    """ending_counts as n² products per step over the matrix entries."""
+    counts = [1] * spec.n
+    for _ in range(max(length, 1) - 1):
+        counts = [
+            sum(counts[i] * spec.a[i][j] for i in range(spec.n))
+            for j in range(spec.n)
+        ]
+    return counts
+
+
 def least_positive_power(a):
     """Least k with A^k > 0, scanning k = 1..n^2-2n+2 one power at a time.
 

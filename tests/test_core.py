@@ -7,7 +7,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import shiftlab as sl
-from shiftlab.core import EXPANSION_BASE, AdjacencySpec, lexmin_extension
+from shiftlab.core import (
+    EXPANSION_BASE,
+    AdjacencySpec,
+    ending_counts,
+    lexmin_extension,
+)
 from shiftlab.errors import (
     LengthOverflow,
     NotAdmissible,
@@ -18,6 +23,7 @@ from conftest import irreducible_matrices, primitive_matrices
 from oracles import (
     dense_perron_frobenius,
     least_positive_power,
+    loop_ending_counts,
     shifted_cylinder_mass,
     transfer_integral,
 )
@@ -168,6 +174,26 @@ class TestWords:
             assert sl.count_words(fib, k) == int(
                 np.linalg.matrix_power(a, k - 1).sum()
             )
+
+    @seed(20261022)
+    @settings(max_examples=100, deadline=None)
+    @given(irreducible_matrices(max_n=8), st.integers(0, 40))
+    def test_counts_and_successors_match_the_loops(self, mat, length):
+        # predecessor sums against n² products, in exact ints (past int64
+        # at these lengths), and each row's successors against a scan of it
+        spec = AdjacencySpec.from_matrix(mat)
+        assert ending_counts(spec, length) == loop_ending_counts(spec, length)
+        for x in range(1, spec.n + 1):
+            assert spec.successors(x) == tuple(
+                j + 1 for j in range(spec.n) if mat[x - 1][j]
+            )
+
+    def test_exact_counts_past_int64(self, fib):
+        assert sl.count_words(AdjacencySpec.full_shift(10), 30) == 10**30
+        counts = [1, 2]  # of the lengths 0 and 1; then the Fibonacci rule
+        while len(counts) <= 200:
+            counts.append(counts[-1] + counts[-2])
+        assert sl.count_words(fib, 200) == counts[200]
 
     def test_cap_overflow(self, full2, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "1000")

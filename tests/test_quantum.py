@@ -1,7 +1,9 @@
 import itertools
 import random
 import time
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from shiftlab.quantum import (
     CERTAIN_ZERO,
     CERTIFIED_NONZERO,
     DUAL_FREE_GROUP,
+    FREE,
     INDETERMINATE,
     ERGODIC_CERTIFIED,
     NON_ERGODIC,
+    ONE,
     UNKNOWN,
+    ZERO,
     ConstraintSystem,
     PatternMatrix,
     PerLegWitness,
@@ -314,8 +319,9 @@ class TestErgodicityVerdict:
     def test_certified_connectivity_from_orbit_count(self, mat, orbit_count, verdict):
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
-        pattern = sl.propagate(sl.build_constraints(spec, pf))
-        assert quantum._support_codes(pattern, pf, 2)[2] == orbit_count
+        alive = np.ones((spec.n, spec.n), dtype=bool)
+        root = quantum._words_and_orbits(spec, 2, alive)[2]
+        assert (None if root is None else len(set(root.tolist()))) == orbit_count
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == verdict
         assert v == loop_ergodicity_verdict(spec, pf, 2)
@@ -329,8 +335,25 @@ class TestErgodicityVerdict:
         assert v.verdict == UNKNOWN
 
 
+def _sweep_returning(pattern):
+    """A stand-in for ``quantum._live_sweep`` that returns ``pattern`` and
+    its variable codes, so that ergodicity_verdict reads that pattern."""
+    code = {ZERO: quantum._ZERO_VAR, ONE: quantum._ONE_VAR, FREE: quantum._FREE_VAR}
+    cells = [st for grid in (pattern.p, pattern.q) for row in grid for st in row]
+    codes = np.array([code[st.kind] for st in cells], dtype=np.int8)
+    return lambda spec, pf: (pattern, codes)
+
+
+def _zero_pattern(zero):
+    """A pattern with Zero where the n x n bool ``zero`` is True, in both
+    grids, and one free class elsewhere."""
+    free, nil = ProjVarState(FREE, 0), ProjVarState(ZERO)
+    grid = tuple(tuple(nil if z else free for z in row) for row in zero.tolist())
+    return PatternMatrix(len(grid), grid, grid)
+
+
 def _propagated(propagate, system):
-    """The pattern, or the Inconsistent message propagation stops with."""
+    """The result, or the Inconsistent message the call stops with."""
     try:
         return propagate(system)
     except Inconsistent as exc:
@@ -387,13 +410,103 @@ class TestAgainstLoopReferences:
         grid = [[free, free], [free, free]]
         grid[zero_at[0]][zero_at[1]] = ProjVarState("0")
         pattern = PatternMatrix(2, tuple(map(tuple, grid)), tuple(map(tuple, grid)))
-        monkeypatch.setattr(quantum, "_live_pattern", lambda spec, pf: pattern)
+        monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
         v = sl.ergodicity_verdict(full2, full2_pf, 1)
         assert v == loop_ergodicity_verdict(full2, full2_pf, 1, pattern)
         if zero_at == (0, 1):  # states[0][1] is read: no edge
             assert v.verdict == NON_ERGODIC and v.witness == ((1,),)
         else:
             assert v.verdict == ERGODIC_CERTIFIED
+
+    @pytest.mark.parametrize("zero_at", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_inside_an_orbit_is_inconsistent(self, monkeypatch, zero_at, k):
+        # loops plus the 3-cycle: rotation puts (1) and (2), and (1, 1) and
+        # (2, 2), in one orbit, and a Zero at p[0][1] kills their certified
+        # pair; a Zero at p[1][1] kills the pair (w, w) of a word through 2
+        spec = sl.AdjacencySpec.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        pf = sl.perron_frobenius(spec)
+        zero = np.zeros((3, 3), dtype=bool)
+        zero[zero_at] = True
+        pattern = _zero_pattern(zero)
+        monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
+        for call in (
+            lambda: sl.word_support(pattern, pf, k),
+            lambda: sl.ergodicity_verdict(spec, pf, k),
+            lambda: loop_word_support(pattern, pf, k),
+            lambda: loop_ergodicity_verdict(spec, pf, k, pattern),
+        ):
+            with pytest.raises(
+                Inconsistent,
+                match="^witnessed pair was forced to zero; propagation is unsound$",
+            ):
+                call()
+
+    @seed(20261022)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            primitive_matrices(max_n=5),
+            primitive_circulants(max_n=5),
+            st.integers(2, 5).map(lambda n: [[1] * n] * n),
+        ),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_verdicts_on_injected_zero_patterns(self, mat, k, data):
+        # Zero off a band of drawn width around a drawn letter order, so that
+        # components take several frontiers, flipped at a drawn density
+        # (a zero diagonal entry kills the certified pair (w, w), so half
+        # the draws clear it); blocks as small as one cell split orbits and
+        # frontiers
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        n = len(mat)
+        rank = np.array(data.draw(st.permutations(range(n))))
+        zero = np.abs(rank[:, None] - rank) > data.draw(st.integers(0, n))
+        cells = data.draw(st.lists(st.integers(0, 7), min_size=n * n, max_size=n * n))
+        zero ^= np.array(cells).reshape(n, n) < data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):
+            np.fill_diagonal(zero, False)
+        pattern = _zero_pattern(zero)
+        chunk = data.draw(st.sampled_from([1, 3, quantum._PAIR_CHUNK]))
+        with mock.patch.object(
+            quantum, "_live_sweep", _sweep_returning(pattern)
+        ), mock.patch.object(quantum, "_PAIR_CHUNK", chunk):
+            verdict = _propagated(lambda k: sl.ergodicity_verdict(spec, pf, k), k)
+            support = _propagated(lambda k: sl.word_support(pattern, pf, k), k)
+        assert verdict == _propagated(
+            lambda k: loop_ergodicity_verdict(spec, pf, k, pattern), k
+        )
+        assert support == _propagated(lambda k: loop_word_support(pattern, pf, k), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cut, verdict1",
+        [
+            (None, ERGODIC_CERTIFIED),
+            ((2, 3), NON_ERGODIC),
+            ((3, 2), ERGODIC_CERTIFIED),
+        ],
+    )
+    def test_band_pattern_paths(self, monkeypatch, k, cut, verdict1):
+        # the full 6-shift with Zero wherever letters differ by more than
+        # one: the level-1 words form the path 1 - 2 - ... - 6, reached one
+        # frontier per step; a cut at p[2][3] (read for the pair (3), (4))
+        # splits it, one at p[3][2] (never read at level 1) does not
+        spec = sl.AdjacencySpec.full_shift(6)
+        pf = sl.perron_frobenius(spec)
+        letters = np.arange(6)
+        zero = np.abs(letters[:, None] - letters) > 1
+        if cut is not None:
+            zero[cut] = True
+        pattern = _zero_pattern(zero)
+        monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
+        v = sl.ergodicity_verdict(spec, pf, k)
+        assert v == loop_ergodicity_verdict(spec, pf, k, pattern)
+        if k == 1:
+            assert v.verdict == verdict1
+            assert v.witness == (((1,), (2,), (3,)) if cut == (2, 3) else None)
 
     @seed(20261020)
     @settings(max_examples=100, deadline=None)
@@ -509,6 +622,23 @@ class TestAgainstLoopReferences:
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert time.perf_counter() - start < 2.0
         assert v.verdict == NON_ERGODIC and v.witness == ((1, 1),)
+
+    def test_level3_verdict_n128_in_bounded_memory(self):
+        # 23,580 level-3 words: one m x m bool array of their pairs would be
+        # 556 MB; the search holds the words and blocks of 2^20 cells
+        spec = sl.AdjacencySpec.from_matrix(random_primitive(128, seed=20261018))
+        pf = sl.perron_frobenius(spec)
+        start = time.perf_counter()
+        v = sl.ergodicity_verdict(spec, pf, 3)
+        assert time.perf_counter() - start < 2.0
+        assert v.verdict == NON_ERGODIC and v.witness == ((1, 1, 1),)
+        tracemalloc.start()
+        try:
+            assert sl.ergodicity_verdict(spec, pf, 3) == v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestTAAnalysis:
