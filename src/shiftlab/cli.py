@@ -55,7 +55,7 @@ from .models import (
     two_projection_magic,
 )
 from .quantum import (
-    _live_pattern,
+    _live_sweep,
     collapse_report,
     ergodicity_verdict,
     t_a_analysis,
@@ -307,7 +307,7 @@ def run_classical_fix(spec: AdjacencySpec, level: int) -> dict:
 
 
 def run_pattern(pf: PerronFrobeniusData, pf_rule: bool) -> dict:
-    pattern = _live_pattern(pf.spec, pf, use_pf_rule=pf_rule)
+    pattern = _live_sweep(pf.spec, pf, use_pf_rule=pf_rule)[0]
     grids = pattern.grid_strings()
     return {
         "p": grids["p"],

@@ -134,7 +134,7 @@ class AdjacencySpec:
                     )
         return cls.from_matrix(a)
 
-    @property
+    @cached_property  # read-only, so one array serves every caller
     def matrix(self) -> np.ndarray:
         return _frozen(np.array(self.a, dtype=np.int64))
 

@@ -184,12 +184,12 @@ def _constraint_arrays(
     on_line = kept[lines]
     # equation 4n + i n + k: (A p)[i][k] sums p[j][k] over successors j of
     # i, (q A)[i][k] sums q[i][j] over predecessors j of k
-    ik, k, j = _cube_entries(a[:, None, :] & kept_p.T)
+    ik, k, j = _cube_entries(np.bitwise_and(a[:, None, :], kept_p.T, order="C"))
     lhs = (
         np.concatenate([lines[on_line], j * n + k]),
         np.concatenate([np.flatnonzero(on_line) // n, 4 * n + ik]),
     )
-    ik, k, j = _cube_entries(a.T & kept_q[:, None, :])
+    ik, k, j = _cube_entries(np.bitwise_and(a.T, kept_q[:, None, :], order="C"))
     rhs = (n * n + ik - k + j, 4 * n + ik)
     rhs_const = (np.arange(4 * n + n * n) < 4 * n).astype(np.intp)
     return (lhs, rhs), rhs_const
@@ -197,7 +197,7 @@ def _constraint_arrays(
 
 def _cube_entries(cube: np.ndarray) -> tuple[np.ndarray, ...]:
     """(i n + k, k, j) of the true entries, in order, of an (n, n, n) bool
-    array indexed (i, k, j)."""
+    array indexed (i, k, j), in C order so that np.flatnonzero needs no copy."""
     n = len(cube)
     flat = np.flatnonzero(cube)
     ik = flat // n  # floor division by hand: % on int64 is several times slower
@@ -248,18 +248,10 @@ def build_constraints(
     return ConstraintSystem(spec=spec, equations=eqs, pre_zero=pre)
 
 
-def _live_pattern(
-    spec: AdjacencySpec, pf: PerronFrobeniusData, use_pf_rule: bool = True
-) -> PatternMatrix:
-    """``propagate(build_constraints(spec, pf, use_pf_rule))``, with only the
-    live equations turned into Python tuples."""
-    return _live_sweep(spec, pf, use_pf_rule)[0]
-
-
 def _live_sweep(
     spec: AdjacencySpec, pf: PerronFrobeniusData, use_pf_rule: bool = True
 ) -> tuple[PatternMatrix, np.ndarray]:
-    """``_live_pattern``, and the code the sweep leaves for each variable."""
+    """``propagate(build_constraints(...))`` from live equations; the sweep's codes."""
     codes = _pf_codes(pf, use_pf_rule)
     pattern = _sweep(spec.n, codes, _live_equations(spec, codes != _ZERO_VAR))
     return pattern, codes

@@ -84,7 +84,7 @@ class UnionFind:
         return ra
 
 
-def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
+def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
     """First-path search (McKay, 1981) pruned by equitable refinement.
 
     For each point i, deepest first, it follows the identity on the points
@@ -93,8 +93,8 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
     the points; each mapping gives the point and its image a new colour and,
     unless nothing can split, refines both sides together: images keep
     colours and class sizes, as automorphisms do.  Past ``word_cap()`` nodes:
-    SearchCapExceeded.  Returns (order, generators, chain): chain[i] maps each
-    point p of i's orbit to an element fixing the points below i, taking i to p.
+    SearchCapExceeded.  Returns (order, generators, sizes): sizes[i] is the size
+    of i's orbit under the elements fixing the points below i.
     """
     n, limit, nodes = len(a), word_cap(), itertools.count(1)
     m = np.array(a, dtype=np.int64).reshape(n, n)
@@ -152,36 +152,41 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[dict]]:
                     return True
         return False
 
-    chain: list[dict[int, tuple[int, ...]]] = []
+    orbits, sizes = UnionFind(n), [1] * n  # one union per point and generator
     for i in reversed(range(n)):
-        orbit = {i: tuple(range(1, n + 1))}
-        chain.insert(0, orbit)
         if alone[i]:
             continue
         top = tops[i]
         assignment[:], used[:] = range(i), [k < i for k in range(n)]
         for j in range(i + 1, n):
-            if top[j] == top[i] and j not in orbit and extend(i, top, top, [j]):
-                todo = list(orbit)
-                for p in todo:  # todo grows with the orbit
-                    for g in found:
-                        if (q := g[p] - 1) not in orbit:
-                            orbit[q] = tuple(g[x - 1] for x in orbit[p])
-                            todo.append(q)
-    return math.prod(map(len, chain)), found, chain
+            if top[j] == top[i] and orbits.find(j) != orbits.find(i):
+                if extend(i, top, top, [j]):
+                    for p, q in enumerate(found[-1]):
+                        orbits.union(p, q - 1)
+        if found and found[-1][i] != i + 1:  # i moved; every generator fixes 0..i-1
+            sizes[i] = [orbits.find(p) for p in range(n)].count(orbits.find(i))
+    return math.prod(sizes), found, sizes
 
 
 def _listed_group(a: Sequence[Sequence[int]]) -> tuple[np.ndarray, list]:
-    """matrix_automorphisms(a) and the generators, from one _search."""
-    (order, found, chain), limit = _search(a), word_cap()
+    """matrix_automorphisms(a) and the generators, from one _search; each
+    level's transversal is built here, once, for a group that is listed."""
+    (order, found, sizes), limit = _search(a), word_cap()
     if order > limit:
         raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
     n = len(a)
     dtype = np.min_scalar_type(-n - 1)  # the least signed type that holds n
     rows = np.arange(1, n + 1, dtype=dtype)[None, :]
-    for orbit in chain:
-        if len(orbit) == 1:  # the rows already agree on a 1-point level
+    for i, size in enumerate(sizes):
+        if size == 1:  # the rows already agree on a 1-point level
             continue
+        orbit = {i: tuple(range(1, n + 1))}  # p: fixes 0..i-1, takes i to p
+        gens = [g for g in found if g[:i] == orbit[i][:i]]
+        for p in (todo := [i]):  # todo grows with the orbit
+            for g in gens:
+                if (q := g[p] - 1) not in orbit:
+                    orbit[q] = tuple(g[x - 1] for x in orbit[p])
+                    todo.append(q)
         points = np.fromiter(orbit, dtype=np.intp, count=len(orbit))
         u = np.array(list(orbit.values()), dtype=np.intp) - 1
         ranks = np.argsort(rows[:, points], axis=1)

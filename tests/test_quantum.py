@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -561,7 +562,7 @@ class TestAgainstLoopReferences:
     def test_live_equations_same_pattern(self, mat, pf_rule):
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
-        live = _propagated(lambda s: quantum._live_pattern(s, pf, pf_rule), spec)
+        live = _propagated(lambda s: quantum._live_sweep(s, pf, pf_rule)[0], spec)
         system = sl.build_constraints(spec, pf, pf_rule)
         assert live == _propagated(sl.propagate, system)
 
@@ -580,7 +581,7 @@ class TestAgainstLoopReferences:
             return sweep(n, codes, equations)
 
         monkeypatch.setattr(quantum, "_sweep", counting_sweep)
-        pattern = quantum._live_pattern(spec, pf, pf_rule)
+        pattern = quantum._live_sweep(spec, pf, pf_rule)[0]
         n = len(mat)
         assert counts == [4 * n + (int(np.sum(mat)) if pf_rule else n * n)]
         assert pattern == sl.propagate(sl.build_constraints(spec, pf, pf_rule))
@@ -693,11 +694,13 @@ class TestTAAnalysis:
         assert time.perf_counter() - start < 0.7
         assert rep.order == 20
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # S_49 is searched in about a thousand nodes; its order, 49!, is
-        # over the listing cap
+        # over the listing cap, and the message names it exactly
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
         spec = sl.AdjacencySpec.full_shift(7)
-        with pytest.raises(LengthOverflow):
+        message = rf"^group of order {math.factorial(49)} exceeds cap 1000000$"
+        with pytest.raises(LengthOverflow, match=message):
             sl.t_a_analysis(spec)
 
     def test_matrix_over_cap_is_refused_before_it_is_built(self, monkeypatch):
