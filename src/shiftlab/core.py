@@ -67,10 +67,6 @@ def word_cap() -> int:
     return cap
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -96,8 +92,8 @@ class AdjacencySpec:
         for i, row in enumerate(self.a):
             if not any(row):
                 raise NotPrimitive(f"row {i + 1} has no outgoing edge")
-        for j in range(self.n):
-            if not any(row[j] for row in self.a):
+        for j, col in enumerate(zip(*self.a)):
+            if not any(col):
                 raise NotPrimitive(f"column {j + 1} has no incoming edge")
 
     @classmethod
@@ -118,7 +114,7 @@ class AdjacencySpec:
             a = obj["a"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad adjacency JSON: {exc}") from exc
-        if not _is_json_int(n):
+        if type(n) is not int:  # bool is its own type, so true is refused
             raise ParseError(f"n must be an integer, got {json.dumps(n)}")
         if not isinstance(a, list):
             raise ParseError("a must be a list of rows")
@@ -127,12 +123,10 @@ class AdjacencySpec:
         for i, row in enumerate(a, 1):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"row {i} is not a list of {n} entries")
-            for x in row:
-                if not _is_json_int(x):
-                    raise ParseError(
-                        f"entry {json.dumps(x)} in row {i} is not an integer"
-                    )
-        return cls.from_matrix(a)
+            if not set(map(type, row)) <= {int}:
+                x = next(x for x in row if type(x) is not int)
+                raise ParseError(f"entry {json.dumps(x)} in row {i} is not an integer")
+        return cls(n=n, a=tuple(map(tuple, a)))
 
     @cached_property  # read-only, so one array serves every caller
     def matrix(self) -> np.ndarray:

@@ -109,11 +109,11 @@ def count_bisections_by_letter(
     """
     if r_len < 0 or s_len < 1:
         raise ValueError("need r_len >= 0 and s_len >= 1")
-    n = spec.n
     if r_len == 0:
         return ending_counts(spec, s_len)
     r_ends = ending_counts(spec, r_len)
-    preds = [[a for a in range(n) if spec.a[a][b]] for b in range(n)]
+    # each letter's predecessors, 0-based
+    preds = [[a - 1 for a in pre] for pre in spec._predecessors]
     if s_len == 1:
         return [sum(r_ends[a] for a in pre) for pre in preds]
     s_inner = ending_counts(spec, s_len - 1)

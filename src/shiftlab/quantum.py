@@ -487,31 +487,25 @@ def _words_and_orbits(
 
     Some automorphism maps nu to mu exactly when they share an orbit, so
     every ordered pair in an orbit, (w, w) included, is certified and must
-    be alive (n x n bool over letters) at every position; it is checked
-    orbit by orbit, Σ|orbit|² pairs in blocks of at most ``_PAIR_CHUNK``.
+    be alive (n x n bool over letters) at every position.  At position t
+    the pair (g(w), h(w)) holds (g(w_t), h(w_t)), so these letters run
+    over every ordered pair of one letter orbit; every letter starts some
+    level-k word (each has a successor), so the check is ``alive`` on each
+    letter orbit squared.  The root of a word is its orbit's least word,
+    so its first letter is the least letter of the first letter's orbit.
     """
     words = enumerate_words(spec, k)
-    m = len(words)
-    letters = np.array(words, dtype=np.intp).reshape(m, k) - 1
+    letters = np.array(words, dtype=np.intp).reshape(len(words), k) - 1
     if spec.is_full_shift():
         return words, letters, None
     root = np.array(_orbit_roots(spec, words), dtype=np.intp)
-    order = np.argsort(root, kind="stable")  # orbit by orbit
-    ranked = root[order]
-    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    sizes = np.diff(np.r_[first, m])
-    for s in set(sizes.tolist()):
-        members = order[first[sizes == s, None] + np.arange(s)]
-        flat = members.ravel()
-        step = max(1, _PAIR_CHUNK // s)
-        for lo in range(0, flat.size, step):
-            # each of these words against every member of its orbit
-            rows = np.arange(lo, min(lo + step, flat.size))
-            word, mates = letters[flat[rows]], letters[members[rows // s]]
-            if not all(alive[word[:, None, t], mates[..., t]].all() for t in range(k)):
-                raise Inconsistent(
-                    "witnessed pair was forced to zero; propagation is unsound"
-                )
+    if k:
+        least = np.empty(spec.n, dtype=np.intp)
+        least[letters[:, 0]] = letters[root, 0]
+        if (~alive & (least[:, None] == least)).any():
+            raise Inconsistent(
+                "witnessed pair was forced to zero; propagation is unsound"
+            )
     return words, letters, root
 
 

@@ -287,7 +287,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     bound = cutoff + MERGE_TOL
     lam = pf.lambda_max
     u = [pf.u_of(c) for c in range(1, n + 1)]
-    kids = [[j for j in range(n) if spec.a[i][j]] for i in range(n)]
+    kids = [[j - 1 for j in row] for row in spec._successors]
     max_len = int(math.floor(bound))
 
     found: list[tuple[float, int]] = []

@@ -163,21 +163,45 @@ class TestErrorPaths:
         assert main(["pf", "--input", str(path)]) == 3
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"n": 2, "a": [[1, 1.7], [1, 0]]}',
-            '{"n": 2, "a": [[1, true], [1, 0]]}',
-            '{"n": 2, "a": ["11", [1, 0]]}',
-            '{"n": 2.9, "a": [[1, 1], [1, 0]]}',
-            '{"n": 2, "a": [[1, 1, 1], [1, 0]]}',
+            (
+                '{"n": 2, "a": [[1, 1.7], [1, 0]]}',
+                "entry 1.7 in row 1 is not an integer",
+            ),
+            (
+                '{"n": 2, "a": [[1, true], [1, 0]]}',
+                "entry true in row 1 is not an integer",
+            ),
+            ('{"n": 2, "a": ["11", [1, 0]]}', "row 1 is not a list of 2 entries"),
+            ('{"n": 2.9, "a": [[1, 1], [1, 0]]}', "n must be an integer, got 2.9"),
+            ('{"n": 2, "a": [[1, 1, 1], [1, 0]]}', "row 1 is not a list of 2 entries"),
+            (
+                '{"n": 2, "a": [[1, 1], [0, "1", 2.0]]}',
+                "row 2 is not a list of 2 entries",
+            ),
+            (
+                '{"n": 3, "a": [[1, 1, 1], [1, "1", 2.0], [1, 1, 1]]}',
+                'entry "1" in row 2 is not an integer',
+            ),
         ],
-        ids=["float-entry", "bool-entry", "string-row", "float-n", "ragged"],
+        ids=[
+            "float-entry",
+            "bool-entry",
+            "string-row",
+            "float-n",
+            "ragged",
+            "ragged-before-entries",
+            "first-of-two-entries",
+        ],
     )
-    def test_schema_violation_exit_two(self, tmp_path, capsys, text):
+    def test_schema_violation_exit_two(self, tmp_path, capsys, text, message):
+        # the first offender is named: a bad row before its entries, and the
+        # first of two bad entries
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert main(["pf", "--input", str(path)]) == 2
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"shiftlab: parse error: {message}\n"
 
     @pytest.mark.parametrize("cutoff", ["0.5", "nan", "inf"])
     def test_spectrum_bad_cutoff_exit_two(self, capsys, fib_file, cutoff):

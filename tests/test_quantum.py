@@ -443,6 +443,36 @@ class TestAgainstLoopReferences:
             ):
                 call()
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_zero_inside_a_letter_orbit(self, monkeypatch, k):
+        # the complete digraph without loops on 4 letters: its group S_4 is
+        # transitive on the letters and on the 12 pairs of distinct ones, an
+        # orbit larger than any rotation's; a Zero at p[0][1] kills a
+        # certified pair at every level k >= 1, and at k = 0 the one word ()
+        # has no position, so nothing is checked
+        spec = sl.AdjacencySpec.from_matrix(_circulant(4, (1, 2, 3)))
+        pf = sl.perron_frobenius(spec)
+        zero = np.zeros((4, 4), dtype=bool)
+        zero[0, 1] = True
+        pattern = _zero_pattern(zero)
+        monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
+        supports = [
+            _propagated(lambda k: sl.word_support(pattern, pf, k), k),
+            _propagated(lambda k: loop_word_support(pattern, pf, k), k),
+        ]
+        verdicts = [
+            _propagated(lambda k: sl.ergodicity_verdict(spec, pf, k), k),
+            _propagated(lambda k: loop_ergodicity_verdict(spec, pf, k, pattern), k),
+        ]
+        unsound = "witnessed pair was forced to zero; propagation is unsound"
+        if k:
+            assert supports == verdicts == [unsound, unsound]
+        else:
+            assert supports[0] == supports[1] != unsound
+            assert verdicts[0] == verdicts[1] == quantum.ErgodicityVerdict(
+                ERGODIC_CERTIFIED, 0, None
+            )
+
     @seed(20261022)
     @settings(max_examples=150, deadline=None)
     @given(
@@ -623,6 +653,17 @@ class TestAgainstLoopReferences:
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert time.perf_counter() - start < 2.0
         assert v.verdict == NON_ERGODIC and v.witness == ((1, 1),)
+
+    def test_level5_verdict_on_complete_digraph_in_bounded_time(self):
+        # the complete digraph without loops on 8 letters: 19,208 level-5
+        # words in orbits of up to 6,720 under S_8; soundness reads an 8 x 8
+        # letter mask, not the Σ|orbit|² word pairs
+        spec = sl.AdjacencySpec.from_matrix(_circulant(8, range(1, 8)))
+        pf = sl.perron_frobenius(spec)
+        start = time.process_time()
+        v = sl.ergodicity_verdict(spec, pf, 5)
+        assert time.process_time() - start < 1.0
+        assert v == quantum.ErgodicityVerdict(UNKNOWN, 5, None)
 
     def test_level3_verdict_n128_in_bounded_memory(self):
         # 23,580 level-3 words: one m x m bool array of their pairs would be
