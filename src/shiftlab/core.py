@@ -213,6 +213,12 @@ class PerronFrobeniusData:
     def p_of(self, i: int, j: int) -> float:
         return float(self.stoch[i - 1, j - 1])
 
+    @cached_property
+    def _tails(self) -> tuple[float, ...]:
+        """sum_j A[i, j] u_j per letter (index letter - 1), summed in order."""
+        u = list(map(float, self.u))
+        return tuple(sum(aij * uj for aij, uj in zip(row, u)) for row in self.spec.a)
+
 
 def _null_vector(m: np.ndarray) -> np.ndarray:
     """Unit vector spanning the (numerically) smallest singular direction."""
@@ -397,11 +403,7 @@ def kms_value(pf: PerronFrobeniusData, alpha: Word, beta: Word) -> float:
         return 0.0
     if alpha == EMPTY_WORD:
         return 1.0
-    last = alpha[-1]
-    tail = sum(
-        pf.spec.a[last - 1][j] * float(pf.u[j]) for j in range(pf.spec.n)
-    )
-    return tail / pf.lambda_max ** len(alpha)
+    return pf._tails[alpha[-1] - 1] / pf.lambda_max ** len(alpha)
 
 
 def ahlfors_profile(pf: PerronFrobeniusData, depth_max: int) -> tuple[float, float]:

@@ -83,16 +83,12 @@ class PatternMatrix:
         return self.q[i - 1][j - 1]
 
     def is_identity_pattern(self) -> bool:
-        for grid in (self.p, self.q):
-            for i in range(self.n):
-                for j in range(self.n):
-                    want_one = i == j
-                    st = grid[i][j]
-                    if want_one and not st.is_one:
-                        return False
-                    if not want_one and not st.is_zero:
-                        return False
-        return True
+        return all(
+            st.kind == (ONE if i == j else ZERO)
+            for grid in (self.p, self.q)
+            for i, row in enumerate(grid)
+            for j, st in enumerate(row)
+        )
 
     def grid_strings(self) -> dict[str, list[str]]:
         """Rows over {'.', '0', '1', class letters}; '.' marks a singleton
@@ -260,14 +256,17 @@ def _live_sweep(
 def propagate(system: ConstraintSystem) -> PatternMatrix:
     """Least fixed point of the forcing rules.
 
-    Per equation, after substituting knowns and cancelling shared classes:
-      * a scalar c against m free occurrences forces all-Zero when c = 0
-        and all-One when c = m (a sum of projections equals m only when
-        every summand is the identity: the deficits 1 - p are positive
-        and sum to zero);
-      * a lone class on each side merges the two classes when the scalars
-        agree, and forces a (One, Zero) split when they differ by one;
-      * scalar-against-scalar disagreement is a contradiction.
+    Each equation, with knowns substituted, reads Σ c_r x_r = d over its
+    free classes r, where c_r is the class's count on the left minus its
+    count on the right:
+      * when every c_r has one sign, read from that sign's side, a scalar d
+        against weight Σ|c_r| forces all-Zero when d = 0 and all-One when
+        d = weight (a sum of projections equals its weight only when every
+        summand is the identity: the deficits 1 - p are positive and sum
+        to zero);
+      * m x_a - m x_b = d merges the two classes when d = 0, and forces a
+        (One, Zero) split when d = ±m;
+      * no class and d != 0 is a contradiction.
     The result does not depend on the order of ``system.equations``.
 
     A pre-zeroed variable is never merged or reassigned (only free classes
@@ -292,83 +291,71 @@ def _sweep(n: int, codes: np.ndarray, equations: list) -> PatternMatrix:
     Zero, until a sweep changes nothing; then the pattern, with ``codes``
     updated and checked by the line rules.
 
-    The classes a rule sets or merges are free roots of the same
-    equation's tally, distinct once shared ones cancel, so every rule that
-    fires changes the state.
+    Each equation is read as one signed tally: Σ c_r x_r = d over its free
+    classes r, with c_r the count on the left minus the count on the right
+    (zero entries dropped) and d the right constant minus the left one,
+    each constant plus its side's known Ones.  The classes a rule sets or
+    merges are distinct keys of that tally, so every rule that fires
+    changes the state.
     """
     size = len(codes)
     uf = UnionFind(size)
-    find = uf.find
+    find, parent = uf.find, uf.parent
     state: dict[int, str] = {}
 
-    def tally(variables: list[int], const: int) -> tuple[int, dict[int, int]]:
-        """The constant plus the known Ones, and the free classes' counts."""
-        free: dict[int, int] = {}
+    def tally(variables: list[int], sign: int, coef: dict[int, int]) -> int:
+        """Add ``sign`` to ``coef`` per free class occurrence; the known Ones."""
+        ones = 0
         for v in variables:
-            r = find(v)
+            r = v if parent[v] == v else find(v)  # a root needs no call
             st = state.get(r)
             if st is None:
-                free[r] = free.get(r, 0) + 1
+                coef[r] = coef.get(r, 0) + sign
             elif st == ONE:
-                const += 1
-        return const, free
+                ones += 1
+        return ones
 
-    # an equation with no free class left after cancelling stays so (known
-    # classes keep their value, merges add to both sides): later sweeps skip it
+    # an equation whose tally is empty stays so (known classes keep their
+    # value, merges add to both sides): later sweeps skip it
     pending = equations
     changed = True
     while changed:
         changed = False
         unsettled = []
         for eq in pending:
-            lconst, lfree = tally(eq[0], eq[1])
-            rconst, rfree = tally(eq[2], eq[3])
-            if lfree and rfree:  # cancel shared classes, keep positive counts
-                for r in lfree.keys() & rfree.keys():
-                    shared = min(lfree[r], rfree[r])
-                    for free in (lfree, rfree):
-                        free[r] -= shared
-                        if not free[r]:
-                            del free[r]
-
-            if not lfree and not rfree:
+            coef: dict[int, int] = {}
+            lconst = eq[1] + tally(eq[0], 1, coef)
+            rconst = eq[3] + tally(eq[2], -1, coef)
+            if 0 in coef.values():
+                coef = {r: c for r, c in coef.items() if c}
+            if not coef:
                 if lconst != rconst:
                     raise Inconsistent(f"scalar clash {lconst} != {rconst}")
                 continue
             unsettled.append(eq)
-            if not rfree or not lfree:
-                free, d = (lfree, rconst - lconst) if not rfree else (
-                    rfree,
-                    lconst - rconst,
-                )
-                weight = sum(free.values())
+            d, weight = rconst - lconst, sum(coef.values())
+            if weight < 0:  # read the equation from its right side
+                d, weight = -d, -weight
+            # every c_r of one sign: weight = Σ|c_r|, so weight >= len(coef)
+            if len(coef) <= weight == sum(map(abs, coef.values())):
                 if d in (0, weight):
-                    state.update(dict.fromkeys(free, ONE if d else ZERO))
+                    state.update(dict.fromkeys(coef, ONE if d else ZERO))
                     changed = True
                 elif d < 0 or d > weight:
                     raise Inconsistent(f"sum of {weight} projections = {d}")
-                elif len(free) == 1:
+                elif len(coef) == 1:
                     # single class scaled by its multiplicity: no 0/1 value
-                    raise Inconsistent(
-                        f"class multiple {weight} cannot equal {d}"
-                    )
-                continue
-            if len(lfree) == 1 and len(rfree) == 1:
-                (ra, ma), = lfree.items()
-                (rb, mb), = rfree.items()
-                if ma == mb:
-                    d = rconst - lconst
-                    if d == 0:
-                        uf.union(ra, rb)
-                    elif d == ma:
-                        state[ra], state[rb] = ONE, ZERO
-                    elif d == -ma:
-                        state[ra], state[rb] = ZERO, ONE
-                    else:
-                        raise Inconsistent(
-                            f"projection difference {d}/{ma} out of range"
-                        )
-                    changed = True
+                    raise Inconsistent(f"class multiple {weight} cannot equal {d}")
+            elif len(coef) == 2 and not weight:  # m x_a - m x_b = d
+                ra, rb = sorted(coef, key=coef.get, reverse=True)  # +m, then -m
+                m = coef[ra]
+                if d == 0:
+                    uf.union(ra, rb)
+                elif abs(d) == m:
+                    state[ra], state[rb] = (ONE, ZERO) if d > 0 else (ZERO, ONE)
+                else:
+                    raise Inconsistent(f"projection difference {d}/{m} out of range")
+                changed = True
         pending = unsettled
 
     # one shared state per value and per free class; classes are numbered

@@ -277,7 +277,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     s-word ending in b, and its multiplicities are scaled by the number of
     indices of length L whose s-word ends in b.  Values grow along
     extensions, so the walk is pruned at L = 1.  The enumeration cap bounds
-    the total number of walk states.
+    the total number of walk states, checked as each level is built.
     """
     if not 1 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and >= 1")
@@ -315,10 +315,11 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
         level = {(b, root): 1} if value(b, root) + 1 <= bound else {}
         while level:
             states += len(level)
-            if states > limit:
-                raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
             nxt: dict[tuple[int, tuple[int, ...]], int] = {}
             for (last, k), paths in level.items():
+                # the next level counts too: a level past the cap is never built
+                if states + len(nxt) > limit:
+                    raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
                 extra = (len(kids[last]) - 1) * paths
                 if extra:
                     wavelets[k] = wavelets.get(k, 0) + extra

@@ -19,7 +19,7 @@ from shiftlab.errors import (
     NotPrimitive,
     NotZeroOne,
 )
-from conftest import irreducible_matrices, primitive_matrices
+from conftest import irreducible_matrices, primitive_matrices, random_primitive
 from oracles import (
     dense_perron_frobenius,
     least_positive_power,
@@ -288,6 +288,20 @@ class TestKms:
                 assert sl.kms_value(fib_pf, w, w) == pytest.approx(
                     sl.conformal_measure(fib_pf, w), abs=1e-13
                 )
+
+    def test_level3_diagonal_on_128_letters_in_bounded_time(self):
+        # 23,580 words, each reading its last letter's tail sum_j A[last, j] u_j;
+        # summed over all 128 letters per call, they took 1.3 s of CPU
+        spec = AdjacencySpec.from_matrix(random_primitive(128, seed=20261018))
+        pf = sl.perron_frobenius(spec)
+        words = list(sl.enumerate_words(spec, 3))
+        start = time.process_time()
+        values = [sl.kms_value(pf, w, w) for w in words]
+        assert time.process_time() - start < 0.6
+        u = [float(x) for x in pf.u]
+        for w, value in zip(words[::97], values[::97]):
+            tail = sum(spec.a[w[-1] - 1][j] * u[j] for j in range(spec.n))
+            assert value == tail / pf.lambda_max**3  # the same sum, bit for bit
 
 
 class TestAhlfors:

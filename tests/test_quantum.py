@@ -562,6 +562,8 @@ class TestAgainstLoopReferences:
         [
             # distinct PF entries pre-zero every off-diagonal variable
             *((random_primitive(n, seed=n), True) for n in (16, 24, 32)),
+            # no PF rule on a large random graph: every equation lives
+            (random_primitive(64, seed=64), False),
             # a constant eigenvector and no PF rule: every variable starts
             # free, and the extra zeros of n = 5, 6 and 9 leave merged
             # classes shared by a p and a q variable
@@ -635,6 +637,38 @@ class TestAgainstLoopReferences:
         )
         assert _propagated(sl.propagate, system) == message
         assert _propagated(sweep_propagate, system) == message
+
+    @pytest.mark.parametrize(
+        "equation, p_rows",
+        [
+            # x0 on both sides, unequal counts: 2 x0 + x4 = x0 + 2 forces
+            # two Ones, and x0 = 2 x0 + x4 two Zeros
+            (((0, 0, 4), 0, (0,), 2), ("1..", ".1.", "...")),
+            (((0,), 0, (0, 0, 4), 0), ("0..", ".0.", "...")),
+            (((0, 0, 0), 0, (0,), 3), "sum of 2 projections = 3"),
+            (((0, 0, 0), 0, (0,), 1), "class multiple 2 cannot equal 1"),
+            # 2 x0 - x4 = 0 forces nothing
+            (((0, 0), 0, (4,), 0), ("...", "...", "...")),
+            # x0 - x4 = d merges at d = 0 and splits at d = 1 and -1
+            (((0,), 0, (4,), 0), ("a..", ".a.", "...")),
+            (((0,), 0, (4,), 1), ("1..", ".0.", "...")),
+            (((0,), 1, (4,), 0), ("0..", ".1.", "...")),
+            (((0,), 0, (4,), 2), "projection difference 2/1 out of range"),
+            # 2 x0 - 2 x4 = d splits at d = 2, and has no 0/1 solution at 1
+            (((0, 0), 0, (4, 4), 2), ("1..", ".0.", "...")),
+            (((0, 0), 0, (4, 4), 1), "projection difference 1/2 out of range"),
+        ],
+    )
+    def test_signed_tally_pinned(self, full3, equation, p_rows):
+        # one equation over p[0][0] (variable 0) and p[1][1] (variable 4);
+        # the left count of each class minus its right count decides the rule
+        system = ConstraintSystem(spec=full3, equations=(equation,), pre_zero=())
+        for propagate in (sl.propagate, sweep_propagate):
+            result = _propagated(propagate, system)
+            if isinstance(result, str):
+                assert result == p_rows
+            else:
+                assert result.grid_strings() == {"p": list(p_rows), "q": ["..."] * 3}
 
     def test_inconsistent_message_pinned(self, full2, full2_pf):
         system = sl.build_constraints(full2, full2_pf)

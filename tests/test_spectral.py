@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -12,7 +14,7 @@ from shiftlab.spectral import (
     merge_multiset,
 )
 from shiftlab.errors import LengthOverflow, PrefixMismatch
-from conftest import UNKNOWN_EXHIBIT, primitive_matrices
+from conftest import UNKNOWN_EXHIBIT, primitive_matrices, random_primitive
 from oracles import (
     embed_level,
     eigenvalue_multiset,
@@ -306,6 +308,24 @@ class TestSpectrum:
         monkeypatch.setenv("ARIADNE_CAP", "3")
         with pytest.raises(LengthOverflow):
             sl.spectrum(fib_pf, 5.0)
+
+    def test_cap_checked_while_a_level_is_built(self, monkeypatch):
+        # from letter 1 at cutoff 5, the seeded n = 16 graph walks 16,672
+        # states and then a level of 29,120: under a cap of 20,000 that level
+        # is never finished.  Built whole, it and its parent level held
+        # 11 MiB; about 300 bytes a state, the walk now stays near 4 MiB
+        spec = sl.AdjacencySpec.from_matrix(random_primitive(16, seed=20261018))
+        pf = sl.perron_frobenius(spec)
+        monkeypatch.setenv("ARIADNE_CAP", "20000")
+        tracemalloc.start()
+        try:
+            message = "^spectrum walk exceeds cap 20000$"
+            with pytest.raises(LengthOverflow, match=message):
+                sl.spectrum(pf, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_spectral_gap(self, fib_pf, full2_pf):
         # |D| >= 1 on every block: nothing inside (-1, 1)
