@@ -123,9 +123,10 @@ class AdjacencySpec:
         for i, row in enumerate(a, 1):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"row {i} is not a list of {n} entries")
-            if not set(map(type, row)) <= {int}:
-                x = next(x for x in row if type(x) is not int)
-                raise ParseError(f"entry {json.dumps(x)} in row {i} is not an integer")
+            if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
+                x = next(x for x in row if type(x) is not int or x not in (0, 1))
+                kind = "an integer" if type(x) is not int else "0 or 1"
+                raise ParseError(f"entry {json.dumps(x)} in row {i} is not {kind}")
         return cls(n=n, a=tuple(map(tuple, a)))
 
     @cached_property  # read-only, so one array serves every caller

@@ -575,11 +575,11 @@ def ergodicity_verdict(
     the same-orbit pairs, so its components are the orbits.  No pair array
     is formed: a pair is certainly zero when some position holds letters
     that are not ``alive``, so its state is read letter position by letter
-    position.
+    position.  The sweep starts from the eigenvector rule's Zeros and
+    frees none, so ``alive`` needs no eigenvector mask of its own.
     """
     n = spec.n
-    p_zero = (_live_sweep(spec, pf)[1][: n * n] == _ZERO_VAR).reshape(n, n)
-    alive = ~(_u_differs(pf) | p_zero)
+    alive = (_live_sweep(spec, pf)[1][: n * n] != _ZERO_VAR).reshape(n, n)
     words, letters, root = _words_and_orbits(spec, k, alive)
     reached = _reached_from_first(letters, alive)
     if not reached.all():

@@ -92,16 +92,17 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
     orbit so far; those leaves are the generators, sorted.  Loop bits colour
     the points; each mapping gives the point and its image a new colour and,
     unless nothing can split, refines both sides together: images keep
-    colours and class sizes, as automorphisms do.  Past ``word_cap()`` nodes:
-    SearchCapExceeded.  Returns (order, generators, sizes): sizes[i] is the size
-    of i's orbit under the elements fixing the points below i.
+    colours and class sizes, as automorphisms do.  The colours only prune:
+    one check per leaf, a permutation that keeps the matrix, decides.  Past
+    ``word_cap()`` nodes: SearchCapExceeded.  Returns (order, generators,
+    sizes): sizes[i] is the size of i's orbit under the elements fixing the
+    points below i.
     """
     n, limit, nodes = len(a), word_cap(), itertools.count(1)
     m = np.array(a, dtype=np.int64).reshape(n, n)
     w0, w1, w2 = np.frombuffer(hashlib.shake_128().digest(72 * n), "i8").reshape(3, -1)
     found: list[tuple[int, ...]] = []
     assignment: list[int] = []
-    used = [False] * n
 
     def refine(*sides: list[int]) -> list[list[int]]:
         """Stable colourings ranked over all sides; a collision only merges classes."""
@@ -126,30 +127,27 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
     def extend(i: int, src: list, tgt: list, images: Sequence[int] = ()) -> bool:
         """True at the least leaf below, with i taken into images if given."""
         if i == n:
-            found.append(tuple(x + 1 for x in assignment))
+            p = assignment
+            if len(set(p)) < n or (m[np.ix_(p, p)] != m).any():
+                return False
+            found.append(tuple(x + 1 for x in p))
             return True
         if next(nodes) > limit:
             raise SearchCapExceeded(f"search exceeds cap {limit} nodes")
         for j in images or range(n):
-            if used[j] or tgt[j] != src[i]:
+            if tgt[j] != src[i]:  # so no assigned image: its colour is its own
                 continue
-            for k in range(i):
-                if a[assignment[k]][j] != a[k][i] or a[j][assignment[k]] != a[i][k]:
-                    break
-            else:
-                new = [src[:], tgt[:]]
-                new[0][i] = new[1][j] = 2 * n + i  # a colour no class has
-                if flat[i] is None or flat[i] != flat[j]:
-                    new = refine(*new)
-                    if sorted(new[0]) != sorted(new[1]):
-                        continue
-                used[j] = True
-                assignment.append(j)
-                hit = extend(i + 1, *new)
-                assignment.pop()
-                used[j] = False
-                if hit:
-                    return True
+            new = [src[:], tgt[:]]
+            new[0][i] = new[1][j] = 2 * n + i  # a colour no class has
+            if flat[i] is None or flat[i] != flat[j]:
+                new = refine(*new)
+                if sorted(new[0]) != sorted(new[1]):
+                    continue
+            assignment.append(j)
+            hit = extend(i + 1, *new)
+            assignment.pop()
+            if hit:
+                return True
         return False
 
     orbits, sizes = UnionFind(n), [1] * n  # one union per point and generator
@@ -157,7 +155,7 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
         if alone[i]:
             continue
         top = tops[i]
-        assignment[:], used[:] = range(i), [k < i for k in range(n)]
+        assignment[:] = range(i)
         for j in range(i + 1, n):
             if top[j] == top[i] and orbits.find(j) != orbits.find(i):
                 if extend(i, top, top, [j]):

@@ -184,6 +184,8 @@ class TestErrorPaths:
                 '{"n": 3, "a": [[1, 1, 1], [1, "1", 2.0], [1, 1, 1]]}',
                 'entry "1" in row 2 is not an integer',
             ),
+            ('{"n": 2, "a": [[1, 1], [2, 0]]}', "entry 2 in row 2 is not 0 or 1"),
+            ('{"n": 2, "a": [[1, -1], [1, 0]]}', "entry -1 in row 1 is not 0 or 1"),
         ],
         ids=[
             "float-entry",
@@ -193,6 +195,8 @@ class TestErrorPaths:
             "ragged",
             "ragged-before-entries",
             "first-of-two-entries",
+            "two-entry",
+            "negative-entry",
         ],
     )
     def test_schema_violation_exit_two(self, tmp_path, capsys, text, message):

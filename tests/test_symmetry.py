@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import shiftlab as sl
 from shiftlab.core import word_cap
 from shiftlab.groupoid import BisectionIndex, bisections_up_to
+from shiftlab import symmetry
 from shiftlab.quantum import t_a_matrix
 from shiftlab.symmetry import (
     ClassicalIsometry,
@@ -20,7 +22,7 @@ from shiftlab.symmetry import (
     matrix_automorphisms,
     truncation_basis,
 )
-from shiftlab.errors import LengthOverflow, NotClosed
+from shiftlab.errors import LengthOverflow, NotClosed, SearchCapExceeded
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
@@ -49,6 +51,46 @@ def t_a_circulants(max_n):
             a = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
             if least_positive_power(a) is not None:
                 yield t_a_matrix(sl.AdjacencySpec.from_matrix(a)).tolist()
+
+
+def paley(q):
+    """Paley graph of a prime q = 1 mod 4: i ~ j when i - j is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return [[int((i - j) % q in squares) for j in range(q)] for i in range(q)]
+
+
+def graph(points, adjacent):
+    """0/1 matrix of the relation ``adjacent`` on ``points``."""
+    return [[int(adjacent(x, y)) for y in points] for x in points]
+
+
+Z4_SQUARED = list(itertools.product(range(4), repeat=2))
+
+# strongly regular graphs and their published automorphism group orders
+STRONGLY_REGULAR = {
+    "petersen": (  # disjoint 2-subsets of a 5-set
+        graph(list(itertools.combinations(range(5), 2)), lambda x, y: not {*x} & {*y}),
+        120,
+    ),
+    "paley13": (paley(13), 78),
+    "paley17": (paley(17), 136),
+    "shrikhande": (  # Z4 x Z4 with differences ±(0, 1), ±(1, 0), ±(1, 1)
+        graph(
+            Z4_SQUARED,
+            lambda x, y: ((x[0] - y[0]) % 4, (x[1] - y[1]) % 4)
+            in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)},
+        ),
+        192,
+    ),
+    "clebsch": (  # GF(2)^4 with differences of weight 1 or 4
+        graph(range(16), lambda x, y: x ^ y in {1, 2, 4, 8, 15}),
+        1920,
+    ),
+    "rook4": (  # the 4 x 4 grid, one row or one column apart
+        graph(Z4_SQUARED, lambda x, y: x != y and (x[0] == y[0] or x[1] == y[1])),
+        1152,
+    ),
+}
 
 
 def assert_list_matches_backtracking(mat):
@@ -228,6 +270,63 @@ class TestFirstPathSearch:
         assert len(generating_set(spec)) == 11
         assert sl.classical_fixed_points(spec, 1).dimension == 1
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "weights",
+        [bytes, lambda k: np.random.default_rng(7).integers(0, 3, k // 8).tobytes()],
+        ids=["zero", "colliding"],
+    )
+    def test_exact_whatever_the_hash_weights(self, monkeypatch, weights):
+        # zero weights: refine splits no class, so only loop bits and the
+        # colours of assigned points prune.  Weights in {0, 1, 2}: collisions
+        # merge classes, an assigned point's among them.  Either way the one
+        # check per leaf decides, and the results are the real weights'
+        rng = random.Random(20261024)
+        mats = [
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            for n in range(1, 7)
+            for _ in range(17)
+        ]
+        mats += [
+            [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+            for n in range(1, 7)
+            for c in itertools.product((0, 1), repeat=n)
+        ]
+        want = [_search(mat) for mat in mats]
+        shake = types.SimpleNamespace(digest=weights)  # as many bytes as asked
+        monkeypatch.setattr(
+            symmetry, "hashlib", types.SimpleNamespace(shake_128=lambda: shake)
+        )
+        assert [_search(mat) for mat in mats] == want
+
+    @pytest.mark.parametrize(
+        "spec, nodes",
+        [
+            (sl.AdjacencySpec.full_shift(5), 324),
+            (sl.AdjacencySpec.full_shift(8), 2079),
+            (sl.AdjacencySpec.from_matrix(paley(13)), 673),
+        ],
+        ids=["full5", "full8", "paley13"],
+    )
+    def test_t_a_node_counts(self, monkeypatch, spec, nodes):
+        # the search succeeds at its node count and fails one node short:
+        # a weaker pruning shows here before it shows as time
+        mat = t_a_matrix(spec).tolist()
+        monkeypatch.setenv("ARIADNE_CAP", str(nodes))
+        _search(mat)
+        monkeypatch.setenv("ARIADNE_CAP", str(nodes - 1))
+        with pytest.raises(SearchCapExceeded):
+            _search(mat)
+
+    @pytest.mark.parametrize("name", list(STRONGLY_REGULAR))
+    def test_strongly_regular_graphs(self, name):
+        # refinement separates the least on these: regular with no loops,
+        # each is one class at the root, so the most rests on the leaf check
+        mat, order = STRONGLY_REGULAR[name]
+        m = np.array(mat)
+        rows = matrix_automorphisms(mat).astype(np.intp) - 1
+        assert len(rows) == order
+        assert (m[rows[:, :, None], rows[:, None, :]] == m).all()
 
 
 class TestIsometryUnitary:
