@@ -69,7 +69,7 @@ EXIT_PARSE = 2
 EXIT_NOT_PRIMITIVE = 3
 EXIT_OVERFLOW = 4
 
-ROW_CHUNK = 1024  # rows of a 2-D integer array per write (full3's t-a has 9!)
+ROW_CHUNK = 1024  # rows of a 2-D array per write (full3's t-a has 9!)
 
 
 def round15(x: float) -> float:
@@ -121,19 +121,16 @@ def _write_json(obj, write, pad: str = "\n") -> None:
     elif isinstance(obj, (int, np.integer)):
         write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        write(json.dumps(round15(obj)))  # NaN and Infinity as json spells them
+        x = round15(obj)  # json.dumps spells a finite float as its repr
+        write(repr(x) if math.isfinite(x) else json.dumps(x))
     elif isinstance(obj, complex):
         _write_json({"im": obj.imag, "re": obj.real}, write, pad)
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
-            _write_int_rows(obj, write, pad)
-        elif (
-            obj.ndim in (1, 2)
-            and obj.dtype.kind == "f"
-            and obj.size
-            and np.isfinite(obj).all()
+        kind = obj.dtype.kind
+        if obj.ndim == 2 and obj.size and (
+            kind in "iu" or kind == "f" and np.isfinite(obj).all()
         ):
-            _write_float_rows(obj, write, pad)
+            _write_rows(obj, write, pad)
         else:
             _write_json(obj.tolist(), write, pad)
     elif isinstance(obj, dict):
@@ -154,49 +151,31 @@ def _write_json(obj, write, pad: str = "\n") -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_int_rows(rows: np.ndarray, write, pad: str) -> None:
+def _write_rows(rows: np.ndarray, write, pad: str) -> None:
     """rows.tolist() as _write_json spells it, ROW_CHUNK rows per write.
 
     Each row carries the "," before it, which the first row trades for
-    "[".  A chunk whose entries all lie in 0..9 (a group on at most 9
-    letters, a 0/1 matrix) is one row's bytes tiled, with chunk + 48 put
-    into the digit slots; any other chunk is one %-format of the repeated
-    row."""
+    "[".  A chunk of integers whose entries all lie in 0..9 (a group on at
+    most 9 letters, a 0/1 matrix) is one row's bytes tiled, with chunk + 48
+    put into the digit slots; any other chunk is one %-format of the
+    repeated row, reals rounded to 15 digits first (%s spells a float as
+    its repr)."""
     inner, deeper = pad + "  ", pad + "    "
-    row = "," + inner + "[" + deeper + ("," + deeper).join(["%d"] * rows.shape[1])
+    row = "," + inner + "[" + deeper + ("," + deeper).join(["%s"] * rows.shape[1])
     row += inner + "]"
     template = np.frombuffer((row % ((0,) * rows.shape[1])).encode(), dtype=np.uint8)
     slots = np.flatnonzero(template == ord("0"))  # pad holds no digits
+    real = rows.dtype.kind == "f"
     for start in range(0, len(rows), ROW_CHUNK):
         chunk = rows[start : start + ROW_CHUNK]
-        if 0 <= chunk.min() and chunk.max() <= 9:
+        if not real and 0 <= chunk.min() and chunk.max() <= 9:
             buf = np.tile(template, (len(chunk), 1))
             buf[:, slots] = chunk + 48
             text = buf.tobytes().decode()
         else:
-            text = row * len(chunk) % tuple(chunk.ravel().tolist())
+            values = chunk.ravel().tolist()
+            text = row * len(chunk) % tuple(map(round15, values) if real else values)
         write(text if start else "[" + text[1:])
-    write(pad + "]")
-
-
-def _float_row(values: list[float], pad: str) -> str:
-    """A list of finite reals as _write_json spells it: json.dumps writes a
-    finite float as its repr."""
-    inner = pad + "  "
-    text = ("," + inner).join(map(repr, map(round15, values)))
-    return "[" + inner + text + pad + "]"
-
-
-def _write_float_rows(rows: np.ndarray, write, pad: str) -> None:
-    """A nonempty 1-D or 2-D array of finite reals as _write_json spells
-    rows.tolist(), a row per write."""
-    if rows.ndim == 1:
-        write(_float_row(rows.tolist(), pad))
-        return
-    inner, sep = pad + "  ", "["
-    for row in rows.tolist():
-        write(sep + inner + _float_row(row, inner))
-        sep = ","
     write(pad + "]")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +74,24 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _bad_entry(row, i: int, spell) -> str | None:
+    """Why row i holds an entry other than the integers 0 and 1, naming the
+    first such entry as spell writes it; None when it holds none.  bool is
+    its own type, so True is refused too."""
+    if set(map(type, row)) <= {int} and set(row) <= {0, 1}:
+        return None
+    x = next(x for x in row if type(x) is not int or x not in (0, 1))
+    kind = "an integer" if type(x) is not int else "0 or 1"
+    return f"entry {spell(x)} in row {i} is not {kind}"
+
+
+def _matrix_entry(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise NotZeroOne(f"entry {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class AdjacencySpec:
     """Primitive 0/1 transition matrix with alphabet size ``n``."""
@@ -85,10 +104,9 @@ class AdjacencySpec:
             raise NotPrimitive(f"alphabet size must be >= 2, got {self.n}")
         if len(self.a) != self.n or any(len(row) != self.n for row in self.a):
             raise NotZeroOne(f"matrix must be {self.n}x{self.n}")
-        for row in self.a:
-            for x in row:
-                if x not in (0, 1):
-                    raise NotZeroOne(f"entry {x!r} outside {{0, 1}}")
+        for i, row in enumerate(self.a, 1):
+            if why := _bad_entry(row, i, repr):
+                raise NotZeroOne(why)
         for i, row in enumerate(self.a):
             if not any(row):
                 raise NotPrimitive(f"row {i + 1} has no outgoing edge")
@@ -98,7 +116,9 @@ class AdjacencySpec:
 
     @classmethod
     def from_matrix(cls, a) -> "AdjacencySpec":
-        rows = tuple(tuple(int(x) for x in row) for row in a)
+        """Rows of Python or numpy integers (Python bools count as 0 and 1);
+        a float or a string is refused, not rounded."""
+        rows = tuple(tuple(map(_matrix_entry, row)) for row in a)
         return cls(n=len(rows), a=rows)
 
     @classmethod
@@ -123,10 +143,8 @@ class AdjacencySpec:
         for i, row in enumerate(a, 1):
             if not isinstance(row, list) or len(row) != n:
                 raise ParseError(f"row {i} is not a list of {n} entries")
-            if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
-                x = next(x for x in row if type(x) is not int or x not in (0, 1))
-                kind = "an integer" if type(x) is not int else "0 or 1"
-                raise ParseError(f"entry {json.dumps(x)} in row {i} is not {kind}")
+            if why := _bad_entry(row, i, json.dumps):
+                raise ParseError(why)
         return cls(n=n, a=tuple(map(tuple, a)))
 
     @cached_property  # read-only, so one array serves every caller

@@ -50,7 +50,7 @@ from shiftlab.quantum import (
     build_constraints,
     propagate,
 )
-from shiftlab.spectral import _common_prefix_length, level_basis
+from shiftlab.spectral import level_basis
 from shiftlab.symmetry import (
     GraphAutomorphism,
     UnionFind,
@@ -95,7 +95,8 @@ def shell_delta_values(pf, base, depth, values, extra=2):
             ci, cj = anc[gi], anc[hi]
             if ci == cj:
                 continue
-            w = _common_prefix_length(gw, hw)
+            # the common prefix: their coarse cells differ, so some letter does
+            w = next(k for k, (x, y) in enumerate(zip(gw, hw)) if x != y)
             total += (values[ci] - values[cj]) * lam**w * mu[hi]
         prev = per_coarse.setdefault(anc[gi], total)
         assert abs(prev - total) < 1e-10, "kernel image not level-constant"

@@ -500,18 +500,20 @@ _KEYS = st.one_of(
 )
 # heights 0, 1, 3 and past one write chunk; widths 0 and 3
 _ARRAY_SHAPES = [(0, 3), (3, 0), (1, 3), (3, 3), (ROW_CHUNK + 5, 3)]
+# leaves are also drawn 1-D, which the writer sends through .tolist()
+_LEAF_SHAPES = _ARRAY_SHAPES + [(0,), (1,), (5,)]
 _INT_DTYPES = [np.int8, np.int16, np.int64, np.uint64]
 
 
 def _int_array(dtype, shape, seed):
-    """A 2-D array over the dtype's whole range, negatives included."""
+    """An array over the dtype's whole range, negatives included."""
     info = np.iinfo(dtype)
     rng = np.random.default_rng(seed)
     return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
 
 
 def _digit_array(dtype, shape, seed):
-    """A 2-D array of one-digit entries: every chunk is written from bytes."""
+    """An array of one-digit entries: every 2-D chunk is written from bytes."""
     return np.random.default_rng(seed).integers(0, 10, shape).astype(dtype)
 
 
@@ -532,13 +534,19 @@ def _one_digit_cases():
 
 def _float_cases():
     """Reals whose repr is an edge case; arrays of shapes (1, n), (n, 1)
-    and (0,); and arrays holding NaN or an infinity, which keep the
-    per-leaf path."""
+    and (0,); ROW_CHUNK + 5 rows of 17-digit reals, written in two chunks,
+    the second all in [0, 1) as a stochastic matrix is (no digit tile for
+    reals); and arrays holding NaN or an infinity, which keep the per-leaf
+    path."""
     edge = np.array([-0.0, 1e16, 5e-324, 0.1 + 0.2, 1 / 3])
     yield pytest.param(edge, id="edge-reals")
     yield pytest.param(edge[None, :], id="1xn")
     yield pytest.param(edge[:, None], id="nx1")
     yield pytest.param(np.zeros(0), id="empty")
+    rng = np.random.default_rng(7)
+    tall = rng.random((ROW_CHUNK + 5, 3))
+    tall[:ROW_CHUNK] *= 10.0 ** rng.integers(-20, 20, 3)
+    yield pytest.param(tall, id="two-chunks")
     for bad in (math.nan, math.inf, -math.inf):
         yield pytest.param(np.array([0.5, bad]), id=f"1d-{bad}")
         yield pytest.param(np.array([[0.5, 1e16], [bad, 1 / 3]]), id=f"2d-{bad}")
@@ -568,16 +576,16 @@ _LEAVES = st.one_of(
     st.builds(
         _int_array,
         st.sampled_from(_INT_DTYPES),
-        st.sampled_from(_ARRAY_SHAPES),
+        st.sampled_from(_LEAF_SHAPES),
         st.integers(0, 2**32 - 1),
     ),
     st.builds(
         _digit_array,
         st.sampled_from(_INT_DTYPES),
-        st.sampled_from(_ARRAY_SHAPES),
+        st.sampled_from(_LEAF_SHAPES),
         st.integers(0, 2**32 - 1),
     ),
-    st.builds(_bool_array, st.sampled_from(_ARRAY_SHAPES), st.integers(0, 2**32 - 1)),
+    st.builds(_bool_array, st.sampled_from(_LEAF_SHAPES), st.integers(0, 2**32 - 1)),
 )
 _VALUES = st.recursive(
     _LEAVES,

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -56,6 +57,27 @@ class TestValidatePrimitive:
     def test_bad_entry_rejected(self):
         with pytest.raises(NotZeroOne):
             AdjacencySpec.from_matrix([[1, 2], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [1.7, 0.9, "1", 1.0, np.float64(1.0)],
+        ids=["1.7", "0.9", "str", "float", "float64"],
+    )
+    def test_from_matrix_refuses_non_integers(self, entry):
+        # int() would round 1.7 and 0.9 and parse "1"
+        message = re.escape(f"entry {entry!r} is not an integer")
+        with pytest.raises(NotZeroOne, match=message):
+            AdjacencySpec.from_matrix([[1, entry], [1, 1]])
+
+    @pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+    def test_constructor_refuses_non_int_entries(self, entry):
+        # 1.0 == True == 1, so a value test alone would keep them
+        with pytest.raises(NotZeroOne, match="entry .* in row 1 is not an integer"):
+            AdjacencySpec(n=2, a=((1, entry), (1, 1)))
+
+    def test_from_matrix_takes_python_bools_as_integers(self, fib):
+        spec = AdjacencySpec.from_matrix([[True, True], [True, False]])
+        assert spec == fib and {type(x) for row in spec.a for x in row} == {int}
 
     def test_empty_row_rejected(self):
         with pytest.raises(NotPrimitive):
