@@ -10,6 +10,7 @@ deterministic for fixed inputs and seed apart from the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import functools
@@ -248,12 +249,13 @@ def run_measures(pf: PerronFrobeniusData, depth: int) -> dict:
 
 def run_spectrum(pf: PerronFrobeniusData, cutoff: float, output: str | None) -> dict:
     pairs = spectrum(pf, cutoff)
+    by_size = sorted((abs(e), m) for e, m in pairs)
+    totals = list(itertools.accumulate((m for _, m in by_size), initial=0))
     counting = {}
     t = 1
     while t <= cutoff:
-        counting[str(t)] = int(
-            sum(m for e, m in pairs if abs(e) <= t + MERGE_TOL)
-        )
+        at = bisect.bisect_right(by_size, t + MERGE_TOL, key=lambda pair: pair[0])
+        counting[str(t)] = totals[at]
         t += 1
     if output:
         csv_path = Path(output).with_suffix(".csv")

@@ -25,6 +25,7 @@ value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,42 +119,34 @@ def eigenvalue_formula(
     return total
 
 
-def _common_prefix_length(a: Word, b: Word) -> int:
-    w = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        w += 1
-    return w
-
-
 def delta_matrix(pf: PerronFrobeniusData, base: Word, depth: int) -> OperatorBlock:
     """Laplacian block on the level-``depth`` space over C(base).
 
     Diagonal entries come from :func:`eigenvalue_formula` minus the
     top-of-cell term; the (i, j) off-diagonal is
     -lambda_max^w * sqrt(mu_i mu_j) with w the common-prefix length of the
-    two full cell words.  The brute-force shell oracle in the test suite
-    recomputes the same action from sub-cylinders at extra depth.
+    two full cell words, read for all pairs at once from one array, and
+    mirrored from the upper triangle.  The brute-force shell oracle in the
+    test suite recomputes the same action from sub-cylinders at extra depth.
     """
     if depth < 1:
         basis = level_basis(pf.spec, base, 0)
         return OperatorBlock(basis, np.zeros((1, 1)), "delta")
     basis = level_basis(pf.spec, base, depth)
-    words = basis.full_words()
-    mu = cell_measures(pf, basis)
-    root_mu = np.sqrt(mu)
+    root_mu = np.sqrt(cell_measures(pf, basis))
     lam = pf.lambda_max
-    size = basis.size
-    mat = np.zeros((size, size))
-    for i, w in enumerate(words):
+    cells = np.array(basis.cells)
+    same = np.ones((basis.size, basis.size), dtype=bool)
+    prefix = np.full(same.shape, len(base))  # common prefix of the full words
+    for k in range(depth):
+        same &= cells[:, None, k] == cells[None, :, k]
+        prefix += same
+    # powers as Python's float ** int takes them (numpy's can differ in the last bit)
+    powers = np.array([lam**w for w in range(len(base) + depth + 1)])
+    upper = np.triu(-powers[prefix] * root_mu[:, None] * root_mu[None, :], 1)
+    mat = upper + upper.T
+    for i, w in enumerate(basis.full_words()):
         mat[i, i] = eigenvalue_formula(pf, base, w) - lam * pf.u_of(w[-1])
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = _common_prefix_length(words[i], words[j])
-            val = -(lam**w) * root_mu[i] * root_mu[j]
-            mat[i, j] = val
-            mat[j, i] = val
     return OperatorBlock(basis, _frozen(mat), "delta")
 
 
@@ -185,10 +178,12 @@ def wavelet_basis(
 ) -> list[WaveletVector]:
     """Haar wavelets spanning the mean-zero part of the level-``depth`` space.
 
-    At each sub-cylinder with m >= 2 admissible children this emits m - 1
-    orthonormal mean-zero child-constant vectors, fixed by Gram-Schmidt
-    against the child ordering; together with the constant they form an
-    orthonormal basis.
+    At each sub-cylinder with m >= 2 admissible children of masses mu_j
+    this emits m - 1 orthonormal mean-zero child-constant vectors: with
+    M_i the mass of children i, i+1, ..., vector i is
+    e_i - (mu_i / M_i) 1[j >= i] over sqrt(mu_i M_{i+1} / M_i), what
+    Gram-Schmidt against the constant and e_0 .. e_{i-1} returns.  With the
+    constant they form an orthonormal basis.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -203,25 +198,12 @@ def wavelet_basis(
             if m < 2:
                 continue
             mu = np.array([conformal_measure(pf, c) for c in children])
+            tail = mu[::-1].cumsum()[::-1]  # tail[i] = M_i
             eig = eigenvalue_formula(pf, base, word)
-            taken: list[np.ndarray] = [np.ones(m)]  # constant on the cell
-            for i in range(m - 1):
-                vec = np.zeros(m)
-                vec[i] = 1.0
-                for prev in taken:
-                    prev_n2 = float((prev * prev * mu).sum())
-                    vec = vec - prev * float((vec * prev * mu).sum()) / prev_n2
-                norm = np.sqrt(float((vec * vec * mu).sum()))
-                vec /= norm
-                taken.append(vec)
-                out.append(
-                    WaveletVector(
-                        support_cell=word,
-                        children=children,
-                        values=tuple(float(x) for x in vec),
-                        eigenvalue=eig,
-                    )
-                )
+            j = np.arange(m)
+            vecs = (j[:-1, None] == j) - (mu / tail)[:-1, None] * (j[:-1, None] <= j)
+            vecs /= np.sqrt(mu[:-1] * tail[1:] / tail[:-1])[:, None]
+            out.extend(WaveletVector(word, children, tuple(v.tolist()), eig) for v in vecs)
     return out
 
 
@@ -248,7 +230,7 @@ def dirac_block(
     return OperatorBlock(delta.basis, _frozen(mat), "dirac", bisection=gamma)
 
 
-def merge_multiset(pairs: list[tuple[float, int]]) -> list[tuple[float, int]]:
+def merge_multiset(pairs: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
     """Cluster (value, multiplicity) pairs whose values agree within MERGE_TOL."""
     pairs = sorted(pairs)
     merged: list[tuple[float, int]] = []
@@ -290,7 +272,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     kids = [[j - 1 for j in row] for row in spec._successors]
     max_len = int(math.floor(bound))
 
-    found: list[tuple[float, int]] = []
+    found: dict[float, int] = {}  # value -> multiplicity
     by_letter = []  # per length L: indices of length L by last letter of s
     for length in range(1, max_len + 1):
         per_s_len = [
@@ -302,7 +284,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
             (-float(length), sum(sum(ends) for ends in per_s_len[1:])),
         ):
             if mult:
-                found.append((val, mult))
+                found[val] = found.get(val, 0) + mult
         by_letter.append([sum(col) for col in zip(*per_s_len)])
 
     def value(b: int, k: tuple[int, ...]) -> float:
@@ -336,8 +318,9 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
                     break
                 weight = by_letter[length - 1][b]
                 if weight:
-                    found.append((-(val + length), mult * weight))
-    return merge_multiset(found)
+                    e = -(val + length)
+                    found[e] = found.get(e, 0) + mult * weight
+    return merge_multiset(found.items())
 
 
 def spectrum_dense(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:

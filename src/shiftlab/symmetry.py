@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import LengthOverflow, NotClosed, SearchCapExceeded
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
-from .spectral import LevelBasis, dirac_block, level_basis
+from .spectral import dirac_block, level_basis
 
 
 @dataclass(frozen=True)
@@ -228,40 +228,20 @@ class ClassicalIsometry:
         return out
 
 
-@dataclass(frozen=True)
-class TruncationBasis:
-    """Concatenated level bases over a list of bisections."""
-
-    gammas: tuple[BisectionIndex, ...]
-    bases: tuple[LevelBasis, ...]
-    offsets: tuple[int, ...]
-    size: int
-
-    def locate(self, gamma: BisectionIndex, cell: Word) -> int | None:
-        try:
-            g = self.gammas.index(gamma)
-            return self.offsets[g] + self.bases[g].cells.index(cell)
-        except ValueError:
-            return None
-
-
 def truncation_basis(
     spec: AdjacencySpec, gammas: list[BisectionIndex], depth: int
-) -> TruncationBasis:
-    bases = [level_basis(spec, g.s_word, depth) for g in gammas]
-    *offsets, size = itertools.accumulate((b.size for b in bases), initial=0)
-    return TruncationBasis(tuple(gammas), tuple(bases), tuple(offsets), size)
-
-
-def _relabeled_index(
-    spec: AdjacencySpec, iso_perm: GraphAutomorphism, gamma: BisectionIndex
-) -> BisectionIndex | None:
-    """Letterwise image of a bisection index; None when inadmissible."""
-    r = iso_perm.apply_word(gamma.r_word)
-    s = iso_perm.apply_word(gamma.s_word)
-    if not is_bisection_index(spec, r, s):
-        return None
-    return BisectionIndex(r, s)
+) -> dict[tuple[BisectionIndex, Word], int]:
+    """Row of each cell (bisection, relative extension) of the truncation:
+    the level bases of the bisections, concatenated in list order.  A
+    bisection listed twice raises ValueError."""
+    index: dict[tuple[BisectionIndex, Word], int] = {}
+    for gamma in gammas:
+        cells = level_basis(spec, gamma.s_word, depth).cells
+        if (gamma, cells[0]) in index:
+            raise ValueError(f"bisection {gamma} is listed twice")
+        for nu in cells:
+            index[gamma, nu] = len(index)
+    return index
 
 
 def isometry_unitary(
@@ -280,27 +260,19 @@ def isometry_unitary(
     """
     trunc = truncation_basis(spec, gammas, depth)
     pi = iso.perm
-    mat = np.zeros((trunc.size, trunc.size), dtype=complex)
-    for g_idx, gamma in enumerate(trunc.gammas):
-        target = _relabeled_index(spec, pi, gamma)
-        phase = (
+    mat = np.zeros((len(trunc), len(trunc)), dtype=complex)
+    for (gamma, nu), src in trunc.items():
+        r, s, nu_img = map(pi.apply_word, (gamma.r_word, gamma.s_word, nu))
+        if not is_bisection_index(spec, r, s) or not is_admissible(spec, s + nu_img):
+            continue
+        dst = trunc.get((BisectionIndex(r, s), nu_img))
+        if dst is None:
+            raise NotClosed(f"image of {gamma} under the relabeling leaves the list")
+        mat[dst, src] = (
             iso.word_phase(gamma.r_word)
             * iso.phases[gamma.s_word[-1] - 1]
             * np.conj(iso.word_phase(gamma.s_word))
         )
-        for c_idx, nu in enumerate(trunc.bases[g_idx].cells):
-            src = trunc.offsets[g_idx] + c_idx
-            if target is None:
-                continue
-            nu_img = pi.apply_word(nu)
-            if not is_admissible(spec, target.s_word + nu_img):
-                continue
-            dst = trunc.locate(target, nu_img)
-            if dst is None:
-                raise NotClosed(
-                    f"image of {gamma} under the relabeling leaves the list"
-                )
-            mat[dst, src] = phase
     return mat
 
 
@@ -308,11 +280,11 @@ def dirac_truncation(
     pf: PerronFrobeniusData, gammas: list[BisectionIndex], depth: int
 ) -> np.ndarray:
     trunc = truncation_basis(pf.spec, gammas, depth)
-    mat = np.zeros((trunc.size, trunc.size))
-    for g_idx, gamma in enumerate(trunc.gammas):
+    mat = np.zeros((len(trunc), len(trunc)))
+    for gamma in gammas:
         block = dirac_block(pf, gamma, depth)
-        off = trunc.offsets[g_idx]
-        end = off + trunc.bases[g_idx].size
+        off = trunc[gamma, block.basis.cells[0]]
+        end = off + block.basis.size
         mat[off:end, off:end] = block.matrix
     return mat
 

@@ -50,7 +50,7 @@ from shiftlab.quantum import (
     build_constraints,
     propagate,
 )
-from shiftlab.spectral import level_basis
+from shiftlab.spectral import eigenvalue_formula, level_basis
 from shiftlab.symmetry import (
     GraphAutomorphism,
     UnionFind,
@@ -101,6 +101,43 @@ def shell_delta_values(pf, base, depth, values, extra=2):
         prev = per_coarse.setdefault(anc[gi], total)
         assert abs(prev - total) < 1e-10, "kernel image not level-constant"
     return np.array([per_coarse[i] for i in range(coarse.size)])
+
+
+def pairwise_delta_matrix(pf, base, depth):
+    """delta_matrix's array by one pass per pair of cells: the diagonal
+    from the eigenvalue formula, the (i, j) entry -lam^w sqrt(mu_i mu_j)
+    with w counted as the first index where the full words differ."""
+    words = level_basis(pf.spec, base, depth).full_words()
+    root_mu = np.sqrt([conformal_measure(pf, w) for w in words])
+    lam = pf.lambda_max
+    mat = np.zeros((len(words), len(words)))
+    for i, w in enumerate(words):
+        mat[i, i] = eigenvalue_formula(pf, base, w) - lam * pf.u_of(w[-1])
+    for i, j in itertools.combinations(range(len(words)), 2):
+        w = next(k for k, (x, y) in enumerate(zip(words[i], words[j])) if x != y)
+        mat[i, j] = mat[j, i] = -(lam**w) * root_mu[i] * root_mu[j]
+    return mat
+
+
+def gram_schmidt_wavelets(pf, base, depth):
+    """(support cell, child values) of each Haar wavelet, in wavelet_basis's
+    order, by Gram-Schmidt of e_0 .. e_{m-2} against the constant and the
+    vectors before, in the inner product weighted by the child masses."""
+    spec = pf.spec
+    out = []
+    for t in range(depth):
+        for nu in level_basis(spec, base, t).cells:
+            word = base + nu
+            mu = np.array([conformal_measure(pf, word + (c,)) for c in spec.successors(word[-1])])
+            taken = [np.ones(len(mu))]
+            for i in range(len(mu) - 1):
+                vec = np.eye(len(mu))[i]
+                for prev in taken:
+                    vec = vec - prev * (vec * prev * mu).sum() / (prev * prev * mu).sum()
+                vec = vec / np.sqrt((vec * vec * mu).sum())
+                taken.append(vec)
+                out.append((word, vec))
+    return out
 
 
 def shifted_cylinder_mass(pf, word, k):

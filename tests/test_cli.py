@@ -718,3 +718,29 @@ def test_cli_runs_never_import_numpy_ma(tmp_path, fib_file, full3_file):
             capture_output=True, env=env, check=True, text=True,
         )
         assert proc.stdout.split() == ["0", "False"], argv
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="peak read from VmHWM"
+)
+def test_fibonacci_spectrum_at_cutoff_120_in_bounded_memory(tmp_path, fib_file):
+    # 2,379,783 (value, multiplicity) pairs for 83,991 distinct values:
+    # about 416 MiB when every pair was held and sorted
+    child = (
+        "import sys\n"
+        "from shiftlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(code, int(status.split()[0]), file=sys.stderr)\n"
+    )
+    out = tmp_path / "spectrum.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "spectrum", "--cutoff", "120",
+         "--input", fib_file, "--output", str(out)],
+        capture_output=True, env=env, check=True, text=True,
+    )
+    code, peak = (int(x) for x in proc.stderr.split())
+    assert code == 0
+    assert peak < 150 * 1024
+    assert len(json.loads(out.read_text())["results"]["eigenvalues"]) == 29862

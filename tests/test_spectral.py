@@ -18,11 +18,28 @@ from conftest import UNKNOWN_EXHIBIT, primitive_matrices, random_primitive
 from oracles import (
     embed_level,
     eigenvalue_multiset,
+    gram_schmidt_wavelets,
     loop_level_basis,
+    pairwise_delta_matrix,
     shell_delta_values,
 )
 
 WIELANDT3 = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
+# the inputs on which the closed-form blocks are checked against the loops
+BLOCK_MATRICES = {
+    "fib": [[1, 1], [1, 0]],
+    "full2": [[1, 1], [1, 1]],
+    "full3": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "unknown": UNKNOWN_EXHIBIT,
+    "wielandt3": WIELANDT3,
+}
+
+
+def _bases_and_depths(pf):
+    for base_len in (1, 2):
+        for base in sl.enumerate_words(pf.spec, base_len):
+            for depth in (1, 2, 3, 4):
+                yield base, depth
 
 
 def pf_of(matrix):
@@ -70,6 +87,14 @@ class TestDeltaMatrix:
                         got = (blk.matrix @ coeffs) / np.sqrt(mu)
                         want = shell_delta_values(pf, base, depth, vals)
                         assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("name", list(BLOCK_MATRICES))
+    def test_matches_pairwise_loop(self, name):
+        # same products in the same order as one pass per pair: same bits
+        pf = pf_of(BLOCK_MATRICES[name])
+        for base, depth in _bases_and_depths(pf):
+            got = sl.delta_matrix(pf, base, depth).matrix
+            assert np.array_equal(got, pairwise_delta_matrix(pf, base, depth))
 
     def test_basis_partitions_measure(self, fib_pf):
         basis = level_basis(fib_pf.spec, (1,), 3)
@@ -227,6 +252,16 @@ class TestWavelets:
         assert np.abs(gram - np.eye(len(vecs))).max() < 1e-10
         # spans the whole level space
         assert len(vecs) == blk.basis.size
+
+    @pytest.mark.parametrize("name", list(BLOCK_MATRICES))
+    def test_closed_form_is_gram_schmidt(self, name):
+        pf = pf_of(BLOCK_MATRICES[name])
+        for base, depth in _bases_and_depths(pf):
+            got = sl.wavelet_basis(pf, base, depth)
+            want = gram_schmidt_wavelets(pf, base, depth)
+            assert [w.support_cell for w in got] == [cell for cell, _ in want]
+            for w, (_, values) in zip(got, want):
+                assert np.abs(np.array(w.values) - values).max() < 1e-12
 
 
 class TestDiracBlock:

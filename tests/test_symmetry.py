@@ -372,6 +372,23 @@ class TestIsometryUnitary:
         with pytest.raises(NotClosed):
             isometry_unitary(iso, full2_pf.spec, gammas, 1)
 
+    def test_repeated_bisection_refused(self, fib_pf):
+        # a second copy of a block would be sent into the first: not unitary
+        gamma = BisectionIndex((), (1,))
+        with pytest.raises(ValueError, match=r"bisection -\.1 is listed twice"):
+            isometry_unitary(identity_iso(2), fib_pf.spec, [gamma, gamma], 1)
+        with pytest.raises(ValueError, match="listed twice"):
+            symmetry.dirac_truncation(fib_pf, [gamma, BisectionIndex((1,), (1,)), gamma], 1)
+
+    def test_truncation_rows_follow_the_list(self, fib_pf):
+        gammas = [BisectionIndex((1,), (2,)), BisectionIndex((), (1,))]
+        trunc = truncation_basis(fib_pf.spec, gammas, 1)
+        assert list(trunc.items()) == [
+            ((gammas[0], (1,)), 0),
+            ((gammas[1], (1,)), 1),
+            ((gammas[1], (2,)), 2),
+        ]
+
 
 class TestCommutationResidual:
     def test_identity_zero(self, fib_pf):
@@ -449,10 +466,7 @@ class TestClassicalFixedPoints:
                 iso = ClassicalIsometry(phases=z, perm=g)
                 u = isometry_unitary(iso, pf.spec, gammas, k - 1)
                 for orbit in rep.orbits:
-                    vec = np.zeros(trunc.size, dtype=complex)
+                    vec = np.zeros(len(trunc), dtype=complex)
                     for w in orbit:
-                        idx = trunc.locate(
-                            BisectionIndex((), (w[0],)), w[1:]
-                        )
-                        vec[idx] = 1.0
+                        vec[trunc[BisectionIndex((), (w[0],)), w[1:]]] = 1.0
                     assert np.abs(u @ vec - vec).max() < 1e-12
