@@ -322,6 +322,11 @@ def ending_counts(spec: AdjacencySpec, length: int) -> list[int]:
     return next(itertools.islice(steps, max(length, 1) - 1, None))
 
 
+def ending_table(spec: AdjacencySpec, length: int) -> list[list[int]]:
+    """ending_counts at the lengths 0..length; the length-0 row is zero."""
+    return [[0] * spec.n, *itertools.islice(_ending_count_steps(spec), length)]
+
+
 def count_words(spec: AdjacencySpec, length: int) -> int:
     """Number of admissible words of the given length (1 for length 0)."""
     if length < 0:

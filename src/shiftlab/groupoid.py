@@ -20,7 +20,7 @@ from .core import (
     AdjacencySpec,
     Word,
     EMPTY_WORD,
-    ending_counts,
+    ending_table,
     enumerate_words,
     is_admissible,
     word_cap,
@@ -98,35 +98,30 @@ def enumerate_bisections(
 
 
 def count_bisections_by_letter(
-    spec: AdjacencySpec, r_len: int, s_len: int
+    spec: AdjacencySpec, ends: list[list[int]], r_len: int, s_len: int
 ) -> list[int]:
-    """Number of indices with the given word lengths, per last letter of s.
+    """Number of indices with the given word lengths, per last letter b of s,
+    read from ``ends``, an :func:`~shiftlab.core.ending_table` to at least
+    r_len + 1 and s_len.
 
-    Splits on the last letter a of r and the last two letters c, b of s;
-    the interior letters contribute ending-count factors.  For each b the
-    pairs (a, c) of predecessors of b are counted as a product of two sums
-    minus the clashing pairs a == c.
+    r followed by b is a word of length r_len + 1 ending in b, and s one of
+    length s_len ending in b; of these pairs, the clashes are those whose r
+    ends at the letter a before s's last, a predecessor of b.  With ends[0]
+    zero, an empty r or a one-letter s has no clash.
     """
     if r_len < 0 or s_len < 1:
         raise ValueError("need r_len >= 0 and s_len >= 1")
-    if r_len == 0:
-        return ending_counts(spec, s_len)
-    r_ends = ending_counts(spec, r_len)
-    # each letter's predecessors, 0-based
-    preds = [[a - 1 for a in pre] for pre in spec._predecessors]
-    if s_len == 1:
-        return [sum(r_ends[a] for a in pre) for pre in preds]
-    s_inner = ending_counts(spec, s_len - 1)
     return [
-        sum(r_ends[a] for a in pre) * sum(s_inner[c] for c in pre)
-        - sum(r_ends[a] * s_inner[a] for a in pre)
-        for pre in preds
+        ends[r_len + 1][b] * ends[s_len][b]
+        - sum(ends[r_len][a - 1] * ends[s_len - 1][a - 1] for a in pre)
+        for b, pre in enumerate(spec._predecessors)
     ]
 
 
 def count_bisections(spec: AdjacencySpec, r_len: int, s_len: int) -> int:
     """Dynamic-programming count matching :func:`enumerate_bisections`."""
-    return sum(count_bisections_by_letter(spec, r_len, s_len))
+    ends = ending_table(spec, max(r_len + 1, s_len))
+    return sum(count_bisections_by_letter(spec, ends, r_len, s_len))
 
 
 def bisections_with_length(spec: AdjacencySpec, length: int) -> list[BisectionIndex]:

@@ -37,6 +37,7 @@ from .core import (
     _frozen,
     _walk_words,
     conformal_measure,
+    ending_table,
     is_admissible,
     word_cap,
 )
@@ -129,9 +130,6 @@ def delta_matrix(pf: PerronFrobeniusData, base: Word, depth: int) -> OperatorBlo
     mirrored from the upper triangle.  The brute-force shell oracle in the
     test suite recomputes the same action from sub-cylinders at extra depth.
     """
-    if depth < 1:
-        basis = level_basis(pf.spec, base, 0)
-        return OperatorBlock(basis, np.zeros((1, 1)), "delta")
     basis = level_basis(pf.spec, base, depth)
     root_mu = np.sqrt(cell_measures(pf, basis))
     lam = pf.lambda_max
@@ -257,9 +255,9 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     lam * u[b] + (lam - 1) * sum_c k_c * u[c].  So one walk per letter
     over states (last letter, k) with integer path counts covers every
     s-word ending in b, and its multiplicities are scaled by the number of
-    indices of length L whose s-word ends in b.  Values grow along
-    extensions, so the walk is pruned at L = 1.  The enumeration cap bounds
-    the total number of walk states, checked as each level is built.
+    indices of length L whose s-word ends in b, from one ending-count table
+    once the walks are done.  Values grow along extensions, so the walk is
+    pruned at L = 1; the cap bounds its states as each level is built.
     """
     if not 1 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and >= 1")
@@ -272,28 +270,14 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     kids = [[j - 1 for j in row] for row in spec._successors]
     max_len = int(math.floor(bound))
 
-    found: dict[float, int] = {}  # value -> multiplicity
-    by_letter = []  # per length L: indices of length L by last letter of s
-    for length in range(1, max_len + 1):
-        per_s_len = [
-            count_bisections_by_letter(spec, length - s_len, s_len)
-            for s_len in range(1, length + 1)
-        ]
-        for val, mult in (
-            (float(length), sum(per_s_len[0])),
-            (-float(length), sum(sum(ends) for ends in per_s_len[1:])),
-        ):
-            if mult:
-                found[val] = found.get(val, 0) + mult
-        by_letter.append([sum(col) for col in zip(*per_s_len)])
-
     def value(b: int, k: tuple[int, ...]) -> float:
         return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u))
 
     root = (0,) * n
     states = 0
+    classes: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
     for b in range(n):
-        wavelets: dict[tuple[int, ...], int] = {}
+        wavelets = classes[b]  # cell class k -> wavelet multiplicity, s ending in b
         level = {(b, root): 1} if value(b, root) + 1 <= bound else {}
         while level:
             states += len(level)
@@ -311,6 +295,25 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
                         key = (c, child)
                         nxt[key] = nxt.get(key, 0) + paths
             level = nxt
+
+    ends = ending_table(spec, max_len)
+    found: dict[float, int] = {}  # value -> multiplicity
+    by_letter = []  # per length L: indices of length L by last letter of s
+    for length in range(1, max_len + 1):
+        per_s_len = [
+            count_bisections_by_letter(spec, ends, length - s_len, s_len)
+            for s_len in range(1, length + 1)
+        ]
+        for val, mult in (
+            (float(length), sum(per_s_len[0])),
+            (-float(length), sum(sum(counts) for counts in per_s_len[1:])),
+        ):
+            if mult:
+                found[val] = found.get(val, 0) + mult
+        by_letter.append([sum(col) for col in zip(*per_s_len)])
+
+    for b in range(n):
+        wavelets, classes[b] = classes[b], {}  # released once expanded
         for k, mult in wavelets.items():
             val = value(b, k)
             for length in range(1, max_len + 1):

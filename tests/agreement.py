@@ -21,7 +21,8 @@ The corpus:
     the primitive circulants with n <= 5 and the seeded n = 16..128 graphs
     of ``tests/conftest.py``;
   * ``repmodel`` with all three models at sizes 4..10, ``--ell`` 1 and 3;
-  * ``spectrum`` on Fibonacci at cutoffs 9..60.
+  * ``spectrum`` on Fibonacci at cutoffs 9..60, and 70..120 in steps of 10,
+    where the index counts and the (class, length) expansion dominate.
 Left out, each for its time: ``report`` and ``t-a`` on Wielandt n >= 18
 (``t-a`` searches a group of hundreds of digits to its end, minutes per
 case), and ``spectrum`` and ``report`` on the seeded n >= 32 graphs
@@ -101,7 +102,7 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None]]:
             for ell in (1, 3):
                 argv = ["repmodel", "--model", model, "--size", str(size), "--ell", str(ell)]
                 cases[" ".join(argv)] = (argv, None)
-    for cutoff in range(9, 61):
+    for cutoff in [*range(9, 61), *range(70, 121, 10)]:
         argv = ["spectrum", "--cutoff", str(cutoff)]
         cases[f"{' '.join(argv)} :fib"] = (argv, inputs["fib"])
     seen = {(tuple(argv), json.dumps(a)) for argv, a in cases.values()}

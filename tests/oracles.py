@@ -239,6 +239,25 @@ def loop_ending_counts(spec, length):
     return counts
 
 
+def loop_index_counts(spec, r_len, s_len):
+    """count_bisections_by_letter as three cases on loop_ending_counts: an
+    empty r pairs with every s, a one-letter s with every r whose last
+    letter precedes it, and otherwise the predecessor sums of r's and of
+    s's letter before last multiply, less the pairs where the two agree."""
+    if r_len == 0:
+        return loop_ending_counts(spec, s_len)
+    r_ends = loop_ending_counts(spec, r_len)
+    preds = [[a for a in range(spec.n) if spec.a[a][b]] for b in range(spec.n)]
+    if s_len == 1:
+        return [sum(r_ends[a] for a in pre) for pre in preds]
+    s_inner = loop_ending_counts(spec, s_len - 1)
+    return [
+        sum(r_ends[a] for a in pre) * sum(s_inner[c] for c in pre)
+        - sum(r_ends[a] * s_inner[a] for a in pre)
+        for pre in preds
+    ]
+
+
 def least_positive_power(a):
     """Least k with A^k > 0, scanning k = 1..n^2-2n+2 one power at a time.
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -744,3 +745,21 @@ def test_fibonacci_spectrum_at_cutoff_120_in_bounded_memory(tmp_path, fib_file):
     assert code == 0
     assert peak < 150 * 1024
     assert len(json.loads(out.read_text())["results"]["eigenvalues"]) == 29862
+
+
+def test_fibonacci_spectrum_over_the_cap_fails_fast(fib_file):
+    # the walk passes the cap long before cutoff 1000, and no index is
+    # counted before the walks end
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]),
+               ARIADNE_CAP="100000")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab.cli", "spectrum", "--cutoff", "1000",
+         "--input", fib_file],
+        capture_output=True, env=env, text=True, timeout=30,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 4
+    assert "spectrum walk exceeds cap 100000" in proc.stderr
+    assert cpu < 5

@@ -1,13 +1,19 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, seed, settings
 
 import shiftlab as sl
+from shiftlab.core import ending_table
 from shiftlab.groupoid import (
     BisectionIndex,
     bisections_with_length,
     common_suffix_length,
+    count_bisections_by_letter,
 )
 from shiftlab.errors import LastLetterMismatch
-from oracles import relative_cell
+from conftest import primitive_matrices
+from oracles import loop_index_counts, relative_cell
 
 
 class TestMembership:
@@ -61,6 +67,28 @@ class TestCounting:
                 assert sl.count_bisections(spec, r_len, s_len) == len(
                     sl.enumerate_bisections(spec, r_len, s_len)
                 )
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_matrices(max_n=6))
+    def test_per_letter_counts_match_enumeration_and_three_cases(self, mat):
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        ends = ending_table(spec, 40)
+        for r_len in range(5):
+            for s_len in range(1, 5):
+                # the enumeration scans every (r, s) pair: a bound on its time
+                if sl.count_words(spec, r_len) * sl.count_words(spec, s_len) > 100_000:
+                    continue
+                last = Counter(
+                    g.s_word[-1] for g in sl.enumerate_bisections(spec, r_len, s_len)
+                )
+                want = [last[b] for b in range(1, spec.n + 1)]
+                assert count_bisections_by_letter(spec, ends, r_len, s_len) == want
+        # exact ints, past int64 on the denser graphs
+        for total in range(1, 41):
+            for s_len in range(1, total + 1):
+                got = count_bisections_by_letter(spec, ends, total - s_len, s_len)
+                assert got == loop_index_counts(spec, total - s_len, s_len)
 
     def test_enumeration_ordering(self, fib):
         for length in (2, 3):

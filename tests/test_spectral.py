@@ -96,6 +96,21 @@ class TestDeltaMatrix:
             got = sl.delta_matrix(pf, base, depth).matrix
             assert np.array_equal(got, pairwise_delta_matrix(pf, base, depth))
 
+    @pytest.mark.parametrize("name", ["fib", "full3", "unknown"])
+    def test_depth_zero_is_one_zero_cell(self, name):
+        pf = pf_of(BLOCK_MATRICES[name])
+        for base in sl.enumerate_words(pf.spec, 1) + sl.enumerate_words(pf.spec, 2):
+            blk = sl.delta_matrix(pf, base, 0)
+            assert blk.basis.cells == ((),)
+            assert np.array_equal(blk.matrix, [[0.0]])
+
+    def test_negative_depth_refused(self, fib_pf):
+        # as level_basis and wavelet_basis refuse it
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            sl.delta_matrix(fib_pf, (1,), -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            sl.dirac_block(fib_pf, BisectionIndex((), (1,)), -2)
+
     def test_basis_partitions_measure(self, fib_pf):
         basis = level_basis(fib_pf.spec, (1,), 3)
         cells_mass = cell_measures(fib_pf, basis).sum()
