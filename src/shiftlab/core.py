@@ -249,6 +249,8 @@ def perron_frobenius(
     spec: AdjacencySpec, tol: float = DEFAULT_PF_TOL
 ) -> PerronFrobeniusData:
     """Compute eigendata: one dense eigensolve, SVD null vectors, residual checks."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     k = validate_primitive(spec)
     a = spec.matrix.astype(float)
     n = spec.n

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .core import (
     AdjacencySpec,
     Word,
-    EMPTY_WORD,
     ending_table,
     enumerate_words,
     is_admissible,
@@ -88,11 +87,9 @@ def enumerate_bisections(
         )
     out = []
     s_words = enumerate_words(spec, s_len)
-    if r_len == 0:
-        return [BisectionIndex(EMPTY_WORD, s) for s in s_words]
     for r in enumerate_words(spec, r_len):
         for s in s_words:
-            if spec.a[r[-1] - 1][s[-1] - 1] and (s_len == 1 or r[-1] != s[-2]):
+            if not r or (spec.a[r[-1] - 1][s[-1] - 1] and (s_len == 1 or r[-1] != s[-2])):
                 out.append(BisectionIndex(r, s))
     return out
 

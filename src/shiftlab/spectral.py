@@ -212,19 +212,14 @@ def dirac_block(
 
     The block is length * P - (1 - P)(Delta + length), where P projects
     onto the constant when the index is a finite-word (one-letter s) one
-    and is zero otherwise.
+    and is zero otherwise; P Delta = 0, so it is 2 length P - Delta - length.
     """
     ell = float(gamma.length_L)
     delta = delta_matrix(pf, gamma.s_word, depth)
-    s = delta.matrix
-    size = delta.basis.size
+    mat = -(delta.matrix + ell * np.eye(delta.basis.size))
     if gamma.is_fock:
         c = delta.constant_vector(pf)
-        proj = np.outer(c, c)
-        mat = ell * proj - (np.eye(size) - proj) @ (s + ell * np.eye(size))
-        mat = 0.5 * (mat + mat.T)
-    else:
-        mat = -(s + ell * np.eye(size))
+        mat += 2 * ell * np.outer(c, c)
     return OperatorBlock(delta.basis, _frozen(mat), "dirac", bisection=gamma)
 
 
@@ -328,6 +323,8 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
 
 def spectrum_dense(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     """Brute-force check of :func:`spectrum` by per-block diagonalization."""
+    if not 1 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and >= 1")
     bound = cutoff + MERGE_TOL
     found: list[tuple[float, int]] = []
     for gamma in bisections_up_to(pf.spec, int(np.floor(bound))):

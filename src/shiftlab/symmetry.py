@@ -217,6 +217,8 @@ class ClassicalIsometry:
     perm: GraphAutomorphism
 
     def __post_init__(self):
+        if sorted(self.perm.perm) != list(range(1, len(self.phases) + 1)):
+            raise ValueError(f"{self.perm.perm} does not permute 1..{len(self.phases)}")
         for z in self.phases:
             if abs(abs(z) - 1.0) > 1e-12:
                 raise ValueError(f"phase {z} is not unimodular")
@@ -258,6 +260,8 @@ def isometry_unitary(
     inadmissible are sent to zero (their generator monomial vanishes);
     admissible images must stay inside the listed truncation.
     """
+    if len(iso.phases) != spec.n:
+        raise ValueError(f"{len(iso.phases)} phases for {spec.n} letters")
     trunc = truncation_basis(spec, gammas, depth)
     pi = iso.perm
     mat = np.zeros((len(trunc), len(trunc)), dtype=complex)
@@ -276,27 +280,28 @@ def isometry_unitary(
     return mat
 
 
-def dirac_truncation(
-    pf: PerronFrobeniusData, gammas: list[BisectionIndex], depth: int
-) -> np.ndarray:
-    trunc = truncation_basis(pf.spec, gammas, depth)
-    mat = np.zeros((len(trunc), len(trunc)))
-    for gamma in gammas:
-        block = dirac_block(pf, gamma, depth)
-        off = trunc[gamma, block.basis.cells[0]]
-        end = off + block.basis.size
-        mat[off:end, off:end] = block.matrix
-    return mat
-
-
 def commutation_residual(
     iso: ClassicalIsometry, pf: PerronFrobeniusData, cutoff: float
 ) -> float:
-    """Operator norm of [U, D] on the level-1 truncation up to cutoff."""
+    """Operator norm of [U, D] on the level-1 truncation up to cutoff: the
+    largest ||V D_gamma - D_gamma' V|| over the listed bisections gamma, with
+    V the block of U from gamma's cells to gamma', the one bisection they
+    land in.  D keeps each bisection's cells and U sends distinct cells to
+    distinct cells, so [U, D]^H [U, D] is block diagonal."""
+    if not 1 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and >= 1")
     gammas = bisections_up_to(pf.spec, int(cutoff))
     u = isometry_unitary(iso, pf.spec, gammas, 1)
-    d = dirac_truncation(pf, gammas, 1)
-    return float(np.linalg.norm(u @ d - d @ u, 2))
+    blocks = [dirac_block(pf, gamma, 1).matrix for gamma in gammas]
+    ends = np.cumsum([len(d) for d in blocks])  # the rows follow the list
+    worst = 0.0
+    for d, end in zip(blocks, ends):
+        cols = u[:, end - len(d) : end]
+        # gamma' holds the first nonzero row; if none, V is zero in any block
+        j = np.searchsorted(ends, cols.any(axis=1).argmax(), side="right")
+        v = cols[ends[j] - len(blocks[j]) : ends[j]]
+        worst = max(worst, np.linalg.norm(v @ d - blocks[j] @ v, 2))
+    return float(worst)
 
 
 def _orbit_roots(spec: AdjacencySpec, words: list[Word]) -> list[int]:

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/agreement.py run change.json
     PYTHONPATH=parent-src/src python tests/agreement.py run parent.json
-    python tests/agreement.py compare parent.json change.json
+    python tests/agreement.py compare parent.json change.json [expected.txt]
 
 `run` sends every case of the corpus through ``shiftlab.cli.main`` in this
 one process, each under an alarm of ``ALARM_S`` seconds, and writes per
@@ -10,7 +10,11 @@ case the exit code, stderr, the sha256 of the report (cut at
 ``"wall_time_ms"``) and the sha256 of the CSV, if one was written.
 `compare` prints every case whose record differs between the two files
 and exits 1 if any does.  A case the first (reference) side did not finish
-is named and not compared.
+is named and not compared.  The optional list names the differences a
+change intends, one case id per line as `compare` prints them (blank lines
+and ``#`` comments are skipped): a listed case that differs is printed as
+expected and does not fail, and a listed case that does not differ, or is
+not in the corpus, fails, so a list cannot outlive its change.
 
 The corpus:
   * the ops of the four perfbench workloads at seeds 1 and 2;
@@ -166,21 +170,35 @@ def run(out_path: str) -> None:
     Path(out_path).write_text(json.dumps(records, indent=1) + "\n")
 
 
-def compare(reference_path: str, other_path: str) -> int:
+def compare(reference_path: str, other_path: str, expected_path: str | None = None) -> int:
     ref = json.loads(Path(reference_path).read_text())
     other = json.loads(Path(other_path).read_text())
-    differ = 0
+    expected = set()
+    if expected_path is not None:
+        lines = (line.strip() for line in Path(expected_path).read_text().splitlines())
+        expected = {line for line in lines if line and not line.startswith("#")}
+    differ, listed = 0, set()
     for case in sorted(ref.keys() | other.keys()):
         a, b = ref.get(case), other.get(case)
         if a is not None and a["exit"] == "timeout":
             print(f"not finished on {reference_path}: {case}")
             continue
         if a is None or b is None or any(a[key] != b[key] for key in ("exit", "stderr", "report", "csv")):
-            differ += 1
-            print(f"differs: {case}\n  {reference_path}: {a}\n  {other_path}: {b}")
+            if case in expected:
+                listed.add(case)
+                print(f"differs as expected: {case}")
+            else:
+                differ += 1
+                print(f"differs: {case}\n  {reference_path}: {a}\n  {other_path}: {b}")
+    stale = sorted(expected - listed)
+    for case in stale:
+        print(f"listed but does not differ: {case}")
     seconds = [sum(r["seconds"] for r in side.values()) for side in (ref, other)]
-    print(f"{len(ref)} cases, {differ} differ; {seconds[0]:.0f} s and {seconds[1]:.0f} s in cases")
-    return int(differ > 0)
+    print(
+        f"{len(ref)} cases, {differ} differ unlisted, {len(listed)} as listed; "
+        f"{seconds[0]:.0f} s and {seconds[1]:.0f} s in cases"
+    )
+    return int(differ > 0 or bool(stale))
 
 
 if __name__ == "__main__":
@@ -190,4 +208,4 @@ if __name__ == "__main__":
     elif mode == "compare":
         sys.exit(compare(*paths))
     else:
-        sys.exit(f"unknown mode {mode}: run OUT.json | compare REFERENCE.json OTHER.json")
+        sys.exit(f"unknown mode {mode}: run OUT.json | compare REFERENCE.json OTHER.json [LIST]")

@@ -50,12 +50,14 @@ from shiftlab.quantum import (
     build_constraints,
     propagate,
 )
-from shiftlab.spectral import eigenvalue_formula, level_basis
+from shiftlab.groupoid import bisections_up_to
+from shiftlab.spectral import delta_matrix, eigenvalue_formula, level_basis
 from shiftlab.symmetry import (
     GraphAutomorphism,
     UnionFind,
     _word_orbits,
     automorphism_group,
+    isometry_unitary,
 )
 
 
@@ -138,6 +140,35 @@ def gram_schmidt_wavelets(pf, base, depth):
                 taken.append(vec)
                 out.append((word, vec))
     return out
+
+
+def projected_dirac_block(pf, gamma, depth):
+    """dirac_block's array as length * P - (1 - P)(Delta + length), P the
+    projection onto the constant for a one-letter s (zero otherwise), by
+    matrix products, then symmetrized."""
+    ell = float(gamma.length_L)
+    delta = delta_matrix(pf, gamma.s_word, depth)
+    eye = np.eye(delta.basis.size)
+    c = delta.constant_vector(pf)
+    proj = np.outer(c, c) if gamma.is_fock else 0 * eye
+    mat = ell * proj - (eye - proj) @ (delta.matrix + ell * eye)
+    return 0.5 * (mat + mat.T)
+
+
+def dense_commutation_residual(iso, pf, cutoff):
+    """commutation_residual as one 2-norm of the dense U D - D U over the
+    whole level-1 truncation, D block diagonal from projected_dirac_block
+    with the blocks in list order."""
+    gammas = bisections_up_to(pf.spec, int(cutoff))
+    u = isometry_unitary(iso, pf.spec, gammas, 1)
+    d = np.zeros(u.shape)
+    off = 0
+    for gamma in gammas:
+        block = projected_dirac_block(pf, gamma, 1)
+        d[off : off + len(block), off : off + len(block)] = block
+        off += len(block)
+    assert off == len(u)
+    return float(np.linalg.norm(u @ d - d @ u, 2))
 
 
 def shifted_cylinder_mass(pf, word, k):

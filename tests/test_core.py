@@ -163,6 +163,12 @@ class TestPerronFrobenius:
         assert np.allclose(pf.u, u, rtol=1e-9, atol=1e-12)
         assert np.allclose(pf.v, v, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerance_refused_as_the_cli_refuses_it(self, fib, tol):
+        # a NaN or infinite tol would pass every residual check vacuously
+        with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got "):
+            sl.perron_frobenius(fib, tol=tol)
+
     @pytest.mark.parametrize("n", [19, 24, 48])
     def test_wielandt_slow_mixing(self, n):
         # |lambda_2 / lambda_1| -> 1 as n grows, which stalls iterative solvers

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from oracles import (
     gram_schmidt_wavelets,
     loop_level_basis,
     pairwise_delta_matrix,
+    projected_dirac_block,
     shell_delta_values,
 )
 
@@ -298,6 +300,17 @@ class TestDiracBlock:
         c = blk.constant_vector(fib_pf)
         assert np.abs(blk.matrix @ c + g.length_L * c).max() < 1e-12
 
+    @pytest.mark.parametrize("name", list(BLOCK_MATRICES))
+    def test_closed_form_is_the_projector_expression(self, name):
+        # P Delta = 0, so 2 length P - Delta - length is the projector
+        # expression; written without a product, it is symmetric exactly
+        pf = pf_of(BLOCK_MATRICES[name])
+        for g in sl.bisections_up_to(pf.spec, 3):
+            for depth in (0, 1, 2, 3):
+                got = sl.dirac_block(pf, g, depth).matrix
+                assert np.array_equal(got, got.T)
+                assert np.abs(got - projected_dirac_block(pf, g, depth)).max() < 1e-12
+
     def test_refinement_commutes(self, fib_pf, full2_pf):
         rng = np.random.default_rng(7)
         for pf in (fib_pf, full2_pf):
@@ -353,6 +366,12 @@ class TestSpectrum:
             float(length): count_bisections(pf.spec, length - 1, 1)
             for length in range(1, cutoff + 1)
         }
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.5])
+    def test_dense_oracle_refuses_what_spectrum_refuses(self, fib_pf, cutoff):
+        for fn in (sl.spectrum, sl.spectrum_dense):
+            with pytest.raises(ValueError, match=r"^cutoff must be finite and >= 1$"):
+                fn(fib_pf, cutoff)
 
     def test_tiny_cap_overflows(self, fib_pf, monkeypatch):
         monkeypatch.setenv("ARIADNE_CAP", "3")

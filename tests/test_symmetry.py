@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import types
@@ -34,6 +35,7 @@ from conftest import (
 from oracles import (
     backtrack_automorphisms,
     brute_force_group,
+    dense_commutation_residual,
     generated_group,
     least_positive_power,
 )
@@ -101,6 +103,18 @@ def assert_list_matches_backtracking(mat):
     assert rows == [list(p) for p in backtrack_automorphisms(mat)]
     assert all(x < y for x, y in zip(rows, rows[1:]))  # strictly increasing
     assert generated_group(gens, len(mat)) == set(map(tuple, rows))
+
+
+# the inputs on which the residual is checked against the dense norm, with
+# their cutoffs: the full 3-shift's dense truncation at cutoff 4 is slow
+RESIDUAL_MATRICES = {
+    "fib": (FIBONACCI, 4.0),
+    "full2": ([[1, 1], [1, 1]], 4.0),
+    "full3": ([[1] * 3] * 3, 3.0),
+    "unknown": (UNKNOWN_EXHIBIT, 4.0),
+    "wielandt3": ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 4.0),
+    "cycle4": (cycle_circulant(4), 4.0),
+}
 
 
 def identity_iso(n):
@@ -377,8 +391,20 @@ class TestIsometryUnitary:
         gamma = BisectionIndex((), (1,))
         with pytest.raises(ValueError, match=r"bisection -\.1 is listed twice"):
             isometry_unitary(identity_iso(2), fib_pf.spec, [gamma, gamma], 1)
-        with pytest.raises(ValueError, match="listed twice"):
-            symmetry.dirac_truncation(fib_pf, [gamma, BisectionIndex((1,), (1,)), gamma], 1)
+
+    @pytest.mark.parametrize("perm", [(1, 1), (2, 2), (1, 2, 3), (0, 1), (1,)])
+    def test_relabeling_must_permute_the_letters(self, perm):
+        # a relabeling that merges letters sends two blocks into one
+        with pytest.raises(ValueError, match="does not permute 1..2"):
+            ClassicalIsometry(phases=(1.0 + 0.0j,) * 2, perm=GraphAutomorphism(perm))
+
+    def test_phase_count_must_match_the_alphabet(self, fib_pf):
+        iso = ClassicalIsometry(phases=(1.0 + 0.0j,), perm=GraphAutomorphism((1,)))
+        gammas = bisections_up_to(fib_pf.spec, 2)
+        with pytest.raises(ValueError, match="^1 phases for 2 letters$"):
+            isometry_unitary(iso, fib_pf.spec, gammas, 1)
+        with pytest.raises(ValueError, match="^1 phases for 2 letters$"):
+            sl.commutation_residual(iso, fib_pf, 2.0)
 
     def test_truncation_rows_follow_the_list(self, fib_pf):
         gammas = [BisectionIndex((1,), (2,)), BisectionIndex((), (1,))]
@@ -409,6 +435,35 @@ class TestCommutationResidual:
             phases=(1.0 + 0.0j,) * 2, perm=swap_permutation(2, 1, 2)
         )
         assert sl.commutation_residual(iso, fib_pf, 4.0) > 1e-3
+
+    @pytest.mark.parametrize("name", list(RESIDUAL_MATRICES))
+    def test_matches_the_dense_norm(self, name):
+        # six relabelings each, automorphisms or not, and three phase vectors
+        mat, cutoff = RESIDUAL_MATRICES[name]
+        pf = sl.perron_frobenius(sl.AdjacencySpec.from_matrix(mat))
+        n = pf.spec.n
+        for perm in itertools.islice(itertools.permutations(range(1, n + 1)), 6):
+            for z in sample_phase_vectors(n)[:3]:
+                iso = ClassicalIsometry(phases=z, perm=GraphAutomorphism(perm))
+                got = sl.commutation_residual(iso, pf, cutoff)
+                want = dense_commutation_residual(iso, pf, cutoff)
+                assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    def test_full_3_shift_isometries_commute_at_cutoff_4(self, full3_pf):
+        # the classical isometries of O_3 on 1,089 cells: read block by
+        # block, a residual takes about 0.1 s of CPU; one dense 2-norm of
+        # the whole truncation takes over 1.5 s
+        for g in generating_set(full3_pf.spec):
+            for z in sample_phase_vectors(3):
+                iso = ClassicalIsometry(phases=z, perm=g)
+                started = time.process_time()
+                assert sl.commutation_residual(iso, full3_pf, 4.0) <= 1e-9
+                assert time.process_time() - started < 0.5
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.5])
+    def test_cutoff_refused_as_spectrum_refuses_it(self, fib_pf, cutoff):
+        with pytest.raises(ValueError, match=r"^cutoff must be finite and >= 1$"):
+            sl.commutation_residual(identity_iso(2), fib_pf, cutoff)
 
 
 class TestClassicalFixedPoints:
