@@ -220,19 +220,18 @@ def run_pf(pf: PerronFrobeniusData) -> dict:
 
 
 def run_measures(pf: PerronFrobeniusData, depth: int) -> dict:
-    table = {}
-    for m in range(1, depth + 1):
-        rows = []
-        for w in enumerate_words(pf.spec, m):
-            rows.append(
-                {
-                    "word": _word_str(w),
-                    "conformal": conformal_measure(pf, w),
-                    "parry": parry_measure(pf, w),
-                    "kms_diagonal": kms_value(pf, w, w),
-                }
-            )
-        table[str(m)] = rows
+    table = {
+        str(m): [
+            {
+                "word": _word_str(w),
+                "conformal": conformal_measure(pf, w),
+                "parry": parry_measure(pf, w),
+                "kms_diagonal": kms_value(pf, w, w),
+            }
+            for w in enumerate_words(pf.spec, m)
+        ]
+        for m in range(1, depth + 1)
+    }
     c_min, c_max = ahlfors_profile(pf, depth)
     counts = {
         f"{r_len}.{s_len}": count_bisections(pf.spec, r_len, s_len)
@@ -300,14 +299,11 @@ def run_pattern(pf: PerronFrobeniusData, pf_rule: bool) -> dict:
 
 def run_ergodicity(pf: PerronFrobeniusData, level: int) -> dict:
     verdict = ergodicity_verdict(pf.spec, pf, level)
+    witness = verdict.witness
     return {
         "level": verdict.level,
         "verdict": verdict.verdict,
-        "witness": (
-            [_word_str(w) for w in verdict.witness]
-            if verdict.witness is not None
-            else None
-        ),
+        "witness": None if witness is None else [_word_str(w) for w in witness],
     }
 
 
@@ -350,88 +346,92 @@ def run_repmodel(kind: str, theta: float, ell: int, size: int, seed: int) -> dic
 def run_report(spec: AdjacencySpec, pf) -> dict:
     """Every analysis with its command's handler and the flags below, on one
     PF computation; per-section failures recorded, not fatal."""
-    args = argparse.Namespace(
-        depth=4, cutoff=5.0, level=3, output=None, no_pf_rule=False
-    )
+    args = argparse.Namespace(depth=4, cutoff=5.0, level=3, output=None, no_pf_rule=False)
     bundle: dict = {}
-    for name, handler in _HANDLERS.items():
-        if name == "report":
+    for name, (_, _, handler) in _COMMANDS.items():
+        if name in ("repmodel", "report"):
             continue
         try:
             bundle[name] = {"ok": True, "results": handler(spec, pf, args)}
         except ShiftLabError as exc:
-            bundle[name] = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
+            bundle[name] = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
     return bundle
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command: help line, flags beyond --input (all but repmodel's), --output,
+# --tol and --seed, and handler (spec, cached PF computation, parsed flags)
+_COMMANDS = {
+    "pf": ("maximal eigenvalue data", {}, lambda spec, pf, a: run_pf(pf())),
+    "measures": (
+        "cylinder measures and regularity",
+        {"--depth": dict(type=int, default=4)},
+        lambda spec, pf, a: run_measures(pf(), a.depth),
+    ),
+    "spectrum": (
+        "Hamiltonian eigenvalues up to cutoff",
+        {"--cutoff": dict(type=float, default=3.0)},
+        lambda spec, pf, a: run_spectrum(pf(), a.cutoff, a.output),
+    ),
+    "autgroup": ("digraph automorphism group", {}, lambda spec, pf, a: run_autgroup(spec)),
+    "classical-fix": (
+        "fixed points of the classical action",
+        {"--level": dict(type=int, default=2)},
+        lambda spec, pf, a: run_classical_fix(spec, a.level),
+    ),
+    "pattern": (
+        "propagated projection-variable grids",
+        {"--no-pf-rule": dict(action="store_true")},
+        lambda spec, pf, a: run_pattern(pf(), not a.no_pf_rule),
+    ),
+    "ergodicity": (
+        "level-k ergodicity verdict",
+        {"--level": dict(type=int, default=2)},
+        lambda spec, pf, a: run_ergodicity(pf(), a.level),
+    ),
+    "t-a": ("flip-intertwiner symmetry analysis", {}, lambda spec, pf, a: run_t_a(spec)),
+    "repmodel": (
+        "finite-dimensional model checks",
+        {
+            "--model": dict(
+                choices=["two-projection", "qls", "classical"], default="two-projection"
+            ),
+            "--theta": dict(type=float, default=float(np.pi / 5)),
+            "--ell": dict(type=int, default=3),
+            "--size": dict(type=int, default=4),
+        },
+        lambda spec, pf, a: run_repmodel(a.model, a.theta, a.ell, a.size, a.seed),
+    ),
+    "report": ("bundle of all analyses", {}, lambda spec, pf, a: run_report(spec, pf)),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or with only the top one and that command's."""
     parser = argparse.ArgumentParser(
-        prog="shiftlab",
-        description="invariants of a primitive 0/1 adjacency matrix",
+        prog="shiftlab", description="invariants of a primitive 0/1 adjacency matrix"
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    # a metavar on the full parser would change its missing and invalid
+    # command messages, so it is set on the one-command parser alone
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else [only]:
+        help_line, flags, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        if name != "repmodel":
             p.add_argument("--input", required=True, help="adjacency JSON path")
         p.add_argument("--output", default=None, help="report path (stdout)")
         p.add_argument("--tol", type=float, default=DEFAULT_PF_TOL)
         p.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("pf", help="maximal eigenvalue data"))
-    p = sub.add_parser("measures", help="cylinder measures and regularity")
-    common(p)
-    p.add_argument("--depth", type=int, default=4)
-    p = sub.add_parser("spectrum", help="Hamiltonian eigenvalues up to cutoff")
-    common(p)
-    p.add_argument("--cutoff", type=float, default=3.0)
-    common(sub.add_parser("autgroup", help="digraph automorphism group"))
-    p = sub.add_parser("classical-fix", help="fixed points of the classical action")
-    common(p)
-    p.add_argument("--level", type=int, default=2)
-    p = sub.add_parser("pattern", help="propagated projection-variable grids")
-    common(p)
-    p.add_argument("--no-pf-rule", action="store_true")
-    p = sub.add_parser("ergodicity", help="level-k ergodicity verdict")
-    common(p)
-    p.add_argument("--level", type=int, default=2)
-    common(sub.add_parser("t-a", help="flip-intertwiner symmetry analysis"))
-    p = sub.add_parser("repmodel", help="finite-dimensional model checks")
-    common(p, needs_input=False)
-    p.add_argument(
-        "--model",
-        choices=["two-projection", "qls", "classical"],
-        default="two-projection",
-    )
-    p.add_argument("--theta", type=float, default=float(np.pi / 5))
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--size", type=int, default=4)
-    common(sub.add_parser("report", help="bundle of all analyses"))
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-# each command's handler: (spec, cached PF computation, parsed flags)
-_HANDLERS = {
-    "pf": lambda spec, pf, a: run_pf(pf()),
-    "measures": lambda spec, pf, a: run_measures(pf(), a.depth),
-    "spectrum": lambda spec, pf, a: run_spectrum(pf(), a.cutoff, a.output),
-    "autgroup": lambda spec, pf, a: run_autgroup(spec),
-    "pattern": lambda spec, pf, a: run_pattern(pf(), not a.no_pf_rule),
-    "classical-fix": lambda spec, pf, a: run_classical_fix(spec, a.level),
-    "ergodicity": lambda spec, pf, a: run_ergodicity(pf(), a.level),
-    "t-a": lambda spec, pf, a: run_t_a(spec),
-    "report": lambda spec, pf, a: run_report(spec, pf),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     started = time.perf_counter()
     try:
         if not 0 < args.tol < math.inf:
@@ -441,15 +441,10 @@ def main(argv: list[str] | None = None) -> int:
         word_cap()  # a malformed ARIADNE_CAP fails here, not in a report section
         spec = None if args.command == "repmodel" else load_spec(args.input)
         _check_flags(args)
-        if spec is None:
-            results = run_repmodel(
-                args.model, args.theta, args.ell, args.size, args.seed
-            )
-        else:
-            # a failed PF computation is not cached: each report section
-            # that needs it recomputes it and records its own error
-            pf = functools.cache(lambda: perron_frobenius(spec, tol=args.tol))
-            results = _HANDLERS[args.command](spec, pf, args)
+        # a failed PF computation is not cached: each report section that
+        # needs it recomputes it and records its own error
+        pf = functools.cache(lambda: perron_frobenius(spec, tol=args.tol))
+        results = _COMMANDS[args.command][2](spec, pf, args)
         _emit(_report(args.command, spec, results, started), args.output)
     except ParseError as exc:
         print(f"shiftlab: parse error: {exc}", file=sys.stderr)

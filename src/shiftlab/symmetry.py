@@ -294,12 +294,15 @@ def commutation_residual(
     u = isometry_unitary(iso, pf.spec, gammas, 1)
     blocks = [dirac_block(pf, gamma, 1).matrix for gamma in gammas]
     ends = np.cumsum([len(d) for d in blocks])  # the rows follow the list
+    # each column's nonzero row (a column of U holds at most one), and row 0
+    # for a zero column: gamma' holds the largest row of gamma's columns
+    r, c = np.nonzero(u)
+    rows = np.zeros(len(u), dtype=int)
+    rows[c] = r
     worst = 0.0
     for d, end in zip(blocks, ends):
-        cols = u[:, end - len(d) : end]
-        # gamma' holds the first nonzero row; if none, V is zero in any block
-        j = np.searchsorted(ends, cols.any(axis=1).argmax(), side="right")
-        v = cols[ends[j] - len(blocks[j]) : ends[j]]
+        j = np.searchsorted(ends, rows[end - len(d) : end].max(), side="right")
+        v = u[ends[j] - len(blocks[j]) : ends[j], end - len(d) : end]
         worst = max(worst, np.linalg.norm(v @ d - blocks[j] @ v, 2))
     return float(worst)
 

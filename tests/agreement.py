@@ -6,8 +6,10 @@
 
 `run` sends every case of the corpus through ``shiftlab.cli.main`` in this
 one process, each under an alarm of ``ALARM_S`` seconds, and writes per
-case the exit code, stderr, the sha256 of the report (cut at
-``"wall_time_ms"``) and the sha256 of the CSV, if one was written.
+case the exit code (argparse's ``SystemExit`` code included), stderr, the
+sha256 of stdout, the sha256 of the report (cut at ``"wall_time_ms"``) and
+the sha256 of the CSV, if one was written.  Help and usage text wrap at
+``COLUMNS``, which `run` fixes at 80.
 `compare` prints every case whose record differs between the two files
 and exits 1 if any does.  A case the first (reference) side did not finish
 is named and not compared.  The optional list names the differences a
@@ -26,7 +28,9 @@ The corpus:
     of ``tests/conftest.py``;
   * ``repmodel`` with all three models at sizes 4..10, ``--ell`` 1 and 3;
   * ``spectrum`` on Fibonacci at cutoffs 9..60, and 70..120 in steps of 10,
-    where the index counts and the (class, length) expansion dominate.
+    where the index counts and the (class, length) expansion dominate;
+  * the argv of ``PARSER_ARGV`` in ``tests/conftest.py``, run as they are:
+    help, version, usage and argparse's errors.
 Left out, each for its time: ``report`` and ``t-a`` on Wielandt n >= 18
 (``t-a`` searches a group of hundreds of digits to its end, minutes per
 case), and ``spectrum`` and ``report`` on the seeded n >= 32 graphs
@@ -39,6 +43,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import signal
 import sys
 import tempfile
@@ -87,11 +92,13 @@ def _inputs() -> dict[str, list[list[int]]]:
     return inputs
 
 
-def corpus() -> dict[str, tuple[list[str], list[list[int]] | None]]:
-    """Case id -> (argv without --input and --output, matrix or None)."""
+def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool]]:
+    """Case id -> (argv, matrix or None, whether run adds --input and
+    --output to argv)."""
+    from conftest import PARSER_ARGV
     from perfbench.workloads import WORKLOADS, fingerprint
 
-    cases: dict[str, tuple[list[str], list[list[int]] | None]] = {}
+    cases: dict[str, tuple[list[str], list[list[int]] | None, bool]] = {}
     inputs = _inputs()
     for name, a in inputs.items():
         n = len(a)
@@ -100,16 +107,16 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None]]:
                 name.startswith("wielandt") and n >= 18 and argv[0] in ("report", "t-a")
             ) or (name.startswith("seeded") and n >= 32 and argv[0] in ("spectrum", "report"))
             if not slow:
-                cases[f"{' '.join(argv)} :{name}"] = (argv, a)
+                cases[f"{' '.join(argv)} :{name}"] = (argv, a, True)
     for model in ("two-projection", "qls", "classical"):
         for size in range(4, 11):
             for ell in (1, 3):
                 argv = ["repmodel", "--model", model, "--size", str(size), "--ell", str(ell)]
-                cases[" ".join(argv)] = (argv, None)
+                cases[" ".join(argv)] = (argv, None, True)
     for cutoff in [*range(9, 61), *range(70, 121, 10)]:
         argv = ["spectrum", "--cutoff", str(cutoff)]
-        cases[f"{' '.join(argv)} :fib"] = (argv, inputs["fib"])
-    seen = {(tuple(argv), json.dumps(a)) for argv, a in cases.values()}
+        cases[f"{' '.join(argv)} :fib"] = (argv, inputs["fib"], True)
+    seen = {(tuple(argv), json.dumps(a)) for argv, a, _ in cases.values()}
     for seed in (1, 2):
         for build, _ in WORKLOADS.values():
             for op in build(seed):
@@ -117,7 +124,9 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None]]:
                 if (tuple(argv), json.dumps(a)) not in seen:
                     seen.add((tuple(argv), json.dumps(a)))
                     tag = f" :{op['input']}/{fingerprint(a)[:8]}" if a is not None else ""
-                    cases[" ".join(argv) + tag] = (argv, a)
+                    cases[" ".join(argv) + tag] = (argv, a, True)
+    for argv in PARSER_ARGV:
+        cases[f"argv {json.dumps(argv)}"] = (argv, None, False)
     return cases
 
 
@@ -138,21 +147,24 @@ def run(out_path: str) -> None:
         raise CaseTimeout
 
     signal.signal(signal.SIGALRM, on_alarm)
+    os.environ["COLUMNS"] = "80"
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (case, (argv, a)) in enumerate(corpus().items()):
+        for k, (case, (argv, a, files)) in enumerate(corpus().items()):
             out = Path(tmp) / f"{k}.json"
-            args = [*argv, "--output", str(out)]
+            args = [*argv, "--output", str(out)] if files else [*argv]
             if a is not None:
                 src = Path(tmp) / f"{k}-input.json"
                 src.write_text(json.dumps({"n": len(a), "a": a}))
                 args += ["--input", str(src)]
-            err = io.StringIO()
+            err, stdout = io.StringIO(), io.StringIO()
             start = time.perf_counter()
             signal.alarm(ALARM_S)
             try:
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
                     code = main(args)
+            except SystemExit as exc:  # argparse's help, version and usage errors
+                code = exc.code
             except CaseTimeout:
                 code = "timeout"
             except Exception as exc:  # an error the CLI does not type: part of the record
@@ -162,6 +174,7 @@ def run(out_path: str) -> None:
             records[case] = {
                 "exit": code,
                 "stderr": err.getvalue().replace(tmp, "TMP"),
+                "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
                 "report": _digest(out, cut=True),
                 "csv": _digest(out.with_suffix(".csv")),
                 "seconds": round(time.perf_counter() - start, 3),
@@ -183,7 +196,9 @@ def compare(reference_path: str, other_path: str, expected_path: str | None = No
         if a is not None and a["exit"] == "timeout":
             print(f"not finished on {reference_path}: {case}")
             continue
-        if a is None or b is None or any(a[key] != b[key] for key in ("exit", "stderr", "report", "csv")):
+        if a is None or b is None or any(
+            a[key] != b[key] for key in ("exit", "stderr", "stdout", "report", "csv")
+        ):
             if case in expected:
                 listed.add(case)
                 print(f"differs as expected: {case}")

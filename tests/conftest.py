@@ -19,6 +19,32 @@ UNKNOWN_EXHIBIT = [
     [1, 0, 0, 1],
 ]
 
+# argv that the CLI's parser settles: no command, top help, version and an
+# unknown command; each command's help, in the order of the help listing;
+# and flag errors.  --inp is an accepted abbreviation, so that case ends at
+# the loader's "cannot read"; no other case reads a file
+PARSER_ARGV = [
+    [],
+    ["--help"],
+    ["--version"],
+    ["bogus"],
+    *(
+        [command, "--help"]
+        for command in (
+            "pf", "measures", "spectrum", "autgroup", "classical-fix", "pattern",
+            "ergodicity", "t-a", "repmodel", "report",
+        )
+    ),
+    ["pf"],
+    ["pf", "--input", "fib.json", "--tol", "x"],
+    ["spectrum", "--input", "fib.json", "--cutoff", "abc"],
+    ["repmodel", "--model", "nope"],
+    ["ergodicity", "--input", "fib.json", "--level"],
+    ["pf", "--input", "fib.json", "--bogus"],
+    ["pf", "--input", "fib.json", "stray"],
+    ["pf", "--inp", "/nonexistent/fib.json"],
+]
+
 
 @st.composite
 def irreducible_matrices(draw, max_n=12):

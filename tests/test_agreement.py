@@ -1,28 +1,31 @@
 """`tests/agreement.py compare` on hand-written records, with and without a
 list of intended differences."""
 
+import hashlib
 import json
+import signal
 import sys
 
 import pytest
 
 
 def record(report):
-    return {"exit": 0, "stderr": "", "report": report, "csv": None, "seconds": 0.5}
+    return {"exit": 0, "stderr": "", "stdout": "", "report": report, "csv": None, "seconds": 0.5}
 
 
 @pytest.fixture
 def compare(monkeypatch, tmp_path):
-    """compare(changed, listed) on a two-case corpus where the cases named
-    in ``changed`` differ; ``listed`` is the text of the list, or None."""
+    """compare(changed, listed, key) on a two-case corpus where the cases
+    named in ``changed`` differ in ``key``; ``listed`` is the text of the
+    list, or None."""
     monkeypatch.setattr(sys, "path", sys.path[:])  # agreement.py prepends the repo root
     import agreement
 
     ref = {"pf :fib": record("a"), "spectrum :fib": record("b")}
     (tmp_path / "ref.json").write_text(json.dumps(ref))
 
-    def run(changed, listed=None):
-        other = {case: record(rec["report"] + "!" * (case in changed)) for case, rec in ref.items()}
+    def run(changed, listed=None, key="report"):
+        other = {case: {**rec, key: rec[key] + "!" * (case in changed)} for case, rec in ref.items()}
         (tmp_path / "other.json").write_text(json.dumps(other))
         paths = [tmp_path / "ref.json", tmp_path / "other.json"]
         if listed is not None:
@@ -43,6 +46,11 @@ def test_unlisted_difference_fails(compare, capsys):
     assert "differs: pf :fib\n" in capsys.readouterr().out
 
 
+def test_stdout_difference_fails(compare, capsys):
+    assert compare({"spectrum :fib"}, key="stdout") == 1
+    assert "differs: spectrum :fib\n" in capsys.readouterr().out
+
+
 def test_listed_difference_passes(compare, capsys):
     assert compare({"pf :fib"}, "# the pf change\n\npf :fib\n") == 0
     out = capsys.readouterr().out
@@ -59,3 +67,24 @@ def test_listed_case_that_does_not_differ_fails(compare, capsys):
 def test_listed_case_outside_the_corpus_fails(compare, capsys):
     assert compare({"pf :fib"}, "pf :fib\nreport :fib\n") == 1
     assert "listed but does not differ: report :fib\n" in capsys.readouterr().out
+
+
+def test_run_records_argparse_exits(monkeypatch, tmp_path):
+    # help and usage errors end in SystemExit, recorded as the case's exit
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    monkeypatch.setenv("COLUMNS", "80")  # run fixes it; restored after
+    import agreement
+    from shiftlab import __version__
+
+    cases = {"version": (["--version"], None, False), "bogus": (["bogus"], None, False)}
+    monkeypatch.setattr(agreement, "corpus", lambda: cases)
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        agreement.run(str(tmp_path / "records.json"))
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    records = json.loads((tmp_path / "records.json").read_text())
+    version = hashlib.sha256(f"{__version__}\n".encode()).hexdigest()
+    assert records["version"]["exit"] == 0 and records["version"]["stdout"] == version
+    assert records["bogus"]["exit"] == 2
+    assert "invalid choice: 'bogus'" in records["bogus"]["stderr"]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 import shiftlab
 import shiftlab.cli
 from shiftlab import AdjacencySpec, perron_frobenius, t_a_analysis
-from shiftlab.cli import ROW_CHUNK, _emit, main, round15
-from conftest import FIBONACCI, UNKNOWN_EXHIBIT, random_primitive
+from shiftlab.cli import ROW_CHUNK, _COMMANDS, _emit, build_parser, main, round15
+from conftest import FIBONACCI, PARSER_ARGV, UNKNOWN_EXHIBIT, random_primitive
 from oracles import reference_report_text
 
 
@@ -383,6 +384,60 @@ class TestErrorPaths:
         path = tmp_path / "full.json"
         path.write_text(json.dumps({"n": 2, "a": [[1, 1], [1, 1]]}))
         assert main(["measures", "--input", str(path), "--depth", "6"]) == 4
+
+
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _flags(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+        for a in parser._actions
+    ]
+
+
+class TestOneCommandParser:
+    """A call builds the top parser and its own command's parser alone;
+    flags, help, usage and errors are the full parser's."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_same_flags_as_the_full_parser(self, command):
+        (one,) = _subparsers(build_parser(command)).values()
+        full = _subparsers(build_parser())[command]
+        assert one.prog == full.prog == f"shiftlab {command}"
+        assert _flags(one) == _flags(full)
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_same_exit_and_text_as_the_full_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        one = outcome()
+        full_parser = build_parser
+        monkeypatch.setattr(shiftlab.cli, "build_parser", lambda only=None: full_parser())
+        assert one == outcome()
+        assert one[0] == (0 if "--help" in argv or "--version" in argv else 2)
+
+    def test_a_command_builds_two_parsers(self, monkeypatch, fib_file, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        out = tmp_path / "pf.json"
+        assert main(["pf", "--input", fib_file, "--output", str(out)]) == 0
+        assert len(built) <= 2
 
 
 class TestReportBundle:
