@@ -18,15 +18,17 @@ with one eigenvector per "child minus one" at each internal node (the Haar
 wavelets).  Each extension step increases the value by (lam - 1) * u[new
 letter], so the value is strictly increasing along extensions and depends
 on the base word only through its last letter; :func:`spectrum` walks the
-letter counts of the extensions once per last letter and prunes on the
-value.
+letter counts of the extensions once per last letter, coded as one int
+with a byte field per letter, and prunes on the value.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -50,6 +52,8 @@ from .groupoid import (
 
 #: eigenvalues closer than this are one eigenvalue; also the cutoff slack
 MERGE_TOL = 1e-9
+#: struct codes of the unsigned ints of 1, 2, 4 and 8 bytes
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,20 @@ def merge_multiset(pairs: Iterable[tuple[float, int]]) -> list[tuple[float, int]
     return merged
 
 
+def _count_field(pf: PerronFrobeniusData, bound: float, limit: int) -> int:
+    """Bytes per letter count in a coded class: the smallest of 1, 2, 4 and 8
+    that holds floor(bound / ((lam - 1) min u)) + 2.
+
+    A cell the walk keeps has lam u[b] + (lam - 1) sum_c k_c u[c] + 1 <=
+    bound, so no count k_c passes the floor, and a child's count passes it
+    by at most one.  The cap bounds the counts too: a count is at most its
+    level, and no level past ``limit`` is built; with it the floor stays
+    finite at any finite cutoff.
+    """
+    most = math.floor(min(bound / ((pf.lambda_max - 1) * float(min(pf.u))), limit)) + 2
+    return next((size for size in (1, 2, 4) if most < 256**size), 8)
+
+
 def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     """All Hamiltonian eigenvalues with |value| <= cutoff, with multiplicity.
 
@@ -253,6 +271,15 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     indices of length L whose s-word ends in b, from one ending-count table
     once the walks are done.  Values grow along extensions, so the walk is
     pruned at L = 1; the cap bounds its states as each level is built.
+
+    A class k is one int with a little-endian field of
+    :func:`_count_field` bytes per letter, so a child is one addition.  A
+    class's value is summed once per walk from its unpacked counts, with
+    the products and additions of a sum over the tuple k, so values and
+    prune decisions are the tuple walk's.  A class lies on one level (its
+    counts sum to the level), so values are kept for the level walked and
+    the next one only; wavelet multiplicities are kept by value, all that
+    the expansion by length reads.
     """
     if not 1 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and >= 1")
@@ -264,32 +291,41 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
     u = [pf.u_of(c) for c in range(1, n + 1)]
     kids = [[j - 1 for j in row] for row in spec._successors]
     max_len = int(math.floor(bound))
+    size = _count_field(pf, bound, limit)
+    width = n * size
+    unpack = struct.Struct(f"<{n}{_UNSIGNED[size]}").unpack
+    ones = [1 << (8 * size * c) for c in range(n)]  # one more letter c
+    slope = lam - 1
 
-    def value(b: int, k: tuple[int, ...]) -> float:
-        return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u))
-
-    root = (0,) * n
     states = 0
-    classes: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    classes: list[dict[float, int]] = [{} for _ in range(n)]
     for b in range(n):
-        wavelets = classes[b]  # cell class k -> wavelet multiplicity, s ending in b
-        level = {(b, root): 1} if value(b, root) + 1 <= bound else {}
+        top = lam * u[b]
+        wavelets = classes[b]  # cell value -> wavelet multiplicity, s ending in b
+        values = {0: top}  # coded class -> cell value, on this level
+        level = {(b, 0): 1} if top + 1 <= bound else {}
         while level:
             states += len(level)
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (last, k), paths in level.items():
+            nxt: dict[tuple[int, int], int] = {}
+            ahead: dict[int, float] = {}  # values on the next level
+            for (last, code), paths in level.items():
                 # the next level counts too: a level past the cap is never built
                 if states + len(nxt) > limit:
                     raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
                 extra = (len(kids[last]) - 1) * paths
                 if extra:
-                    wavelets[k] = wavelets.get(k, 0) + extra
+                    val = values[code]
+                    wavelets[val] = wavelets.get(val, 0) + extra
                 for c in kids[last]:
-                    child = k[:c] + (k[c] + 1,) + k[c + 1 :]
-                    if value(b, child) + 1 <= bound:
+                    child = code + ones[c]
+                    val = ahead.get(child)
+                    if val is None:
+                        counts = unpack(child.to_bytes(width, "little"))
+                        val = ahead[child] = top + slope * sum(map(mul, counts, u))
+                    if val + 1 <= bound:
                         key = (c, child)
                         nxt[key] = nxt.get(key, 0) + paths
-            level = nxt
+            level, values = nxt, ahead
 
     ends = ending_table(spec, max_len)
     found: dict[float, int] = {}  # value -> multiplicity
@@ -309,8 +345,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
 
     for b in range(n):
         wavelets, classes[b] = classes[b], {}  # released once expanded
-        for k, mult in wavelets.items():
-            val = value(b, k)
+        for val, mult in wavelets.items():
             for length in range(1, max_len + 1):
                 if val + length > bound:
                     break

@@ -9,6 +9,16 @@ from oracles import least_positive_power
 
 FIBONACCI = [[1, 1], [1, 0]]
 
+
+def wielandt(n):
+    """Cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        a[i][i + 1] = 1
+    a[n - 1][0] = a[n - 1][1] = 1
+    return a
+
+
 # pinned by exhaustive scan: primitive, constant row sums, trivial
 # automorphism group; propagation leaves everything free, so the level-2
 # verdict is Unknown (regression exhibit)

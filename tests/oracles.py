@@ -6,6 +6,7 @@ enumeration, staying off the code paths they check.
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from shiftlab.cli import round15
 from shiftlab.core import (
     EMPTY_WORD,
     conformal_measure,
+    ending_table,
     enumerate_words,
     require_admissible,
     word_cap,
@@ -50,8 +52,14 @@ from shiftlab.quantum import (
     build_constraints,
     propagate,
 )
-from shiftlab.groupoid import bisections_up_to
-from shiftlab.spectral import delta_matrix, eigenvalue_formula, level_basis
+from shiftlab.groupoid import bisections_up_to, count_bisections_by_letter
+from shiftlab.spectral import (
+    MERGE_TOL,
+    delta_matrix,
+    eigenvalue_formula,
+    level_basis,
+    merge_multiset,
+)
 from shiftlab.symmetry import (
     GraphAutomorphism,
     UnionFind,
@@ -287,6 +295,103 @@ def loop_index_counts(spec, r_len, s_len):
         - sum(r_ends[a] * s_inner[a] for a in pre)
         for pre in preds
     ]
+
+
+def loop_spectrum(pf, cutoff):
+    """spectrum as a walk over states (last letter, k) with k an n-tuple of
+    letter counts: each child copies k and sums its value afresh."""
+    if not 1 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and >= 1")
+    spec = pf.spec
+    n = spec.n
+    limit = word_cap()
+    bound = cutoff + MERGE_TOL
+    lam = pf.lambda_max
+    u = [pf.u_of(c) for c in range(1, n + 1)]
+    kids = [[j - 1 for j in row] for row in spec._successors]
+    max_len = int(math.floor(bound))
+
+    def value(b, k):
+        return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u))
+
+    root = (0,) * n
+    states = 0
+    classes = [{} for _ in range(n)]
+    for b in range(n):
+        wavelets = classes[b]  # cell class k -> wavelet multiplicity, s ending in b
+        level = {(b, root): 1} if value(b, root) + 1 <= bound else {}
+        while level:
+            states += len(level)
+            nxt = {}
+            for (last, k), paths in level.items():
+                # the next level counts too: a level past the cap is never built
+                if states + len(nxt) > limit:
+                    raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
+                extra = (len(kids[last]) - 1) * paths
+                if extra:
+                    wavelets[k] = wavelets.get(k, 0) + extra
+                for c in kids[last]:
+                    child = k[:c] + (k[c] + 1,) + k[c + 1 :]
+                    if value(b, child) + 1 <= bound:
+                        key = (c, child)
+                        nxt[key] = nxt.get(key, 0) + paths
+            level = nxt
+
+    ends = ending_table(spec, max_len)
+    found = {}  # value -> multiplicity
+    by_letter = []  # per length L: indices of length L by last letter of s
+    for length in range(1, max_len + 1):
+        per_s_len = [
+            count_bisections_by_letter(spec, ends, length - s_len, s_len)
+            for s_len in range(1, length + 1)
+        ]
+        for val, mult in (
+            (float(length), sum(per_s_len[0])),
+            (-float(length), sum(sum(counts) for counts in per_s_len[1:])),
+        ):
+            if mult:
+                found[val] = found.get(val, 0) + mult
+        by_letter.append([sum(col) for col in zip(*per_s_len)])
+
+    for b in range(n):
+        wavelets, classes[b] = classes[b], {}  # released once expanded
+        for k, mult in wavelets.items():
+            val = value(b, k)
+            for length in range(1, max_len + 1):
+                if val + length > bound:
+                    break
+                weight = by_letter[length - 1][b]
+                if weight:
+                    e = -(val + length)
+                    found[e] = found.get(e, 0) + mult * weight
+    return merge_multiset(found.items())
+
+
+def largest_child_count(pf, cutoff):
+    """The largest letter count in any child the spectrum walk makes, the
+    pruned ones too: a walk over the sets of (last letter, counts) kept at
+    each level, with no multiplicities and no cap."""
+    n = pf.spec.n
+    bound = cutoff + MERGE_TOL
+    lam = pf.lambda_max
+    u = [pf.u_of(c) for c in range(1, n + 1)]
+    largest = 0
+    for b in range(n):
+
+        def kept(k):
+            return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u)) + 1 <= bound
+
+        level = {(b + 1, (0,) * n)} if kept((0,) * n) else set()
+        while level:
+            nxt = set()
+            for last, k in level:
+                for c in pf.spec.successors(last):
+                    child = tuple(kc + (i == c - 1) for i, kc in enumerate(k))
+                    largest = max(largest, child[c - 1])
+                    if kept(child):
+                        nxt.add((c, child))
+            level = nxt
+    return largest
 
 
 def least_positive_power(a):

@@ -112,6 +112,27 @@ class TestDispatch:
         assert rows[0] == ["eigenvalue", "multiplicity"]
         assert len(rows) == len(pairs) + 1
 
+    @pytest.mark.parametrize(
+        "matrix, cutoff",
+        [(FIBONACCI, "4"), (UNKNOWN_EXHIBIT, "3.5"), ([[1] * 3] * 3, "2")],
+        ids=["fibonacci", "unknown", "full3"],
+    )
+    def test_spectrum_csv_bytes_are_csv_writers(self, tmp_path, matrix, cutoff):
+        # the excel dialect quotes nothing here and ends each row in \r\n
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"n": len(matrix), "a": matrix}))
+        out = tmp_path / "spec.json"
+        argv = ["spectrum", "--input", str(path), "--cutoff", cutoff, "--output", str(out)]
+        assert main(argv) == 0
+        pf = perron_frobenius(AdjacencySpec.from_matrix(matrix))
+        pairs = shiftlab.spectrum(pf, float(cutoff))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["eigenvalue", "multiplicity"])
+        for e, m in pairs:
+            writer.writerow([f"{e:.15g}", m])
+        assert (tmp_path / "spec.csv").read_bytes() == buf.getvalue().encode()
+
     def test_t_a_report(self, capsys, fib_file):
         code, rep = run_json(capsys, "t-a", "--input", fib_file)
         assert code == 0

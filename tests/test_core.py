@@ -20,7 +20,7 @@ from shiftlab.errors import (
     NotPrimitive,
     NotZeroOne,
 )
-from conftest import irreducible_matrices, primitive_matrices, random_primitive
+from conftest import irreducible_matrices, primitive_matrices, random_primitive, wielandt
 from oracles import (
     dense_perron_frobenius,
     least_positive_power,
@@ -30,15 +30,6 @@ from oracles import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
-
-
-def wielandt(n):
-    """Cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2."""
-    a = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1] = 1
-    a[n - 1][0] = a[n - 1][1] = 1
-    return AdjacencySpec.from_matrix(a)
 
 
 class TestValidatePrimitive:
@@ -97,7 +88,7 @@ class TestValidatePrimitive:
             assert sl.validate_primitive(spec) == want
 
     def test_wielandt_96_exponent_within_budget(self):
-        spec = wielandt(96)
+        spec = AdjacencySpec.from_matrix(wielandt(96))
         started = time.perf_counter()
         assert sl.validate_primitive(spec) == 96 * 96 - 2 * 96 + 2
         assert time.perf_counter() - started < 1.0
@@ -172,7 +163,7 @@ class TestPerronFrobenius:
     @pytest.mark.parametrize("n", [19, 24, 48])
     def test_wielandt_slow_mixing(self, n):
         # |lambda_2 / lambda_1| -> 1 as n grows, which stalls iterative solvers
-        pf = sl.perron_frobenius(wielandt(n))
+        pf = sl.perron_frobenius(AdjacencySpec.from_matrix(wielandt(n)))
         assert pf.primitivity_exponent == n * n - 2 * n + 2
         a = pf.spec.matrix.astype(float)
         assert np.linalg.norm(a @ pf.u - pf.lambda_max * pf.u, np.inf) <= 1e-10

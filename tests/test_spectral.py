@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +9,30 @@ from hypothesis import strategies as st
 
 import shiftlab as sl
 from shiftlab.groupoid import BisectionIndex, count_bisections
+from shiftlab.core import word_cap
 from shiftlab.spectral import (
+    MERGE_TOL,
+    _count_field,
     cell_measures,
     eigenvalue_formula,
     level_basis,
     merge_multiset,
 )
 from shiftlab.errors import LengthOverflow, PrefixMismatch
-from conftest import UNKNOWN_EXHIBIT, primitive_matrices, random_primitive
+from conftest import (
+    FIBONACCI,
+    UNKNOWN_EXHIBIT,
+    primitive_matrices,
+    random_primitive,
+    wielandt,
+)
 from oracles import (
     embed_level,
     eigenvalue_multiset,
     gram_schmidt_wavelets,
+    largest_child_count,
     loop_level_basis,
+    loop_spectrum,
     pairwise_delta_matrix,
     projected_dirac_block,
     shell_delta_values,
@@ -406,3 +418,78 @@ class TestSpectrum:
     def test_merge_multiset(self):
         pairs = [(1.0, 1), (1.0 + 5e-10, 2), (2.0, 1)]
         assert merge_multiset(pairs) == [(1.0, 3), (2.0, 1)]
+
+
+def _spectrum_or_overflow(fn, pf, cutoff):
+    try:
+        return fn(pf, cutoff)
+    except LengthOverflow as exc:
+        return LengthOverflow, str(exc)
+
+
+class TestCodedWalk:
+    """spectrum walks letter counts coded as one int; loop_spectrum walks
+    them as tuples.  Equal lists mean equal floats: no tolerance."""
+
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        primitive_matrices(max_n=5),
+        st.floats(min_value=1, max_value=6),
+        st.sampled_from([None, 1, 7, 60, 400]),
+    )
+    def test_matches_the_tuple_walk(self, mat, cutoff, cap):
+        # under a cap, both overflow with the same message or both return
+        pf = pf_of(mat)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setenv("ARIADNE_CAP", str(cap))
+            got = _spectrum_or_overflow(sl.spectrum, pf, cutoff)
+            want = _spectrum_or_overflow(loop_spectrum, pf, cutoff)
+        assert got == want
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("cutoff", [1, 2.5, 4])
+    def test_wielandt_matches_the_tuple_walk(self, n, cutoff):
+        pf = pf_of(wielandt(n))
+        assert sl.spectrum(pf, cutoff) == loop_spectrum(pf, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 9, 20, 33.5, 60])
+    def test_fibonacci_matches_the_tuple_walk(self, cutoff):
+        pf = pf_of(FIBONACCI)
+        assert sl.spectrum(pf, cutoff) == loop_spectrum(pf, cutoff)
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_two_byte_fields_match_the_tuple_walk(self, n):
+        # lam -> 1: the count bound is 826 to 2,374, so a field of 2 bytes
+        pf = pf_of(wielandt(n))
+        assert _count_field(pf, 3 + MERGE_TOL, word_cap()) == 2
+        assert sl.spectrum(pf, 3) == loop_spectrum(pf, 3)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_field_is_the_smallest_that_holds_the_bound(self, size):
+        # lam = 2 and min u = 1/2: the bound is floor(2 * bound) + 2
+        pf = SimpleNamespace(lambda_max=2.0, u=[0.5, 0.5])
+        largest = 256**size - 1
+        assert _count_field(pf, (largest - 2) / 2, 2**40) == size
+        assert _count_field(pf, (largest - 1) / 2, 2**40) == 2 * size
+        # the cap bounds the counts too
+        assert _count_field(pf, 1e300, largest - 2) == size
+        assert _count_field(pf, 1e300, largest - 1) == 2 * size
+
+    @pytest.mark.parametrize(
+        "matrix, cutoff, largest",
+        [
+            (FIBONACCI, 60, 153),
+            (FIBONACCI, 120, 310),
+            (wielandt(12), 3, 34),
+            ([[1, 1], [1, 1]], 30, 57),
+            (UNKNOWN_EXHIBIT, 4.5, 13),
+        ],
+        ids=["fibonacci60", "fibonacci120", "wielandt12", "full2", "unknown"],
+    )
+    def test_field_holds_every_child_count(self, matrix, cutoff, largest):
+        # Fibonacci at cutoff 120 makes a count of 310: one byte would carry
+        pf = pf_of(matrix)
+        assert largest_child_count(pf, cutoff) == largest
+        assert largest < 256 ** _count_field(pf, cutoff + MERGE_TOL, word_cap())
