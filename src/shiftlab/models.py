@@ -195,13 +195,6 @@ class WordOperator:
         return out
 
 
-def generator_operator(model: MagicUnitaryModel, i: int, j: int) -> WordOperator:
-    """w_ij: the shift with the (i, j) projection at leg 0."""
-    return WordOperator.from_legs(
-        model.dim, 1, {0: model.entry(i, j)}
-    )
-
-
 def word_op_mul(a: WordOperator, b: WordOperator) -> WordOperator:
     """Compose: shifts add, the left factor's legs slide past the right shift."""
     if a.dim != b.dim:
@@ -228,16 +221,6 @@ def word_op_norm(a: WordOperator) -> float:
     for _, m in a.legs:
         out *= float(np.linalg.norm(m, 2))
     return out
-
-
-def word_operator(model: MagicUnitaryModel, mu, nu) -> WordOperator:
-    """Operator of the letter pair word: product of generators."""
-    if len(mu) != len(nu):
-        raise ValueError("words must have equal length")
-    op = WordOperator.from_legs(model.dim, 0, {})
-    for a, b in zip(mu, nu):
-        op = word_op_mul(op, generator_operator(model, a, b))
-    return op
 
 
 @dataclass(frozen=True)

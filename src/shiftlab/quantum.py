@@ -118,6 +118,9 @@ class PatternMatrix:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """The equations on the 2n² variables of a pattern: p[i][j] has id
+    i·n + j and q[i][j] id n² + i·n + j (0-based i, j)."""
+
     spec: AdjacencySpec
     # each equation: (lhs var ids, lhs const, rhs var ids, rhs const)
     equations: tuple[tuple[tuple[int, ...], int, tuple[int, ...], int], ...]
@@ -126,14 +129,6 @@ class ConstraintSystem:
     @property
     def var_count(self) -> int:
         return 2 * self.spec.n * self.spec.n
-
-
-def _p_var(n: int, i: int, j: int) -> int:
-    return i * n + j
-
-
-def _q_var(n: int, i: int, j: int) -> int:
-    return n * n + i * n + j
 
 
 def _u_differs(pf: PerronFrobeniusData) -> np.ndarray:
@@ -173,7 +168,7 @@ def _constraint_arrays(
     """
     n = spec.n
     a = spec.matrix.astype(bool)
-    grids = np.arange(2 * n * n).reshape(2, n, n)  # _p_var and _q_var
+    grids = np.arange(2 * n * n).reshape(2, n, n)  # the ids of p, then of q
     kept_p, kept_q = kept.reshape(2, n, n)
     # magic lines of p, then of q, rows before columns: each sums to 1
     lines = np.stack([grids, grids.transpose(0, 2, 1)], axis=1).reshape(4 * n, n)

@@ -234,16 +234,48 @@ def truncation_basis(
     spec: AdjacencySpec, gammas: list[BisectionIndex], depth: int
 ) -> dict[tuple[BisectionIndex, Word], int]:
     """Row of each cell (bisection, relative extension) of the truncation:
-    the level bases of the bisections, concatenated in list order.  A
-    bisection listed twice raises ValueError."""
+    the level bases in list order.  A non-bisection or a repeat: ValueError."""
     index: dict[tuple[BisectionIndex, Word], int] = {}
     for gamma in gammas:
         cells = level_basis(spec, gamma.s_word, depth).cells
+        if not is_bisection_index(spec, gamma.r_word, gamma.s_word):
+            raise ValueError(f"{gamma} is not a bisection index")
         if (gamma, cells[0]) in index:
             raise ValueError(f"bisection {gamma} is listed twice")
         for nu in cells:
             index[gamma, nu] = len(index)
     return index
+
+
+def _cell_images(
+    iso: ClassicalIsometry, spec: AdjacencySpec, gammas: list[BisectionIndex], depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The isometry on a truncation as the monomial map it is: each cell's
+    image row (-1 where the image vanishes) and its block phase."""
+    if len(iso.phases) != spec.n:
+        raise ValueError(f"{len(iso.phases)} phases for {spec.n} letters")
+    trunc = truncation_basis(spec, gammas, depth)
+    rows = np.full(len(trunc), -1)
+    phases = np.zeros(len(trunc), dtype=complex)
+    for (gamma, nu), src in trunc.items():
+        r, s = gamma.r_word, gamma.s_word
+        phases[src] = iso.word_phase(r + s[-1:]) * np.conj(iso.word_phase(s))
+        r, s, nu_img = map(iso.perm.apply_word, (r, s, nu))
+        if not is_bisection_index(spec, r, s) or not is_admissible(spec, s + nu_img):
+            continue
+        dst = trunc.get((BisectionIndex(r, s), nu_img))
+        if dst is None:
+            raise NotClosed(f"image of {gamma} under the relabeling leaves the list")
+        rows[src] = dst
+    return rows, phases
+
+
+def _monomial(rows: np.ndarray, phases: np.ndarray, height: int, top: int = 0):
+    """phases[c] at (rows[c] - top, c) of height rows; zero columns where rows < 0."""
+    mat = np.zeros((height, len(rows)), dtype=complex)
+    cols = np.flatnonzero(rows >= 0)
+    mat[rows[cols] - top, cols] = phases[cols]
+    return mat
 
 
 def isometry_unitary(
@@ -260,24 +292,8 @@ def isometry_unitary(
     inadmissible are sent to zero (their generator monomial vanishes);
     admissible images must stay inside the listed truncation.
     """
-    if len(iso.phases) != spec.n:
-        raise ValueError(f"{len(iso.phases)} phases for {spec.n} letters")
-    trunc = truncation_basis(spec, gammas, depth)
-    pi = iso.perm
-    mat = np.zeros((len(trunc), len(trunc)), dtype=complex)
-    for (gamma, nu), src in trunc.items():
-        r, s, nu_img = map(pi.apply_word, (gamma.r_word, gamma.s_word, nu))
-        if not is_bisection_index(spec, r, s) or not is_admissible(spec, s + nu_img):
-            continue
-        dst = trunc.get((BisectionIndex(r, s), nu_img))
-        if dst is None:
-            raise NotClosed(f"image of {gamma} under the relabeling leaves the list")
-        mat[dst, src] = (
-            iso.word_phase(gamma.r_word)
-            * iso.phases[gamma.s_word[-1] - 1]
-            * np.conj(iso.word_phase(gamma.s_word))
-        )
-    return mat
+    rows, phases = _cell_images(iso, spec, gammas, depth)
+    return _monomial(rows, phases, len(rows))
 
 
 def commutation_residual(
@@ -287,22 +303,20 @@ def commutation_residual(
     largest ||V D_gamma - D_gamma' V|| over the listed bisections gamma, with
     V the block of U from gamma's cells to gamma', the one bisection they
     land in.  D keeps each bisection's cells and U sends distinct cells to
-    distinct cells, so [U, D]^H [U, D] is block diagonal."""
+    distinct cells, so [U, D]^H [U, D] is block diagonal.  Each V is read off
+    gamma's slice of the cell map; U is never formed."""
     if not 1 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and >= 1")
     gammas = bisections_up_to(pf.spec, int(cutoff))
-    u = isometry_unitary(iso, pf.spec, gammas, 1)
+    rows, phases = _cell_images(iso, pf.spec, gammas, 1)
     blocks = [dirac_block(pf, gamma, 1).matrix for gamma in gammas]
     ends = np.cumsum([len(d) for d in blocks])  # the rows follow the list
-    # each column's nonzero row (a column of U holds at most one), and row 0
-    # for a zero column: gamma' holds the largest row of gamma's columns
-    r, c = np.nonzero(u)
-    rows = np.zeros(len(u), dtype=int)
-    rows[c] = r
     worst = 0.0
     for d, end in zip(blocks, ends):
-        j = np.searchsorted(ends, rows[end - len(d) : end].max(), side="right")
-        v = u[ends[j] - len(blocks[j]) : ends[j], end - len(d) : end]
+        cols = slice(end - len(d), end)
+        # gamma' holds gamma's image rows; a V of zeros may take any block
+        j = np.searchsorted(ends, rows[cols].max(), side="right")
+        v = _monomial(rows[cols], phases[cols], len(blocks[j]), ends[j] - len(blocks[j]))
         worst = max(worst, np.linalg.norm(v @ d - blocks[j] @ v, 2))
     return float(worst)
 

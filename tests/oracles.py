@@ -17,19 +17,20 @@ from shiftlab.core import (
     conformal_measure,
     ending_table,
     enumerate_words,
+    is_admissible,
     require_admissible,
     word_cap,
 )
-from shiftlab.errors import Inconsistent, LengthOverflow, NotBiunitary
+from shiftlab.errors import Inconsistent, LengthOverflow, NotBiunitary, NotClosed
 from shiftlab.models import (
     QLS_ATTEMPTS,
     QLS_MIN_OVERLAP,
     QLS_SWEEPS,
     QLS_TOL,
     RelationReport,
+    WordOperator,
     word_op_adjoint,
     word_op_mul,
-    word_operator,
 )
 from shiftlab.quantum import (
     CERTAIN_ZERO,
@@ -47,12 +48,15 @@ from shiftlab.quantum import (
     PerLegWitness,
     ProjVarState,
     SupportPattern,
-    _p_var,
-    _q_var,
     build_constraints,
     propagate,
 )
-from shiftlab.groupoid import bisections_up_to, count_bisections_by_letter
+from shiftlab.groupoid import (
+    BisectionIndex,
+    bisections_up_to,
+    count_bisections_by_letter,
+    is_bisection_index,
+)
 from shiftlab.spectral import (
     MERGE_TOL,
     delta_matrix,
@@ -65,7 +69,7 @@ from shiftlab.symmetry import (
     UnionFind,
     _word_orbits,
     automorphism_group,
-    isometry_unitary,
+    truncation_basis,
 )
 
 
@@ -163,12 +167,35 @@ def projected_dirac_block(pf, gamma, depth):
     return 0.5 * (mat + mat.T)
 
 
+def loop_isometry_unitary(iso, spec, gammas, depth):
+    """isometry_unitary as one loop that writes each cell's image and
+    block phase straight into a dense matrix."""
+    if len(iso.phases) != spec.n:
+        raise ValueError(f"{len(iso.phases)} phases for {spec.n} letters")
+    trunc = truncation_basis(spec, gammas, depth)
+    pi = iso.perm
+    mat = np.zeros((len(trunc), len(trunc)), dtype=complex)
+    for (gamma, nu), src in trunc.items():
+        r, s, nu_img = map(pi.apply_word, (gamma.r_word, gamma.s_word, nu))
+        if not is_bisection_index(spec, r, s) or not is_admissible(spec, s + nu_img):
+            continue
+        dst = trunc.get((BisectionIndex(r, s), nu_img))
+        if dst is None:
+            raise NotClosed(f"image of {gamma} under the relabeling leaves the list")
+        mat[dst, src] = (
+            iso.word_phase(gamma.r_word)
+            * iso.phases[gamma.s_word[-1] - 1]
+            * np.conj(iso.word_phase(gamma.s_word))
+        )
+    return mat
+
+
 def dense_commutation_residual(iso, pf, cutoff):
     """commutation_residual as one 2-norm of the dense U D - D U over the
-    whole level-1 truncation, D block diagonal from projected_dirac_block
-    with the blocks in list order."""
+    whole level-1 truncation, U from loop_isometry_unitary and D block
+    diagonal from projected_dirac_block with the blocks in list order."""
     gammas = bisections_up_to(pf.spec, int(cutoff))
-    u = isometry_unitary(iso, pf.spec, gammas, 1)
+    u = loop_isometry_unitary(iso, pf.spec, gammas, 1)
     d = np.zeros(u.shape)
     off = 0
     for gamma in gammas:
@@ -512,27 +539,37 @@ def _u_differs(pf, i, j):
     return abs(ui - uj) > pf.tol * max(1.0, ui, uj)
 
 
+def p_var(n, i, j):
+    """Id of the variable p[i][j] (0-based) in a ConstraintSystem."""
+    return i * n + j
+
+
+def q_var(n, i, j):
+    """Id of the variable q[i][j] (0-based) in a ConstraintSystem."""
+    return n * n + i * n + j
+
+
 def loop_build_constraints(spec, pf, use_pf_rule=True):
     """build_constraints as the 2n^3 loop over every (i, j, k) entry."""
     n = spec.n
     eqs = []
-    for var in (_p_var, _q_var):
+    for var in (p_var, q_var):
         for i in range(n):
             eqs.append((tuple(var(n, i, j) for j in range(n)), 0, (), 1))
         for j in range(n):
             eqs.append((tuple(var(n, i, j) for i in range(n)), 0, (), 1))
     for i in range(n):
         for k in range(n):
-            lhs = tuple(_p_var(n, j, k) for j in range(n) if spec.a[i][j])
-            rhs = tuple(_q_var(n, i, j) for j in range(n) if spec.a[j][k])
+            lhs = tuple(p_var(n, j, k) for j in range(n) if spec.a[i][j])
+            rhs = tuple(q_var(n, i, j) for j in range(n) if spec.a[j][k])
             eqs.append((lhs, 0, rhs, 0))
     pre = []
     if use_pf_rule:
         for i in range(n):
             for j in range(n):
                 if _u_differs(pf, i, j):
-                    pre.append(_p_var(n, i, j))
-                    pre.append(_q_var(n, i, j))
+                    pre.append(p_var(n, i, j))
+                    pre.append(q_var(n, i, j))
     return ConstraintSystem(spec=spec, equations=tuple(eqs), pre_zero=tuple(pre))
 
 
@@ -651,8 +688,8 @@ def sweep_propagate(system):
             class_ids[r] = len(class_ids)
         return ProjVarState(FREE, class_ids[r])
 
-    p = tuple(tuple(extract(_p_var(n, i, j)) for j in range(n)) for i in range(n))
-    q = tuple(tuple(extract(_q_var(n, i, j)) for j in range(n)) for i in range(n))
+    p = tuple(tuple(extract(p_var(n, i, j)) for j in range(n)) for i in range(n))
+    q = tuple(tuple(extract(q_var(n, i, j)) for j in range(n)) for i in range(n))
     pattern = PatternMatrix(n=n, p=p, q=q)
     _validate_pattern(pattern)
     return pattern
@@ -760,6 +797,21 @@ def loop_classical_witness(spec, mu, nu):
             perms.append(GraphAutomorphism(tuple(perm)))
         return PerLegWitness(tuple(perms))
     return None
+
+
+def generator_operator(model, i, j):
+    """w_ij: the shift with the (i, j) projection at leg 0."""
+    return WordOperator.from_legs(model.dim, 1, {0: model.entry(i, j)})
+
+
+def word_operator(model, mu, nu):
+    """Operator of the letter pair word: product of generators."""
+    if len(mu) != len(nu):
+        raise ValueError("words must have equal length")
+    op = WordOperator.from_legs(model.dim, 0, {})
+    for a, b in zip(mu, nu):
+        op = word_op_mul(op, generator_operator(model, a, b))
+    return op
 
 
 def dense_relation_defect(model, ell):

@@ -10,11 +10,9 @@ from shiftlab.models import (
     MagicUnitaryModel,
     _normality_norms,
     classical_model,
-    generator_operator,
     qls_magic,
     random_qls_vectors,
     two_projection_magic,
-    word_operator,
 )
 from shiftlab.errors import (
     DegenerateAngle,
@@ -24,7 +22,12 @@ from shiftlab.errors import (
     NotProjection,
 )
 from conftest import fourier_qls_vectors, random_projection
-from oracles import dense_relation_defect, loop_qls_vectors
+from oracles import (
+    dense_relation_defect,
+    generator_operator,
+    loop_qls_vectors,
+    word_operator,
+)
 
 
 @pytest.fixture(scope="module")

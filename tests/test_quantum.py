@@ -28,8 +28,6 @@ from shiftlab.quantum import (
     PatternMatrix,
     PerLegWitness,
     ProjVarState,
-    _p_var,
-    _q_var,
 )
 from shiftlab.models import classical_model
 from shiftlab.symmetry import _orbit_roots
@@ -48,6 +46,8 @@ from oracles import (
     loop_build_constraints,
     loop_ergodicity_verdict,
     loop_word_support,
+    p_var,
+    q_var,
     sweep_propagate,
 )
 
@@ -71,8 +71,8 @@ class TestBuildConstraints:
         system = sl.build_constraints(fib, fib_pf)
         n = 2
         expected = {
-            _p_var(n, 0, 1), _p_var(n, 1, 0),
-            _q_var(n, 0, 1), _q_var(n, 1, 0),
+            p_var(n, 0, 1), p_var(n, 1, 0),
+            q_var(n, 0, 1), q_var(n, 1, 0),
         }
         assert set(system.pre_zero) == expected
 
@@ -677,7 +677,7 @@ class TestAgainstLoopReferences:
     def test_inconsistent_message_pinned(self, full2, full2_pf):
         system = sl.build_constraints(full2, full2_pf)
         # p[0][0] = p[0][1] = 0 empties the first row of a magic grid
-        zeroed = replace(system, pre_zero=(_p_var(2, 0, 0), _p_var(2, 0, 1)))
+        zeroed = replace(system, pre_zero=(p_var(2, 0, 0), p_var(2, 0, 1)))
         message = _propagated(sl.propagate, zeroed)
         assert message == "scalar clash 0 != 1"
         assert message == _propagated(sweep_propagate, zeroed)

@@ -1,7 +1,10 @@
 import itertools
+import cmath
 import math
 import random
+import re
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -29,8 +32,10 @@ from conftest import (
     UNKNOWN_EXHIBIT,
     primitive_circulants,
     primitive_matrices,
+    random_primitive,
     sample_phase_vectors,
     swap_permutation,
+    wielandt,
 )
 from oracles import (
     backtrack_automorphisms,
@@ -38,6 +43,7 @@ from oracles import (
     dense_commutation_residual,
     generated_group,
     least_positive_power,
+    loop_isometry_unitary,
 )
 
 
@@ -121,6 +127,13 @@ def identity_iso(n):
     return ClassicalIsometry(
         phases=(1.0 + 0.0j,) * n, perm=GraphAutomorphism.identity(n)
     )
+
+
+def residual_isometries(n):
+    """Six relabelings, automorphisms or not, times three phase vectors."""
+    for perm in itertools.islice(itertools.permutations(range(1, n + 1)), 6):
+        for z in sample_phase_vectors(n)[:3]:
+            yield ClassicalIsometry(phases=z, perm=GraphAutomorphism(perm))
 
 
 class TestAutomorphismGroup:
@@ -406,6 +419,50 @@ class TestIsometryUnitary:
         with pytest.raises(ValueError, match="^1 phases for 2 letters$"):
             sl.commutation_residual(iso, fib_pf, 2.0)
 
+    @pytest.mark.parametrize(
+        "gamma", [BisectionIndex((2,), (2,)), BisectionIndex((1,), (1, 1))]
+    )
+    def test_non_bisection_refused(self, fib_pf, gamma):
+        # A[2][2] = 0, and r = 1 ends at the letter before s's last: the
+        # identity once sent such a block's cells to zero, so U was not unitary
+        msg = f"^{re.escape(str(gamma))} is not a bisection index$"
+        with pytest.raises(ValueError, match=msg):
+            truncation_basis(fib_pf.spec, [gamma], 1)
+        gammas = [BisectionIndex((), (1,)), gamma]
+        with pytest.raises(ValueError, match=msg):
+            isometry_unitary(identity_iso(2), fib_pf.spec, gammas, 1)
+
+    @pytest.mark.parametrize("name", list(RESIDUAL_MATRICES))
+    def test_matches_the_relabeling_loop(self, name):
+        # the scatter of the cell map against the loop that writes U directly
+        mat, cutoff = RESIDUAL_MATRICES[name]
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        gammas = bisections_up_to(spec, int(cutoff))
+        for iso in residual_isometries(spec.n):
+            got = isometry_unitary(iso, spec, gammas, 1)
+            want = loop_isometry_unitary(iso, spec, gammas, 1)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_refusals_match_the_relabeling_loop(self, fib_pf, full2_pf):
+        swap = ClassicalIsometry(
+            phases=(1.0 + 0.0j,) * 2, perm=swap_permutation(2, 1, 2)
+        )
+        short = ClassicalIsometry(phases=(1.0 + 0.0j,), perm=GraphAutomorphism((1,)))
+        gamma = BisectionIndex((), (1,))
+        cases = [
+            (NotClosed, swap, full2_pf.spec, [gamma]),
+            (ValueError, short, fib_pf.spec, bisections_up_to(fib_pf.spec, 2)),
+            (ValueError, identity_iso(2), fib_pf.spec, [gamma, gamma]),
+            (ValueError, identity_iso(2), fib_pf.spec, [BisectionIndex((2,), (2,))]),
+        ]
+        for error, iso, spec, gammas in cases:
+            raised = []
+            for build in (isometry_unitary, loop_isometry_unitary):
+                with pytest.raises(error) as info:
+                    build(iso, spec, gammas, 1)
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1] and raised[0][0] is error
+
     def test_truncation_rows_follow_the_list(self, fib_pf):
         gammas = [BisectionIndex((1,), (2,)), BisectionIndex((), (1,))]
         trunc = truncation_basis(fib_pf.spec, gammas, 1)
@@ -438,16 +495,56 @@ class TestCommutationResidual:
 
     @pytest.mark.parametrize("name", list(RESIDUAL_MATRICES))
     def test_matches_the_dense_norm(self, name):
-        # six relabelings each, automorphisms or not, and three phase vectors
         mat, cutoff = RESIDUAL_MATRICES[name]
         pf = sl.perron_frobenius(sl.AdjacencySpec.from_matrix(mat))
-        n = pf.spec.n
-        for perm in itertools.islice(itertools.permutations(range(1, n + 1)), 6):
-            for z in sample_phase_vectors(n)[:3]:
-                iso = ClassicalIsometry(phases=z, perm=GraphAutomorphism(perm))
-                got = sl.commutation_residual(iso, pf, cutoff)
-                want = dense_commutation_residual(iso, pf, cutoff)
-                assert abs(got - want) <= 1e-12 * max(1.0, want)
+        for iso in residual_isometries(pf.spec.n):
+            got = sl.commutation_residual(iso, pf, cutoff)
+            want = dense_commutation_residual(iso, pf, cutoff)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    def test_forms_no_cells_by_cells_matrix(self, full3_pf):
+        # 4,005 cells at cutoff 5, where a dense U alone takes 257 MB: each
+        # block V is read off the cell map, so the traced peak stays small
+        z = cmath.exp(2j * math.pi / 7)
+        iso = ClassicalIsometry(
+            phases=(z, z**2, z**3), perm=swap_permutation(3, 1, 2)
+        )
+        tracemalloc.start()
+        try:
+            assert sl.commutation_residual(iso, full3_pf, 5.0) <= 1e-9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "mat, cutoff",
+        [
+            (UNKNOWN_EXHIBIT, 5.0),
+            (wielandt(4), 6.0),
+            (random_primitive(5, seed=20261018), 5.0),
+        ],
+        ids=["unknown", "wielandt4", "seeded5"],
+    )
+    def test_invariant_under_renaming_the_letters(self, mat, cutoff):
+        # (z, pi) on A and (z o sigma^-1, sigma pi sigma^-1) on sigma A
+        # sigma^-1 are one operator with its cells listed in other orders
+        n, rng = len(mat), random.Random(20261018)
+        pf = sl.perron_frobenius(sl.AdjacencySpec.from_matrix(mat))
+        for _ in range(4):
+            sigma, pi = rng.sample(range(n), n), rng.sample(range(n), n)
+            inv = [sigma.index(k) for k in range(n)]
+            z = [cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
+            renamed = [[mat[inv[i]][inv[j]] for j in range(n)] for i in range(n)]
+            iso = ClassicalIsometry(tuple(z), GraphAutomorphism(tuple(p + 1 for p in pi)))
+            twin = ClassicalIsometry(
+                tuple(z[inv[k]] for k in range(n)),
+                GraphAutomorphism(tuple(sigma[pi[inv[k]]] + 1 for k in range(n))),
+            )
+            pf_renamed = sl.perron_frobenius(sl.AdjacencySpec.from_matrix(renamed))
+            want = sl.commutation_residual(iso, pf, cutoff)
+            got = sl.commutation_residual(twin, pf_renamed, cutoff)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_full_3_shift_isometries_commute_at_cutoff_4(self, full3_pf):
         # the classical isometries of O_3 on 1,089 cells: read block by
