@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import shiftlab
 from shiftlab import AdjacencySpec, perron_frobenius
 from shiftlab.symmetry import GraphAutomorphism
 from oracles import least_positive_power
@@ -95,6 +102,65 @@ def random_primitive(n, seed):
     a[np.arange(n), (np.arange(n) + 1) % n] = 1
     a[0, 0] = 1
     return a.tolist()
+
+
+# The child reads its own peak RSS (VmHWM) and CPU time as it exits, so a
+# parent with numpy loaded measures it as well as a bare parent would:
+# Linux carries a parent's peak RSS into its child's ru_maxrss across fork
+# and exec, but not into the child's VmHWM.  The figures are the last line
+# of the child's stderr; the peak reads nan where there is no /proc.
+_MEASURED = """\
+import atexit, resource, sys
+def _measure():
+    try:
+        peak = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]
+    except OSError:
+        peak = 'nan'
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(peak, usage.ru_utime + usage.ru_stime, file=sys.stderr)
+atexit.register(_measure)
+"""
+# what `python -m shiftlab.cli` runs
+_CLI = (
+    "import runpy\n"
+    "runpy.run_module('shiftlab.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+NEEDS_VMHWM = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="the child reads VmHWM"
+)
+
+
+@dataclass(frozen=True)
+class ChildRun:
+    returncode: int
+    stdout: str
+    stderr: str  # without the figures' line
+    peak_mib: float  # the child's VmHWM
+    cpu_s: float  # the child's user + system time
+
+
+def run_child(call, cap=None, cwd=None) -> ChildRun:
+    """Run `python -m shiftlab.cli *call` when ``call`` is a list of
+    arguments, or the Python snippet ``call`` when it is a string, in a
+    fresh interpreter on this checkout's shiftlab: under the default
+    ARIADNE_CAP, or under ``cap`` when one is given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+    env.pop("ARIADNE_CAP", None)
+    if cap is not None:
+        env["ARIADNE_CAP"] = str(cap)
+    script, argv = (call, []) if isinstance(call, str) else (_CLI, list(call))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED + script, *argv],
+        capture_output=True, env=env, cwd=cwd, text=True, timeout=300,
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    figures = lines.pop().split() if lines else []
+    assert len(figures) == 2, f"no figures, exit {proc.returncode}: {proc.stderr}"
+    return ChildRun(
+        proc.returncode, proc.stdout, "".join(lines),
+        float(figures[0]) / 1024, float(figures[1]),
+    )
 
 
 def sample_phase_vectors(n):

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -22,7 +21,9 @@ import shiftlab
 import shiftlab.cli
 from shiftlab import AdjacencySpec, perron_frobenius, t_a_analysis
 from shiftlab.cli import ROW_CHUNK, _COMMANDS, _emit, build_parser, main, round15
-from conftest import FIBONACCI, PARSER_ARGV, UNKNOWN_EXHIBIT, random_primitive
+from conftest import (
+    FIBONACCI, NEEDS_VMHWM, PARSER_ARGV, UNKNOWN_EXHIBIT, random_primitive, run_child,
+)
 from oracles import reference_report_text
 
 
@@ -169,6 +170,22 @@ class TestDispatch:
         assert code == 0
         assert rep["results"]["relation_defect"] <= 1e-9
 
+    def test_repmodel_qls(self, capsys):
+        code, rep = run_json(
+            capsys, "repmodel", "--model", "qls", "--size", "4", "--ell", "1",
+            "--seed", "0",
+        )
+        assert code == 0
+        res = rep["results"]
+        norms = res.pop("normality_norms")
+        assert len(norms) == 4 * 3 * 2
+        assert res.pop("max_normality_norm") == max(norms.values()) > 0
+        assert res.pop("relation_defect") <= 1e-9
+        assert res.pop("unitarity_defect") <= 1e-9
+        assert res == {
+            "model": "qls", "grid_size": 4, "leg_dimension": 4, "words_checked": 16,
+        }
+
 
 class TestErrorPaths:
     def test_parse_error_exit_two(self, tmp_path, capsys):
@@ -184,6 +201,18 @@ class TestErrorPaths:
         path = tmp_path / "per.json"
         path.write_text(json.dumps({"n": 2, "a": [[0, 1], [1, 0]]}))
         assert main(["pf", "--input", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [([[1]], "alphabet size must be >= 2, got 1"),
+         ([[1, 0], [1, 0]], "column 2 has no incoming edge")],
+        ids=["one-letter", "zero-column"],
+    )
+    def test_bad_shape_exit_three(self, tmp_path, capsys, a, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": len(a), "a": a}))
+        assert main(["pf", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"shiftlab: not primitive: {message}\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -209,6 +238,11 @@ class TestErrorPaths:
             ),
             ('{"n": 2, "a": [[1, 1], [2, 0]]}', "entry 2 in row 2 is not 0 or 1"),
             ('{"n": 2, "a": [[1, -1], [1, 0]]}', "entry -1 in row 1 is not 0 or 1"),
+            ('{"n": 2, "a": 5}', "a must be a list of rows"),
+            (
+                '{"n": 3, "a": [[1, 1, 1], [1, 1, 1]]}',
+                "matrix has 2 rows, expected n=3",
+            ),
         ],
         ids=[
             "float-entry",
@@ -220,6 +254,8 @@ class TestErrorPaths:
             "first-of-two-entries",
             "two-entry",
             "negative-entry",
+            "a-not-a-list",
+            "row-count",
         ],
     )
     def test_schema_violation_exit_two(self, tmp_path, capsys, text, message):
@@ -745,30 +781,20 @@ class TestWriter:
         assert time.perf_counter() - start < 1.5
         assert out.stat().st_size > 40_000_000
 
-    @pytest.mark.skipif(
-        not Path("/proc/self/status").exists(), reason="peak read from VmHWM"
-    )
+    @NEEDS_VMHWM
     def test_full3_t_a_streams_in_bounded_memory(self, tmp_path, full3_file):
         # 9! permutations, 42 MB of text: about 450 MiB when built as one string
-        child = (
+        out, piped = tmp_path / "t-a.json", tmp_path / "stdout.json"
+        argv = ["t-a", "--input", full3_file]
+        run = run_child(
             "import sys\n"
             "from shiftlab.cli import main\n"
-            "codes = [main(sys.argv[1:]), main(sys.argv[1:4])]\n"
-            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
-            "print(*codes, int(status.split()[0]), file=sys.stderr)\n"
+            f"sys.exit(main({argv + ['--output', str(out)]!r}) or main({argv!r}))\n"
         )
-        out, piped = tmp_path / "t-a.json", tmp_path / "stdout.json"
-        env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
-        with open(piped, "wb") as fh:
-            proc = subprocess.run(
-                [sys.executable, "-c", child, "t-a", "--input", full3_file,
-                 "--output", str(out)],
-                stdout=fh, stderr=subprocess.PIPE, env=env, check=True, text=True,
-            )
-        codes_and_peak = [int(x) for x in proc.stderr.split()]
-        assert codes_and_peak[:2] == [0, 0]
-        assert codes_and_peak[2] < 200 * 1024
+        assert run.returncode == 0, run.stderr
+        assert run.peak_mib < 200
         assert out.stat().st_size > 40_000_000
+        piped.write_text(run.stdout)
         assert _digest_without_wall_time(out) == _digest_without_wall_time(piped)
 
 
@@ -777,12 +803,6 @@ def test_cli_runs_never_import_numpy_ma(tmp_path, fib_file, full3_file):
     # first use, about 15 ms of every process that reaches one
     rand64 = tmp_path / "rand64.json"
     rand64.write_text(json.dumps({"n": 64, "a": random_primitive(64, seed=64)}))
-    child = (
-        "import sys\n"
-        "from shiftlab.cli import main\n"
-        "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
     out = str(tmp_path / "report.json")
     for argv in (
         ["report", "--input", fib_file],
@@ -790,52 +810,109 @@ def test_cli_runs_never_import_numpy_ma(tmp_path, fib_file, full3_file):
         ["ergodicity", "--input", str(rand64)],
         ["repmodel"],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", child, *argv, "--output", out],
-            capture_output=True, env=env, check=True, text=True,
+        run = run_child(
+            "import sys\n"
+            "from shiftlab.cli import main\n"
+            f"print(main({argv + ['--output', out]!r}), 'numpy.ma' in sys.modules)\n"
         )
-        assert proc.stdout.split() == ["0", "False"], argv
+        assert run.stdout.split() == ["0", "False"], (argv, run.stderr)
 
 
-@pytest.mark.skipif(
-    not Path("/proc/self/status").exists(), reason="peak read from VmHWM"
-)
-def test_fibonacci_spectrum_at_cutoff_120_in_bounded_memory(tmp_path, fib_file):
+SEEDED = 20261018
+COMPLETE8 = [[int(i != j) for j in range(8)] for i in range(8)]
+
+# Every memory and CPU bound on a whole run, one row each: the input
+# matrix (written to in.json), the call (CLI arguments, or a library
+# snippet), ARIADNE_CAP (None: the default), the exit code, what the
+# outcome reads (from the run and the results of out.json) and must equal,
+# and the bounds on the child's peak RSS in MiB and its CPU time in s.
+# A row with a peak bound needs the child's VmHWM.
+GATES = [
+    # 23,580 level-3 words, whose m x m pair array alone would be 556 MB;
+    # the verdict is a search over words
+    pytest.param(
+        random_primitive(128, seed=SEEDED),
+        ["ergodicity", "--input", "in.json", "--level", "3", "--output", "out.json"],
+        None, 0,
+        lambda run, res: (res["verdict"], len(res["witness"])), ("NonErgodic", 1),
+        150, None,
+        marks=NEEDS_VMHWM, id="ergodicity-level3-seeded128",
+    ),
+    # 134,456 level-6 words in orbits of up to 20,160 under S_8: soundness
+    # is read on an 8 x 8 letter mask, not on the sum of |orbit|^2 word pairs
+    pytest.param(
+        COMPLETE8,
+        ["ergodicity", "--input", "in.json", "--level", "6", "--output", "out.json"],
+        None, 0,
+        lambda run, res: res["verdict"], "Unknown",
+        150, 10,
+        marks=NEEDS_VMHWM, id="ergodicity-level6-complete8",
+    ),
+    # the walk passes the cap; the cap is checked as each level is built,
+    # so no level past it is held (475 MiB when each level was counted only
+    # once built whole)
+    pytest.param(
+        random_primitive(16, seed=SEEDED),
+        ["spectrum", "--input", "in.json", "--cutoff", "5.0"],
+        None, 4,
+        lambda run, res: run.stderr,
+        "shiftlab: enumeration overflow: spectrum walk exceeds cap 1000000\n",
+        400, None,
+        marks=NEEDS_VMHWM, id="spectrum-cutoff5-seeded16",
+    ),
+    # 14,211 cells for the swap of letters 1 and 2 with the phase z^i on
+    # letter i: an automorphism, so the residual is rounding only.  Each
+    # block is read off the cell map; a dense cells x cells U alone would
+    # be 3.2 GB
+    pytest.param(
+        None,
+        "import cmath\n"
+        "import shiftlab as sl\n"
+        "from shiftlab.symmetry import ClassicalIsometry, GraphAutomorphism\n"
+        "pf = sl.perron_frobenius(sl.AdjacencySpec.full_shift(3))\n"
+        "z = cmath.exp(2j * cmath.pi / 7)\n"
+        "iso = ClassicalIsometry((z, z**2, z**3), GraphAutomorphism((2, 1, 3)))\n"
+        "print(sl.commutation_residual(iso, pf, 6.0))\n",
+        None, 0,
+        lambda run, res: float(run.stdout) <= 1e-9, True,
+        100, None,
+        marks=NEEDS_VMHWM, id="residual-full3-cutoff6",
+    ),
     # 2,379,783 (value, multiplicity) pairs for 83,991 distinct values:
     # about 416 MiB when every pair was held and sorted
-    child = (
-        "import sys\n"
-        "from shiftlab.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
-        "print(code, int(status.split()[0]), file=sys.stderr)\n"
-    )
-    out = tmp_path / "spectrum.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "spectrum", "--cutoff", "120",
-         "--input", fib_file, "--output", str(out)],
-        capture_output=True, env=env, check=True, text=True,
-    )
-    code, peak = (int(x) for x in proc.stderr.split())
-    assert code == 0
-    assert peak < 150 * 1024
-    assert len(json.loads(out.read_text())["results"]["eigenvalues"]) == 29862
-
-
-def test_fibonacci_spectrum_over_the_cap_fails_fast(fib_file):
+    pytest.param(
+        FIBONACCI,
+        ["spectrum", "--cutoff", "120", "--input", "in.json", "--output", "out.json"],
+        None, 0,
+        lambda run, res: len(res["eigenvalues"]), 29862,
+        150, None,
+        marks=NEEDS_VMHWM, id="spectrum-cutoff120-fibonacci",
+    ),
     # the walk passes the cap long before cutoff 1000, and no index is
     # counted before the walks end
-    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]),
-               ARIADNE_CAP="100000")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftlab.cli", "spectrum", "--cutoff", "1000",
-         "--input", fib_file],
-        capture_output=True, env=env, text=True, timeout=30,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    assert proc.returncode == 4
-    assert "spectrum walk exceeds cap 100000" in proc.stderr
-    assert cpu < 5
+    pytest.param(
+        FIBONACCI,
+        ["spectrum", "--cutoff", "1000", "--input", "in.json"],
+        100_000, 4,
+        lambda run, res: "spectrum walk exceeds cap 100000" in run.stderr, True,
+        None, 5,
+        id="spectrum-cutoff1000-fibonacci-over-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix, call, cap, code, outcome, expected, peak_mib, cpu_s", GATES
+)
+def test_run_within_its_bounds(
+    tmp_path, matrix, call, cap, code, outcome, expected, peak_mib, cpu_s
+):
+    if matrix is not None:
+        (tmp_path / "in.json").write_text(json.dumps({"n": len(matrix), "a": matrix}))
+    run = run_child(call, cap, cwd=tmp_path)
+    assert run.returncode == code, run.stderr
+    out = tmp_path / "out.json"
+    results = json.loads(out.read_text())["results"] if out.exists() else None
+    assert outcome(run, results) == expected
+    assert peak_mib is None or run.peak_mib < peak_mib
+    assert cpu_s is None or run.cpu_s < cpu_s

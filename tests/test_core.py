@@ -19,6 +19,7 @@ from shiftlab.errors import (
     NotAdmissible,
     NotPrimitive,
     NotZeroOne,
+    ParseError,
 )
 from conftest import irreducible_matrices, primitive_matrices, random_primitive, wielandt
 from oracles import (
@@ -73,6 +74,35 @@ class TestValidatePrimitive:
     def test_empty_row_rejected(self):
         with pytest.raises(NotPrimitive):
             AdjacencySpec.from_matrix([[0, 0], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "n, a, error, message",
+        [
+            (1, ((1,),), NotPrimitive, "alphabet size must be >= 2, got 1"),
+            (2, ((1, 1),), NotZeroOne, "matrix must be 2x2"),
+            (2, ((1, 1), (1,)), NotZeroOne, "matrix must be 2x2"),
+            (2, ((1, 0), (1, 0)), NotPrimitive, "column 2 has no incoming edge"),
+        ],
+        ids=["one-letter", "row-count", "row-length", "zero-column"],
+    )
+    def test_constructor_refuses_bad_shapes(self, n, a, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            AdjacencySpec(n=n, a=a)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 2, "a": 5}', "a must be a list of rows"),
+            (
+                '{"n": 3, "a": [[1, 1, 1], [1, 1, 1]]}',
+                "matrix has 2 rows, expected n=3",
+            ),
+        ],
+        ids=["a-not-a-list", "row-count"],
+    )
+    def test_from_json_refuses_bad_shapes(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            AdjacencySpec.from_json(text)
 
     @seed(20261018)
     @settings(max_examples=200, deadline=None)
