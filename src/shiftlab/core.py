@@ -19,7 +19,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -236,7 +236,12 @@ class PerronFrobeniusData:
     def _tails(self) -> tuple[float, ...]:
         """sum_j A[i, j] u_j per letter (index letter - 1), summed in order."""
         u = list(map(float, self.u))
-        return tuple(sum(aij * uj for aij, uj in zip(row, u)) for row in self.spec.a)
+        return tuple(_dot(row, u) for row in self.spec.a)
+
+
+def _dot(k: tuple[int, ...], u: list[float]) -> float:
+    """sum_i k_i u_i added left to right (``sum()`` is compensated from 3.12)."""
+    return reduce(operator.add, map(operator.mul, k, u), 0)
 
 
 def _null_vector(m: np.ndarray) -> np.ndarray:

@@ -78,10 +78,8 @@ def enumerate_bisections(
     spec: AdjacencySpec, r_len: int, s_len: int
 ) -> list[BisectionIndex]:
     """All indices with the given word lengths, lexicographically sorted."""
-    if r_len < 0 or s_len < 1:
-        raise ValueError("need r_len >= 0 and s_len >= 1")
     limit = word_cap()
-    if count_bisections(spec, r_len, s_len) > limit:
+    if count_bisections(spec, r_len, s_len) > limit:  # refuses bad lengths
         raise LengthOverflow(
             f"bisection count at ({r_len}, {s_len}) exceeds cap {limit}"
         )

@@ -19,8 +19,7 @@ resulting graphs decides ergodicity of the level-k action.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,69 +154,38 @@ def _pf_codes(pf: PerronFrobeniusData, use_pf_rule: bool) -> np.ndarray:
     return codes
 
 
-def _constraint_arrays(
-    spec: AdjacencySpec, kept: np.ndarray
-) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
-    """The equations of ``build_constraints`` as index arrays, with only the
-    variables where ``kept`` is True.
-
-    Returns ``(sides, rhs_const)``: ``sides`` holds, for the left and then
-    the right side, the variable of every occurrence and the index of its
-    equation, ordered by equation and then by position; ``rhs_const`` is
-    each equation's right constant (every left constant is 0).
-    """
-    n = spec.n
-    a = spec.matrix.astype(bool)
-    grids = np.arange(2 * n * n).reshape(2, n, n)  # the ids of p, then of q
-    kept_p, kept_q = kept.reshape(2, n, n)
-    # magic lines of p, then of q, rows before columns: each sums to 1
-    lines = np.stack([grids, grids.transpose(0, 2, 1)], axis=1).reshape(4 * n, n)
-    on_line = kept[lines]
-    # equation 4n + i n + k: (A p)[i][k] sums p[j][k] over successors j of
-    # i, (q A)[i][k] sums q[i][j] over predecessors j of k
-    ik, k, j = _cube_entries(np.bitwise_and(a[:, None, :], kept_p.T, order="C"))
-    lhs = (
-        np.concatenate([lines[on_line], j * n + k]),
-        np.concatenate([np.flatnonzero(on_line) // n, 4 * n + ik]),
-    )
-    ik, k, j = _cube_entries(np.bitwise_and(a.T, kept_q[:, None, :], order="C"))
-    rhs = (n * n + ik - k + j, 4 * n + ik)
-    rhs_const = (np.arange(4 * n + n * n) < 4 * n).astype(np.intp)
-    return (lhs, rhs), rhs_const
-
-
-def _cube_entries(cube: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(i n + k, k, j) of the true entries, in order, of an (n, n, n) bool
-    array indexed (i, k, j), in C order so that np.flatnonzero needs no copy."""
-    n = len(cube)
-    flat = np.flatnonzero(cube)
-    ik = flat // n  # floor division by hand: % on int64 is several times slower
-    return ik, ik - ik // n * n, flat - ik * n
-
-
-def _split(
-    var: np.ndarray, eq: np.ndarray, ids: np.ndarray
-) -> list[tuple[int, ...]]:
-    """The variables of each equation in ``ids``, from occurrence arrays
-    ordered by equation."""
-    values = tuple(var.tolist())
-    starts = np.searchsorted(eq, ids).tolist()
-    ends = np.searchsorted(eq, ids, side="right").tolist()
-    return [values[s:e] for s, e in zip(starts, ends)]
-
-
 def _live_equations(spec: AdjacencySpec, kept: np.ndarray) -> list[tuple]:
     """The equations of ``build_constraints`` with only the variables where
     ``kept`` is True, as tuples in order, and only the live ones: those that
     keep a variable on either side, or whose constants differ (a clash keeps
-    its place in order).  With every variable kept, every equation lives."""
-    sides, rhs_const = _constraint_arrays(spec, kept)
-    live = rhs_const != 0
-    for _, eq in sides:
-        live[eq] = True
-    ids = np.flatnonzero(live)
-    lhs, rhs = (_split(var, eq, ids) for var, eq in sides)
-    return list(zip(lhs, itertools.repeat(0), rhs, rhs_const[ids].tolist()))
+    its place in order).  With every variable kept, every equation lives.
+
+    The 4n magic lines (constants 0 and 1) all live.  Equation 4n + i n + k,
+    (A p)[i][k] = (q A)[i][k], has constants 0 and lives when a kept p[j][k]
+    (j a successor of i) or q[i][j] (j a predecessor of k) reaches it: one
+    pass places each kept variable in its equations, keyed i n + k.  Kept
+    ids are visited in increasing order, so each side lists its variables by
+    increasing j, as the sums over j in A p and q A do."""
+    n, nn = spec.n, spec.n**2
+    # magic lines of p, then of q, rows before columns: each sums to 1
+    grids = np.arange(2 * nn).reshape(2, n, n)
+    lines = np.stack([grids, grids.transpose(0, 2, 1)], axis=1).reshape(4 * n, n)
+    on_line = kept[lines]
+    flat = tuple(lines[on_line].tolist())
+    ends = np.cumsum(on_line.sum(axis=1)).tolist()
+    equations = [(flat[s:e], 0, (), 1) for s, e in zip([0, *ends], ends)]
+    sides = defaultdict(lambda: ([], []))  # i n + k -> (left ids, right ids)
+    up = [[(i - 1 - j) * n for i in pre] for j, pre in enumerate(spec._predecessors)]
+    for v in np.flatnonzero(kept[:nn]).tolist():  # p[j][k]: key = v + (i - j) n
+        for d in up[v // n]:
+            sides[v + d][0].append(v)
+    down = [[k - 1 - j for k in succ] for j, succ in enumerate(spec._successors)]
+    for v in np.flatnonzero(kept[nn:]).tolist():  # q[i][j]: key = v + k - j
+        for d in down[v % n]:
+            sides[v + d][1].append(nn + v)
+    for lhs, rhs in map(sides.get, sorted(sides)):
+        equations.append((tuple(lhs), 0, tuple(rhs), 0))
+    return equations
 
 
 def build_constraints(

@@ -28,7 +28,6 @@ import math
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .core import (
     AdjacencySpec,
     PerronFrobeniusData,
     Word,
+    _dot,
     _frozen,
     _walk_words,
     conformal_measure,
@@ -321,7 +321,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
                     val = ahead.get(child)
                     if val is None:
                         counts = unpack(child.to_bytes(width, "little"))
-                        val = ahead[child] = top + slope * sum(map(mul, counts, u))
+                        val = ahead[child] = top + slope * _dot(counts, u)
                     if val + 1 <= bound:
                         key = (c, child)
                         nxt[key] = nxt.get(key, 0) + paths

@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 from collections import Counter
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -339,7 +341,8 @@ def loop_spectrum(pf, cutoff):
     max_len = int(math.floor(bound))
 
     def value(b, k):
-        return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u))
+        # left to right, as the walk adds: sum() is compensated from 3.12
+        return lam * u[b] + (lam - 1) * reduce(add, map(mul, k, u), 0)
 
     root = (0,) * n
     states = 0
@@ -406,7 +409,7 @@ def largest_child_count(pf, cutoff):
     for b in range(n):
 
         def kept(k):
-            return lam * u[b] + (lam - 1) * sum(kc * uc for kc, uc in zip(k, u)) + 1 <= bound
+            return lam * u[b] + (lam - 1) * reduce(add, map(mul, k, u), 0) + 1 <= bound
 
         level = {(b + 1, (0,) * n)} if kept((0,) * n) else set()
         while level:

@@ -838,6 +838,20 @@ GATES = [
         150, None,
         marks=NEEDS_VMHWM, id="ergodicity-level3-seeded128",
     ),
+    # the all-kept path: with the PF rule off nothing is pre-zeroed, so all
+    # 16,896 equations are built and swept, and every entry stays its own
+    # free class
+    pytest.param(
+        random_primitive(128, seed=SEEDED),
+        ["pattern", "--input", "in.json", "--no-pf-rule", "--output", "out.json"],
+        None, 0,
+        lambda run, res: (
+            res["diagnosis"], sum(row.count(".") for g in "pq" for row in res[g])
+        ),
+        ("Indeterminate", 32768),
+        None, 2,
+        id="pattern-no-pf-rule-seeded128",
+    ),
     # 134,456 level-6 words in orbits of up to 20,160 under S_8: soundness
     # is read on an 8 x 8 letter mask, not on the sum of |orbit|^2 word pairs
     pytest.param(

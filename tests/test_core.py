@@ -11,6 +11,7 @@ import shiftlab as sl
 from shiftlab.core import (
     EXPANSION_BASE,
     AdjacencySpec,
+    _dot,
     ending_counts,
     lexmin_extension,
 )
@@ -349,8 +350,26 @@ class TestKms:
         assert time.process_time() - start < 0.6
         u = [float(x) for x in pf.u]
         for w, value in zip(words[::97], values[::97]):
-            tail = sum(spec.a[w[-1] - 1][j] * u[j] for j in range(spec.n))
+            tail = 0
+            for j in range(spec.n):  # left to right, as the library adds
+                tail += spec.a[w[-1] - 1][j] * u[j]
             assert value == tail / pf.lambda_max**3  # the same sum, bit for bit
+
+    @seed(20261023)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.floats(0, 1)), min_size=1, max_size=64
+        )
+    )
+    def test_sums_added_left_to_right(self, terms):
+        # KMS tails and spectrum values decide report bytes; sum() of floats
+        # is compensated from Python 3.12 on, so it may differ in the last bit
+        total = 0
+        for k, u in terms:
+            total += k * u
+        counts, u = zip(*terms)
+        assert _dot(counts, list(u)).hex() == float(total).hex()
 
 
 class TestAhlfors:

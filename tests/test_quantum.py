@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 from unittest import mock
 
@@ -384,6 +385,18 @@ def _check_propagation(mat, pf_rule, draw_extra, draws=1):
     return system
 
 
+def _kept_equations(system, kept):
+    """``system``'s equations with only the variables where ``kept`` is
+    True, without the dead ones: no variable left and equal constants."""
+    out = []
+    for lhs, lc, rhs, rc in system.equations:
+        lhs = tuple(v for v in lhs if kept[v])
+        rhs = tuple(v for v in rhs if kept[v])
+        if lhs or rhs or lc != rc:
+            out.append((lhs, lc, rhs, rc))
+    return out
+
+
 class TestAgainstLoopReferences:
     """The array and settled-equation passes against the loops they replace."""
 
@@ -622,6 +635,31 @@ class TestAgainstLoopReferences:
         assert counts == [4 * n + (int(np.sum(mat)) if pf_rule else n * n)]
         assert pattern == sl.propagate(sl.build_constraints(spec, pf, pf_rule))
 
+    @seed(20261022)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=6), primitive_circulants(max_n=6)),
+        st.data(),
+    )
+    def test_live_equations_against_the_loops(self, mat, data):
+        # any mask, its p and q halves drawn apart, not only what the PF
+        # rule keeps: the same equations, in the same order, each side too
+        n = len(mat)
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        halves = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+        kept = np.array(data.draw(halves) + data.draw(halves))
+        system = loop_build_constraints(spec, None, use_pf_rule=False)
+        assert quantum._live_equations(spec, kept) == _kept_equations(system, kept)
+
+    @pytest.mark.parametrize("pf_rule", [True, False])
+    def test_live_equations_against_the_loops_at_scale(self, pf_rule):
+        # what the PF rule keeps (the 2n diagonal variables), and every one
+        spec = sl.AdjacencySpec.from_matrix(random_primitive(128, seed=20261018))
+        codes = quantum._pf_codes(sl.perron_frobenius(spec), pf_rule)
+        kept = codes != quantum._ZERO_VAR
+        system = loop_build_constraints(spec, None, use_pf_rule=False)
+        assert quantum._live_equations(spec, kept) == _kept_equations(system, kept)
+
     @pytest.mark.parametrize(
         "pre_zero, forced_ones, message",
         [
@@ -719,6 +757,95 @@ class TestAgainstLoopReferences:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _relabeled(mat, perm):
+    """σAσ⁻¹ for σ = ``perm``: letter i of A (0-based) is letter perm[i]."""
+    n = len(mat)
+    b = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        b[perm[i]][perm[j]] = mat[i][j]
+    return b
+
+
+def _swept_at_a_cells(mat, perm, pf_rule, extra=()):
+    """``_live_sweep`` on σAσ⁻¹ with, besides the PF rule's, the images of
+    the cells (grid, i, j) of A in ``extra`` pre-zeroed; read back at A's
+    cells: each cell's kind and the free classes as a partition of cells,
+    since class letters are named by first appearance.  Inconsistent when
+    the sweep raises it."""
+    n = len(mat)
+    spec = sl.AdjacencySpec.from_matrix(_relabeled(mat, perm))
+    pf_codes = quantum._pf_codes
+
+    def with_extra(pf, use_pf_rule):
+        codes = pf_codes(pf, use_pf_rule)
+        for g, i, j in extra:
+            codes[g * n * n + perm[i] * n + perm[j]] = quantum._ZERO_VAR
+        return codes
+
+    with mock.patch.object(quantum, "_pf_codes", with_extra):
+        try:
+            pattern = quantum._live_sweep(spec, sl.perron_frobenius(spec), pf_rule)[0]
+        except Inconsistent:
+            return Inconsistent
+    kinds, classes = {}, defaultdict(set)
+    for g, grid in enumerate((pattern.p, pattern.q)):
+        for i, j in itertools.product(range(n), repeat=2):
+            cell = grid[perm[i]][perm[j]]
+            kinds[g, i, j] = cell.kind
+            if cell.kind == FREE:
+                classes[cell.class_id].add((g, i, j))
+    return kinds, set(map(frozenset, classes.values()))
+
+
+def _verdicts(mat, perm):
+    spec = sl.AdjacencySpec.from_matrix(_relabeled(mat, perm))
+    pf = sl.perron_frobenius(spec)
+    return [sl.ergodicity_verdict(spec, pf, k).verdict for k in (1, 2)]
+
+
+class TestRelabeling:
+    """Propagation on σAσ⁻¹ is propagation on A with its letters renamed
+    by σ.  The witness of a verdict is the first word's component, and the
+    first contradiction found hangs on the order of the equations, so
+    neither is compared: with extra zeros, the relabeled sweep raised a
+    different Inconsistent message in about one of eleven such systems."""
+
+    @seed(20261024)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(primitive_matrices(max_n=7), primitive_circulants(max_n=7)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_sweep_and_verdicts(self, mat, pf_rule, data):
+        n = len(mat)
+        perm = data.draw(st.permutations(range(n)))
+        same = list(range(n))
+        assert _swept_at_a_cells(mat, perm, pf_rule) == _swept_at_a_cells(
+            mat, same, pf_rule
+        )
+        assert _verdicts(mat, perm) == _verdicts(mat, same)
+        # a few more zeros: some of these systems are contradictory
+        letter = st.integers(0, n - 1)
+        cell = st.tuples(st.integers(0, 1), letter, letter)
+        extra = data.draw(st.lists(cell, min_size=1, max_size=3))
+        assert _swept_at_a_cells(mat, perm, pf_rule, extra) == _swept_at_a_cells(
+            mat, same, pf_rule, extra
+        )
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("pf_rule", [True, False])
+    def test_seeded_graphs(self, n, pf_rule):
+        mat = random_primitive(n, seed=20261018)
+        perm = random.Random(n).sample(range(n), n)
+        same = list(range(n))
+        assert _swept_at_a_cells(mat, perm, pf_rule) == _swept_at_a_cells(
+            mat, same, pf_rule
+        )
+        if pf_rule:
+            assert _verdicts(mat, perm) == _verdicts(mat, same)
 
 
 class TestTAAnalysis:
