@@ -230,7 +230,9 @@ def propagate(system: ConstraintSystem) -> PatternMatrix:
       * m x_a - m x_b = d merges the two classes when d = 0, and forces a
         (One, Zero) split when d = ±m;
       * no class and d != 0 is a contradiction.
-    The result does not depend on the order of ``system.equations``.
+    The fixed point does not depend on the order of ``system.equations``,
+    and neither does whether a contradiction is met; which contradiction
+    ``Inconsistent`` names does, since the sweep stops at the first one.
 
     A pre-zeroed variable is never merged or reassigned (only free classes
     are) and adds nothing to a tally, so it is dropped from every equation

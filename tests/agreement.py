@@ -7,9 +7,9 @@
 `run` sends every case of the corpus through ``shiftlab.cli.main`` in this
 one process, each under an alarm of ``ALARM_S`` seconds, and writes per
 case the exit code (argparse's ``SystemExit`` code included), stderr, the
-sha256 of stdout, the sha256 of the report (cut at ``"wall_time_ms"``) and
-the sha256 of the CSV, if one was written.  Help and usage text wrap at
-``COLUMNS``, which `run` fixes at 80.
+sha256 of stdout, the sha256 of the report (cut by
+``conftest.cut_wall_time``) and the sha256 of the CSV, if one was written.
+Help and usage text wrap at ``COLUMNS``, which `run` fixes at 80.
 `compare` prints every case whose record differs between the two files
 and exits 1 if any does.  A case the first (reference) side did not finish
 is named and not compared.  The optional list names the differences a
@@ -131,12 +131,14 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool]]:
 
 
 def _digest(path: Path, cut: bool = False) -> str | None:
+    from conftest import cut_wall_time
+
     if not path.exists():
         return None
     text = path.read_text()
     path.unlink()
     if cut:
-        text = text[: text.rfind('"wall_time_ms"')]
+        text = cut_wall_time(text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -63,6 +63,12 @@ PARSER_ARGV = [
 ]
 
 
+def cut_wall_time(text):
+    """A report's text up to its run-varying tail, which starts at the last
+    ``"wall_time_ms"``: the bytes two runs of one call must share."""
+    return text[: text.rfind('"wall_time_ms"')]
+
+
 @st.composite
 def irreducible_matrices(draw, max_n=12):
     """Random 0/1 matrices over a random n-cycle (irreducible), n = 2..max_n."""

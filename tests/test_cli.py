@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from hypothesis import strategies as st
 
 import shiftlab
 import shiftlab.cli
-from shiftlab import AdjacencySpec, perron_frobenius, t_a_analysis
-from shiftlab.cli import ROW_CHUNK, _COMMANDS, _emit, build_parser, main, round15
+from shiftlab import AdjacencySpec, enumerate_words, perron_frobenius, t_a_analysis
+from shiftlab.cli import (
+    ROW_CHUNK, _COMMANDS, _emit, _word_str, build_parser, main, round15,
+)
 from conftest import (
-    FIBONACCI, NEEDS_VMHWM, PARSER_ARGV, UNKNOWN_EXHIBIT, random_primitive, run_child,
+    FIBONACCI, NEEDS_VMHWM, PARSER_ARGV, UNKNOWN_EXHIBIT, cut_wall_time, primitive_matrices,
+    random_primitive, run_child, wielandt,
 )
 from oracles import reference_report_text
 
@@ -592,14 +596,8 @@ class TestReportBundle:
         out2 = tmp_path / "b.json"
         assert main(["report", "--input", fib_file, "--output", str(out1)]) == 0
         assert main(["report", "--input", fib_file, "--output", str(out2)]) == 0
-        rep1 = json.loads(out1.read_text())
-        rep2 = json.loads(out2.read_text())
-        rep1.pop("wall_time_ms")
-        rep2.pop("wall_time_ms")
         # byte-identical apart from the timing field
-        assert json.dumps(rep1, sort_keys=True) == json.dumps(
-            rep2, sort_keys=True
-        )
+        assert cut_wall_time(out1.read_text()) == cut_wall_time(out2.read_text())
 
 
 class TestFormatting:
@@ -711,13 +709,8 @@ _VALUES = st.recursive(
 )
 
 
-def _digest_without_wall_time(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.startswith(b'  "wall_time_ms": '):
-                digest.update(line)
-    return digest.hexdigest()
+def _digest_without_wall_time(text):
+    return hashlib.sha256(cut_wall_time(text).encode()).hexdigest()
 
 
 class TestWriter:
@@ -773,18 +766,51 @@ class TestWriter:
         assert out.stat().st_size > 40_000_000
 
     def test_full3_t_a_writes_in_bounded_time(self, tmp_path, full3_file, monkeypatch):
-        # 9! rows of 9 letters: listed and written from one integer array
+        # 9! rows of 9 letters: listed and written from one integer array;
+        # the list is the one whose digest perfbench/refs.json stores
+        # (integers only, so no numpy version moves it), and the text is
+        # json.dumps's
         monkeypatch.delenv("ARIADNE_CAP", raising=False)
         out = tmp_path / "t-a.json"
         start = time.perf_counter()
         assert main(["t-a", "--input", full3_file, "--output", str(out)]) == 0
         assert time.perf_counter() - start < 1.5
         assert out.stat().st_size > 40_000_000
+        text = out.read_text()
+        report = json.loads(text)
+        perms = json.dumps(report["results"]["permutations"], separators=(",", ":"))
+        refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
+        want = refs["report:full3"]["t-a"]["permutations"]["__sha256__"]
+        assert hashlib.sha256(perms.encode()).hexdigest() == want
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    # every float leaf and float row a report holds: pf's eigenvectors and
+    # stochastic matrix, repmodel's normality norms, measures' cylinder
+    # rows and spectrum's eigenvalue dicts
+    @pytest.mark.parametrize(
+        "argv, matrix",
+        [
+            (["pf"], wielandt(24)),
+            (["measures", "--depth", "3"], wielandt(24)),
+            (["repmodel", "--model", "classical", "--size", "6", "--ell", "1"], None),
+            (["spectrum", "--cutoff", "4"], FIBONACCI),
+        ],
+        ids=["pf-wielandt24", "measures-wielandt24", "repmodel-classical6", "spectrum-fib"],
+    )
+    def test_cli_reports_are_json_dumps_text(self, tmp_path, argv, matrix):
+        if matrix is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps({"n": len(matrix), "a": matrix}))
+            argv = argv + ["--input", str(path)]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     @NEEDS_VMHWM
     def test_full3_t_a_streams_in_bounded_memory(self, tmp_path, full3_file):
         # 9! permutations, 42 MB of text: about 450 MiB when built as one string
-        out, piped = tmp_path / "t-a.json", tmp_path / "stdout.json"
+        out = tmp_path / "t-a.json"
         argv = ["t-a", "--input", full3_file]
         run = run_child(
             "import sys\n"
@@ -794,8 +820,7 @@ class TestWriter:
         assert run.returncode == 0, run.stderr
         assert run.peak_mib < 200
         assert out.stat().st_size > 40_000_000
-        piped.write_text(run.stdout)
-        assert _digest_without_wall_time(out) == _digest_without_wall_time(piped)
+        assert _digest_without_wall_time(out.read_text()) == _digest_without_wall_time(run.stdout)
 
 
 def test_cli_runs_never_import_numpy_ma(tmp_path, fib_file, full3_file):
@@ -893,14 +918,36 @@ GATES = [
         marks=NEEDS_VMHWM, id="residual-full3-cutoff6",
     ),
     # 2,379,783 (value, multiplicity) pairs for 83,991 distinct values:
-    # about 416 MiB when every pair was held and sorted
+    # about 416 MiB and 5 s of CPU when every pair was held and sorted
     pytest.param(
         FIBONACCI,
         ["spectrum", "--cutoff", "120", "--input", "in.json", "--output", "out.json"],
         None, 0,
         lambda run, res: len(res["eigenvalues"]), 29862,
-        150, None,
+        150, 3,
         marks=NEEDS_VMHWM, id="spectrum-cutoff120-fibonacci",
+    ),
+    # 20 walks over a 20-letter alphabet, counts past 2^59 at value 3
+    pytest.param(
+        wielandt(20),
+        ["spectrum", "--cutoff", "3", "--input", "in.json", "--output", "out.json"],
+        None, 0,
+        lambda run, res: (len(res["eigenvalues"]), res["counting_function"]["3"]),
+        (1899, 706902165977799748),
+        None, 10,
+        id="spectrum-cutoff3-wielandt20",
+    ),
+    # the group search on the full 16-shift's t-a matrix: 256 letters, all
+    # twins, so its order is 256! and the listing refuses it
+    pytest.param(
+        [[1] * 16] * 16,
+        ["t-a", "--input", "in.json"],
+        None, 4,
+        lambda run, res: run.stderr,
+        "shiftlab: enumeration overflow: "
+        f"group of order {math.factorial(256)} exceeds cap 1000000\n",
+        None, 5,
+        id="t-a-full16-over-cap",
     ),
     # the walk passes the cap long before cutoff 1000, and no index is
     # counted before the walks end
@@ -930,3 +977,174 @@ def test_run_within_its_bounds(
     assert outcome(run, results) == expected
     assert peak_mib is None or run.peak_mib < peak_mib
     assert cpu_s is None or run.cpu_s < cpu_s
+
+
+def _relabeled(a, s):
+    """σAσ⁻¹ for the permutation s of range(n): letter i + 1 of a is letter
+    s[i] + 1 of the result.  Rows may be strings, as pattern grids are."""
+    b = [[0] * len(a) for _ in a]
+    for i, row in enumerate(a):
+        for j, entry in enumerate(row):
+            b[s[i]][s[j]] = entry
+    return b
+
+
+def _cli_results(argv, matrix):
+    """The exit code, stderr and results (None unless the exit is 0) of one
+    cli.main call on the matrix, under ARIADNE_CAP=20000."""
+    err, out = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps({"n": len(matrix), "a": matrix}))
+        with mock.patch.dict(os.environ, {"ARIADNE_CAP": "20000"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", str(path)])
+    return code, err.getvalue(), json.loads(out.getvalue())["results"] if code == 0 else None
+
+
+def _words_by_spelling(matrix, m):
+    """The words of length m of the matrix, keyed by their report spelling;
+    the spellings are checked to be distinct, which holds for n <= 9."""
+    words = enumerate_words(AdjacencySpec.from_matrix(matrix), m)
+    spelled = {_word_str(w): w for w in words}
+    assert len(spelled) == len(words)
+    return spelled
+
+
+def _same_pf(ra, rb, a, b, s):
+    assert abs(rb["lambda_max"] - ra["lambda_max"]) <= 1e-12
+    assert rb["primitivity_exponent"] == ra["primitivity_exponent"]
+    for key in ("u", "v", "p_stat"):
+        np.testing.assert_allclose(np.asarray(rb[key])[s], ra[key], rtol=0, atol=1e-9)
+    stochastic = np.asarray(rb["stochastic"])[np.ix_(s, s)]
+    np.testing.assert_allclose(stochastic, ra["stochastic"], rtol=0, atol=1e-9)
+
+
+def _same_group(ra, rb, a, b, s):
+    assert rb["order"] == ra["order"]
+    conjugates = set()
+    for g in ra["permutations"]:
+        h = [0] * len(s)
+        for i, image in enumerate(g):
+            h[s[i]] = s[image - 1] + 1
+        conjugates.add(tuple(h))
+    assert set(map(tuple, rb["permutations"])) == conjugates
+
+
+def _same_fixed_points(ra, rb, a, b, s):
+    words_a, words_b = _words_by_spelling(a, ra["level"]), _words_by_spelling(b, rb["level"])
+
+    def renamed(spellings):
+        return frozenset(tuple(s[x - 1] + 1 for x in words_a[t]) for t in spellings)
+
+    def read(spellings):
+        return frozenset(words_b[t] for t in spellings)
+
+    assert set(map(renamed, ra["orbits"])) == set(map(read, rb["orbits"]))
+    assert renamed(ra["cycle_witness"]) == read(rb["cycle_witness"])
+    assert (rb["dimension"], rb["witness_proper"]) == (ra["dimension"], ra["witness_proper"])
+
+
+def _same_verdict(ra, rb, a, b, s):
+    assert rb["verdict"] == ra["verdict"]
+
+
+def _same_pattern(ra, rb, a, b, s):
+    def canonical(rows):  # class letters renamed in order of first appearance
+        names = {}
+        return [[names.setdefault(c, len(names)) if c.isalpha() else c for c in row] for row in rows]
+
+    moved = _relabeled(ra["p"], s) + _relabeled(ra["q"], s)
+    assert canonical(moved) == canonical(rb["p"] + rb["q"])
+    assert rb["diagnosis"] == ra["diagnosis"]
+
+
+def _same_measures(ra, rb, a, b, s):
+    spec_a, spec_b = AdjacencySpec.from_matrix(a), AdjacencySpec.from_matrix(b)
+    assert rb["cylinders"].keys() == ra["cylinders"].keys()
+    for m, rows in ra["cylinders"].items():
+        words_a = enumerate_words(spec_a, int(m))
+        row_of = {w: k for k, w in enumerate(enumerate_words(spec_b, int(m)))}
+        assert len(rows) == len(words_a) == len(row_of) == len(rb["cylinders"][m])
+        for w, row in zip(words_a, rows):
+            twin = rb["cylinders"][m][row_of[tuple(s[x - 1] + 1 for x in w)]]
+            for key in ("conformal", "parry", "kms_diagonal"):
+                assert abs(twin[key] - row[key]) <= 1e-9, (m, w, key)
+    for key in ("min", "max"):
+        assert abs(rb["regularity_ratio"][key] - ra["regularity_ratio"][key]) <= 1e-9
+    assert rb["bisection_counts"] == ra["bisection_counts"]
+
+
+def _same_spectrum(ra, rb, a, b, s):
+    values_a, values_b = ra["eigenvalues"], rb["eigenvalues"]
+    assert [e["multiplicity"] for e in values_b] == [e["multiplicity"] for e in values_a]
+    np.testing.assert_allclose(
+        [e["value"] for e in values_b], [e["value"] for e in values_a], rtol=0, atol=1e-9
+    )
+    assert rb["counting_function"] == ra["counting_function"]
+
+
+def _same_order(ra, rb, a, b, s):
+    assert rb["group_order"] == ra["group_order"]
+
+
+@st.composite
+def _relabelings(draw):
+    a = draw(primitive_matrices(max_n=6))
+    return a, draw(st.permutations(range(len(a))))
+
+
+def _assert_relabeling_invariant(argv, same, a, s):
+    b = _relabeled(a, s)
+    code, err, ra = _cli_results(argv, a)
+    code_b, err_b, rb = _cli_results(argv, b)
+    assert (code_b, err_b) == (code, err)
+    if code == 0:
+        same(ra, rb, a, b, s)
+
+
+class TestRelabeling:
+    """The report on σAσ⁻¹ is the report on A with its letters renamed by σ.
+    Rows and words are matched through enumerate_words of each matrix; an
+    over-cap draw ends at once, with the same exit and stderr on both
+    sides."""
+
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            pytest.param(argv, same, id=" ".join(argv))
+            for argv, same in [
+                (["pf"], _same_pf),
+                (["autgroup"], _same_group),
+                (["classical-fix", "--level", "3"], _same_fixed_points),
+                (["ergodicity", "--level", "3"], _same_verdict),  # the witness holds word 0
+                (["pattern"], _same_pattern),
+                (["pattern", "--no-pf-rule"], _same_pattern),
+                (["measures", "--depth", "3"], _same_measures),
+                (["spectrum", "--cutoff", "4"], _same_spectrum),
+                (["t-a"], _same_order),
+            ]
+        ],
+    )
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(_relabelings())
+    def test_random_primitive(self, argv, same, case):
+        _assert_relabeling_invariant(argv, same, *case)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            pytest.param(argv, same, id=" ".join(argv))
+            for argv, same in [
+                (["pf"], _same_pf),
+                (["autgroup"], _same_group),
+                (["ergodicity", "--level", "2"], _same_verdict),
+                (["pattern"], _same_pattern),
+                (["measures", "--depth", "2"], _same_measures),
+            ]
+        ],
+    )
+    def test_seeded_graph_reversed(self, argv, same, n):
+        _assert_relabeling_invariant(argv, same, random_primitive(n, seed=SEEDED), range(n)[::-1])
