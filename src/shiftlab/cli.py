@@ -111,79 +111,94 @@ def _open_output(path, **kwargs):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(obj, write, pad: str = "\n") -> None:
-    """Write obj as json.dumps(obj, indent=2, sort_keys=True) spells it,
-    piece by piece: reals to 15 digits, numpy scalars and arrays as Python
-    values, complex as {"im", "re"}, keys as str.  pad opens obj's line."""
+def _write_json(obj, out, pad: str = "\n") -> None:
+    """Write obj to the text stream out as json.dumps(obj, indent=2,
+    sort_keys=True) spells it, piece by piece: reals to 15 digits, numpy
+    scalars and arrays as Python values, complex as {"im", "re"}, keys as
+    str.  pad opens obj's line."""
     if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
+        out.write(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
-        write("null" if obj is None else "true" if obj else "false")
+        out.write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        write(str(int(obj)))
+        out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = round15(obj)  # json.dumps spells a finite float as its repr
-        write(repr(x) if math.isfinite(x) else json.dumps(x))
+        out.write(repr(x) if math.isfinite(x) else json.dumps(x))
     elif isinstance(obj, complex):
-        _write_json({"im": obj.imag, "re": obj.real}, write, pad)
+        _write_json({"im": obj.imag, "re": obj.real}, out, pad)
     elif isinstance(obj, np.ndarray):
         kind = obj.dtype.kind
         if obj.ndim == 2 and obj.size and (
             kind in "iu" or kind == "f" and np.isfinite(obj).all()
         ):
-            _write_rows(obj, write, pad)
+            _write_rows(obj, out, pad)
         else:
-            _write_json(obj.tolist(), write, pad)
+            _write_json(obj.tolist(), out, pad)
     elif isinstance(obj, dict):
         items, inner, sep = {str(k): v for k, v in obj.items()}, pad + "  ", "{"
         for key in sorted(items):
-            write(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(items[key], write, inner)
+            out.write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(items[key], out, inner)
             sep = ","
-        write(pad + "}" if items else "{}")
+        out.write(pad + "}" if items else "{}")
     elif isinstance(obj, (list, tuple)):
         inner, sep = pad + "  ", "["
         for item in obj:
-            write(sep + inner)
-            _write_json(item, write, inner)
+            out.write(sep + inner)
+            _write_json(item, out, inner)
             sep = ","
-        write(pad + "]" if obj else "[]")
+        out.write(pad + "]" if obj else "[]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_rows(rows: np.ndarray, write, pad: str) -> None:
+def _write_rows(rows: np.ndarray, out, pad: str) -> None:
     """rows.tolist() as _write_json spells it, ROW_CHUNK rows per write.
 
     Each row carries the "," before it, which the first row trades for
     "[".  A chunk of integers whose entries all lie in 0..9 (a group on at
-    most 9 letters, a 0/1 matrix) is one row's bytes tiled, with chunk + 48
-    put into the digit slots; any other chunk is one %-format of the
-    repeated row, reals rounded to 15 digits first (%s spells a float as
-    its repr)."""
+    most 9 letters, a 0/1 matrix) is put, as chunk + 48, into the evenly
+    spaced digit slots of one reused buffer of the row's bytes tiled, and
+    goes to out's binary layer after a flush of its text (as text where out
+    has none, as io.StringIO has not); any other chunk is one %-format of
+    the repeated row, reals rounded to 15 digits first (%s spells a float
+    as its repr)."""
     inner, deeper = pad + "  ", pad + "    "
     row = "," + inner + "[" + deeper + ("," + deeper).join(["%s"] * rows.shape[1])
     row += inner + "]"
-    template = np.frombuffer((row % ((0,) * rows.shape[1])).encode(), dtype=np.uint8)
-    slots = np.flatnonzero(template == ord("0"))  # pad holds no digits
+    first, step = row.index("%"), len("," + deeper) + 1  # slot to slot: a digit, ",", deeper
+    # the rows hold newlines, which a text layer would translate elsewhere
+    binary = getattr(out, "buffer", None) if os.linesep == "\n" else None
+    tiled = None
     real = rows.dtype.kind == "f"
+    out.write("[")
     for start in range(0, len(rows), ROW_CHUNK):
-        chunk = rows[start : start + ROW_CHUNK]
+        chunk, skip = rows[start : start + ROW_CHUNK], 0 if start else 1
         if not real and 0 <= chunk.min() and chunk.max() <= 9:
-            buf = np.tile(template, (len(chunk), 1))
-            buf[:, slots] = chunk + 48
-            text = buf.tobytes().decode()
+            if tiled is None:
+                template = (row % ((0,) * rows.shape[1])).encode()
+                template = np.frombuffer(template, dtype=np.uint8)
+                tiled = np.tile(template, (min(len(rows), ROW_CHUNK), 1))
+                digits = tiled[:, first::step]
+            digits[: len(chunk)] = chunk + 48
+            data = tiled[: len(chunk)].reshape(-1)[skip:]
+            if binary is None:
+                out.write(data.tobytes().decode())
+            else:
+                out.flush()
+                binary.write(data)
         else:
             values = chunk.ravel().tolist()
             text = row * len(chunk) % tuple(map(round15, values) if real else values)
-        write(text if start else "[" + text[1:])
-    write(pad + "]")
+            out.write(text[skip:])
+    out.write(pad + "]")
 
 
 def _emit(report: dict, output: str | None) -> None:
     """Stream the report to --output or stdout; it is never held as text."""
     with _open_output(output) if output else contextlib.nullcontext(sys.stdout) as fh:
-        _write_json(report, fh.write)
+        _write_json(report, fh)
         fh.write("\n")
         fh.flush()  # a closed stdout fails here, not at interpreter exit
 

@@ -29,6 +29,8 @@ from .errors import LengthOverflow, NotClosed, SearchCapExceeded
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
 from .spectral import dirac_block, level_basis
 
+_LIST_CHUNK = 4096  # parent rows per step of a level's listing
+
 
 @dataclass(frozen=True)
 class GraphAutomorphism:
@@ -168,13 +170,19 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
 
 def _listed_group(a: Sequence[Sequence[int]]) -> tuple[np.ndarray, list]:
     """matrix_automorphisms(a) and the generators, from one _search; each
-    level's transversal is built here, once, for a group that is listed."""
+    level's transversal is built here, once, for a group that is listed.
+
+    Each level is one preallocated array, filled _LIST_CHUNK parent rows
+    at a time: a chunk's children are its rows composed with the
+    transversal, reordered as whole rows (one void item each) by the
+    parents' images of the orbit points, so no temporary outgrows a chunk."""
     (order, found, sizes), limit = _search(a), word_cap()
     if order > limit:
         raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
     n = len(a)
     dtype = np.min_scalar_type(-n - 1)  # the least signed type that holds n
     rows = np.arange(1, n + 1, dtype=dtype)[None, :]
+    whole = np.dtype((np.void, n * rows.itemsize))
     for i, size in enumerate(sizes):
         if size == 1:  # the rows already agree on a 1-point level
             continue
@@ -187,8 +195,15 @@ def _listed_group(a: Sequence[Sequence[int]]) -> tuple[np.ndarray, list]:
                     todo.append(q)
         points = np.fromiter(orbit, dtype=np.intp, count=len(orbit))
         u = np.array(list(orbit.values()), dtype=np.intp) - 1
-        ranks = np.argsort(rows[:, points], axis=1)
-        rows = rows[:, u][np.arange(len(rows))[:, None], ranks].reshape(-1, n)
+        level = np.empty((len(rows) * size, n), dtype)
+        out = level.view(whole).ravel()
+        for start in range(0, len(rows), _LIST_CHUNK):
+            chunk = rows[start : start + _LIST_CHUNK]
+            ranks = np.argsort(chunk[:, points], axis=1)
+            ranks += np.arange(0, ranks.size, size)[:, None]  # into the chunk's children
+            kids = np.take(chunk, u, axis=1).view(whole).ravel()
+            np.take(kids, ranks.ravel(), out=out[start * size : start * size + ranks.size])
+        rows = level
     return rows, found
 
 

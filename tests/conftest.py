@@ -150,8 +150,14 @@ def run_child(call, cap=None, cwd=None) -> ChildRun:
     """Run `python -m shiftlab.cli *call` when ``call`` is a list of
     arguments, or the Python snippet ``call`` when it is a string, in a
     fresh interpreter on this checkout's shiftlab: under the default
-    ARIADNE_CAP, or under ``cap`` when one is given."""
-    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+    ARIADNE_CAP, or under ``cap`` when one is given.  The child runs one
+    BLAS thread: idle BLAS workers spin while they wait for a core, and
+    their time would count in the child's CPU time on a busy machine."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(shiftlab.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    )
     env.pop("ARIADNE_CAP", None)
     if cap is not None:
         env["ARIADNE_CAP"] = str(cap)

@@ -713,46 +713,46 @@ def _digest_without_wall_time(text):
     return hashlib.sha256(cut_wall_time(text).encode()).hexdigest()
 
 
+def _assert_emits_reference_text(value):
+    """_emit writes value as the reference text to an --output file, to a
+    stdout with a binary layer (a buffer) and to one without (io.StringIO).
+    Digit chunks go to a binary layer and all else to the text layer, so a
+    missing flush between the two misorders bytes."""
+    expected = reference_report_text(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        _emit(value, str(path))
+        assert path.read_bytes() == expected.encode()
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out):
+            _emit(value, None)
+        assert out.buffer.getvalue() == expected.encode()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value, None)
+    assert out.getvalue() == expected
+
+
 class TestWriter:
     @seed(20261018)
     @settings(max_examples=200, deadline=None)
     @given(_VALUES)
     def test_same_bytes_as_reference(self, value):
-        expected = reference_report_text(value)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "report.json"
-            _emit(value, str(path))
-            assert path.read_bytes() == expected.encode()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit(value, None)
-        assert out.getvalue() == expected
+        _assert_emits_reference_text(value)
 
     @pytest.mark.parametrize("shape", _ARRAY_SHAPES)
     @pytest.mark.parametrize("dtype", _INT_DTYPES + [bool])
     def test_two_dimensional_arrays_same_bytes(self, dtype, shape):
         arr = _bool_array(shape, 7) if dtype is bool else _int_array(dtype, shape, 7)
-        value = {"a": [arr, {"b": arr}], "c": arr}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit(value, None)
-        assert out.getvalue() == reference_report_text(value)
+        _assert_emits_reference_text({"a": [arr, {"b": arr}], "c": arr})
 
     @pytest.mark.parametrize("arr", _one_digit_cases())
     def test_one_digit_chunks_same_bytes(self, arr):
-        value = {"a": [arr, {"b": arr}], "c": arr}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit(value, None)
-        assert out.getvalue() == reference_report_text(value)
+        _assert_emits_reference_text({"a": [arr, {"b": arr}], "c": arr})
 
     @pytest.mark.parametrize("arr", _float_cases())
     def test_float_rows_same_bytes(self, arr):
-        value = {"a": [arr, {"b": arr}], "c": arr}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit(value, None)
-        assert out.getvalue() == reference_report_text(value)
+        _assert_emits_reference_text({"a": [arr, {"b": arr}], "c": arr})
 
     def test_full3_t_a_listing_writes_fast(self, tmp_path, monkeypatch):
         # 9! rows of 9 one-digit letters, 42 MB: about 0.5 s as %-formats
@@ -949,6 +949,18 @@ GATES = [
         None, 5,
         id="t-a-full16-over-cap",
     ),
+    # the full 3-shift's report, whose t-a section lists all of S_9: 9!
+    # rows of 9 letters, 58 MB of text.  Each level of the listing is
+    # filled a chunk at a time and the digit rows go out as bytes (47.4 MiB
+    # when each level was one fancy gather and each chunk was decoded)
+    pytest.param(
+        [[1] * 3] * 3,
+        ["report", "--input", "in.json", "--output", "out.json"],
+        None, 0,
+        lambda run, res: res["t-a"]["results"]["group_order"], math.factorial(9),
+        43, None,
+        marks=NEEDS_VMHWM, id="report-full3",
+    ),
     # the walk passes the cap long before cutoff 1000, and no index is
     # counted before the walks end
     pytest.param(
@@ -1132,7 +1144,7 @@ class TestRelabeling:
     def test_random_primitive(self, argv, same, case):
         _assert_relabeling_invariant(argv, same, *case)
 
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     @pytest.mark.parametrize(
         "argv, same",
         [

@@ -61,6 +61,31 @@ def t_a_circulants(max_n):
                 yield t_a_matrix(sl.AdjacencySpec.from_matrix(a)).tolist()
 
 
+def listable_t_a_circulants():
+    """The t-a matrices of t_a_circulants(4) whose groups are listed."""
+    return [m for m in t_a_circulants(4) if _search(m)[0] <= word_cap()]
+
+
+def listing_sweep():
+    """Any 0/1 matrix, primitive or not, as the listing only needs the
+    orbit sizes and generators: random ones for n = 1..6, every circulant
+    for n = 1..5, and the t-a matrices of Fibonacci and the full 2-shift."""
+    rng = random.Random(20261020)
+    mats = [
+        [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        for n in range(1, 7)
+        for _ in range(40)
+    ]
+    mats += [
+        [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+        for n in range(1, 6)
+        for c in itertools.product((0, 1), repeat=n)
+    ]
+    mats += [t_a_matrix(sl.AdjacencySpec.from_matrix(FIBONACCI)).tolist()]
+    mats += [t_a_matrix(sl.AdjacencySpec.full_shift(2)).tolist()]
+    return mats
+
+
 def paley(q):
     """Paley graph of a prime q = 1 mod 4: i ~ j when i - j is a nonzero square."""
     squares = {x * x % q for x in range(1, q)}
@@ -201,7 +226,7 @@ class TestFirstPathSearch:
     def test_t_a_circulants_match_backtracking(self):
         # n^2 letters: out of reach of the n! brute force; of the 14
         # circulants only the full 4-shift's group is over the cap
-        listable = [m for m in t_a_circulants(4) if _search(m)[0] <= word_cap()]
+        listable = listable_t_a_circulants()
         assert len(listable) == 13
         for mat in listable:
             assert_list_matches_backtracking(mat)
@@ -216,23 +241,21 @@ class TestFirstPathSearch:
         )
 
     def test_listing_sweep_matches_backtracking(self):
-        # any 0/1 matrix, primitive or not: the listing only needs the
-        # orbit sizes and generators
-        rng = random.Random(20261020)
-        mats = [
-            [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-            for n in range(1, 7)
-            for _ in range(40)
-        ]
-        mats += [
-            [[c[(j - i) % n] for j in range(n)] for i in range(n)]
-            for n in range(1, 6)
-            for c in itertools.product((0, 1), repeat=n)
-        ]
-        mats += [t_a_matrix(sl.AdjacencySpec.from_matrix(FIBONACCI)).tolist()]
-        mats += [t_a_matrix(sl.AdjacencySpec.full_shift(2)).tolist()]
-        for mat in mats:
+        for mat in listing_sweep():
             assert_list_matches_backtracking(mat)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_listing_across_chunk_boundaries(self, monkeypatch, chunk):
+        # the two corpora above, each matched against backtracking at the
+        # default chunk, listed again one or three parent rows at a time, so
+        # that their levels cross chunk boundaries (S_9, the full 3-shift's
+        # t-a group, among them)
+        mats = listing_sweep() + listable_t_a_circulants()
+        whole = [matrix_automorphisms(mat) for mat in mats]
+        monkeypatch.setattr(symmetry, "_LIST_CHUNK", chunk)
+        for mat, want in zip(mats, whole):
+            got = matrix_automorphisms(mat)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_trivial_group_is_the_identity_row(self):
         group = matrix_automorphisms(UNKNOWN_EXHIBIT)
