@@ -55,17 +55,15 @@ _CAP_ENV = "ARIADNE_CAP"
 
 
 def word_cap() -> int:
-    """Enumeration cap: ``ARIADNE_CAP`` when set, else the default."""
+    """Enumeration cap: ``ARIADNE_CAP`` when set, else the default.  The
+    value is ASCII digits only: ``int`` would also take a sign, spaces,
+    underscores and other scripts' digits."""
     env = os.environ.get(_CAP_ENV)
     if env is None:
         return DEFAULT_WORD_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0  # rejected below with the other invalid values
-    if cap < 1:
+    if not (env.isascii() and env.isdigit() and int(env) >= 1):
         raise ParseError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
-    return cap
+    return int(env)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

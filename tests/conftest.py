@@ -1,8 +1,19 @@
 import os
+
+# One BLAS thread, as `run_child` gives its children: idle BLAS workers spin
+# while they wait for a core, and that spin counts in this process's CPU
+# time, which `budget` bounds.  BLAS reads these as it loads, so they are set
+# before numpy is imported.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 import subprocess
 import sys
+import time
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,6 +183,34 @@ def run_child(call, cap=None, cwd=None) -> ChildRun:
     return ChildRun(
         proc.returncode, proc.stdout, "".join(lines),
         float(figures[0]) / 1024, float(figures[1]),
+    )
+
+
+@contextmanager
+def budget(cpu_s=None, traced_mib=None):
+    """Bound one figure of the block, and yield a namespace that holds it on
+    exit: ``cpu_s``, the block's CPU time in this process
+    (``time.process_time()``: user plus system, all threads), in s; or
+    ``traced_mib``, its ``tracemalloc`` peak, in MiB.  CPU time, so other
+    processes' load does not count; and with one BLAS thread (above), BLAS
+    workers spinning for a core do not count either.  Tracing slows the
+    block, so a block bounded on both figures runs once under each."""
+    assert (cpu_s is None) != (traced_mib is None), "bound one figure"
+    spent = SimpleNamespace()
+    if cpu_s is not None:
+        start = time.process_time()
+        yield spent
+        spent.cpu_s = time.process_time() - start
+        assert spent.cpu_s < cpu_s, f"{spent.cpu_s:.3f} s of CPU, bound {cpu_s} s"
+        return
+    tracemalloc.start()
+    try:
+        yield spent
+        spent.traced_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert spent.traced_mib < traced_mib, (
+        f"traced peak {spent.traced_mib:.1f} MiB, bound {traced_mib} MiB"
     )
 
 

@@ -424,6 +424,29 @@ def largest_child_count(pf, cutoff):
     return largest
 
 
+def pressure_root(pf):
+    """The beta with rho(A diag(exp(-beta f))) = 1 for f = (lam - 1) u,
+    found by bisection on dense eigenvalues; it reads only A, lam and u.
+
+    A cell one letter c deeper has a value (lam - 1) u_c larger, so the
+    number N(cutoff) of spectrum values with |value| <= cutoff grows as
+    exp(beta * cutoff) (Lalley, Renewal theorems in symbolic dynamics,
+    Acta Math. 1989): log N - beta * cutoff converges when f is
+    non-lattice, and stays in a bounded band when it is lattice."""
+    a = np.asarray(pf.spec.matrix, dtype=float)
+    f = (pf.lambda_max - 1) * np.asarray(pf.u, dtype=float)
+
+    def radius(beta):
+        return np.abs(np.linalg.eigvals(a * np.exp(-beta * f))).max()
+
+    lo, hi = 0.0, 1.0  # radius(0) = lam > 1
+    while radius(hi) > 1:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if radius(mid) > 1 else (lo, mid)
+    return (lo + hi) / 2
+
 def least_positive_power(a):
     """Least k with A^k > 0, scanning k = 1..n^2-2n+2 one power at a time.
 

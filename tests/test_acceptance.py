@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every tolerance and runtime budget is pinned here.
+lines.  Every tolerance and CPU-time budget is pinned here.
 """
 
-import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,36 +15,22 @@ from shiftlab.models import (
     two_projection_magic,
 )
 from shiftlab.symmetry import ClassicalIsometry, generating_set
-from conftest import random_projection, sample_phase_vectors, swap_permutation
+from conftest import budget, random_projection, sample_phase_vectors, swap_permutation
 from oracles import eigenvalue_multiset, shifted_cylinder_mass
 
 FIB = [[1, 1], [1, 0]]
 
 
-class _Budget:
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.t0
-        if exc_type is None:
-            status = "PASS" if elapsed < self.seconds else "FAIL (over budget)"
-            print(f"[acceptance] {self.name}: {status} ({elapsed:.3f}s)")
-            assert elapsed < self.seconds, (
-                f"{self.name} took {elapsed:.3f}s, budget {self.seconds}s"
-            )
-        else:
-            print(f"[acceptance] {self.name}: FAIL ({elapsed:.3f}s)")
-        return False
+@contextmanager
+def _criterion(name, cpu_s):
+    """Bound a criterion's CPU time, and print its pass line."""
+    with budget(cpu_s=cpu_s) as spent:
+        yield
+    print(f"[acceptance] {name}: PASS ({spent.cpu_s:.3f} s of CPU)")
 
 
 def test_01_fibonacci_collapse():
-    with _Budget("1 Fibonacci collapse -> DualFreeGroup", 0.1):
+    with _criterion("1 Fibonacci collapse -> DualFreeGroup", 0.1):
         spec = sl.AdjacencySpec.from_matrix(FIB)
         pf = sl.perron_frobenius(spec)
         pattern = sl.propagate(sl.build_constraints(spec, pf))
@@ -57,7 +43,7 @@ def test_01_fibonacci_collapse():
 
 
 def test_02_flip_intertwiner_reproduction():
-    with _Budget("2 flip-intertwiner matrix and symmetry order", 1.0):
+    with _criterion("2 flip-intertwiner matrix and symmetry order", 1.0):
         spec = sl.AdjacencySpec.from_matrix(FIB)
         rep = sl.t_a_analysis(spec)
         assert np.array_equal(
@@ -75,7 +61,7 @@ def test_02_flip_intertwiner_reproduction():
 
 
 def test_03_eigenvalue_formula_oracle():
-    with _Budget("3 eigenvalue formula vs dense blocks <= 1e-9", 30.0):
+    with _criterion("3 eigenvalue formula vs dense blocks <= 1e-9", 30.0):
         mats = [[[1] * 2] * 2, [[1] * 3] * 3, FIB]
         worst = 0.0
         for mat in mats:
@@ -103,7 +89,7 @@ def test_03_eigenvalue_formula_oracle():
 
 
 def test_04_dirac_low_eigenspaces():
-    with _Budget("4 spectrum(2): +1 x N and +2 x edge count", 5.0):
+    with _criterion("4 spectrum(2): +1 x N and +2 x edge count", 5.0):
         for mat in ([[1] * 2] * 2, [[1] * 3] * 3, FIB):
             spec = sl.AdjacencySpec.from_matrix(mat)
             pf = sl.perron_frobenius(spec)
@@ -113,7 +99,7 @@ def test_04_dirac_low_eigenspaces():
 
 
 def test_05_classical_isometries():
-    with _Budget("5 commutation residuals at cutoff 4", 30.0):
+    with _criterion("5 commutation residuals at cutoff 4", 30.0):
         for mat in ([[1] * 2] * 2, FIB):
             spec = sl.AdjacencySpec.from_matrix(mat)
             pf = sl.perron_frobenius(spec)
@@ -132,7 +118,7 @@ def test_05_classical_isometries():
 
 
 def test_06_classical_action_not_ergodic():
-    with _Budget("6 classical fixed points dimension >= 2 at k=2", 5.0):
+    with _criterion("6 classical fixed points dimension >= 2 at k=2", 5.0):
         for n in (2, 3, 4):
             rep = sl.classical_fixed_points(sl.AdjacencySpec.full_shift(n), 2)
             assert rep.dimension >= 2
@@ -141,7 +127,7 @@ def test_06_classical_action_not_ergodic():
 
 
 def test_07_quantum_ergodicity_desk_scale():
-    with _Budget("7 ergodicity verdicts (full shift vs Fibonacci)", 10.0):
+    with _criterion("7 ergodicity verdicts (full shift vs Fibonacci)", 10.0):
         for n in (2, 3, 4):
             spec = sl.AdjacencySpec.full_shift(n)
             pf = sl.perron_frobenius(spec)
@@ -158,7 +144,7 @@ def test_07_quantum_ergodicity_desk_scale():
 
 
 def test_08_model_relation_suite():
-    with _Budget("8 model relations and normality norm", 20.0):
+    with _criterion("8 model relations and normality norm", 20.0):
         rep = sl.relation_check(two_projection_magic(np.pi / 5), 3)
         assert rep.max_partial_isometry_defect <= 1e-9
         model = qls_magic(random_qls_vectors(4, seed=11))
@@ -173,7 +159,7 @@ def test_08_model_relation_suite():
 
 
 def test_09_halmos_lemma_property():
-    with _Budget("9 projection-pair biconditional x 500", 5.0):
+    with _criterion("9 projection-pair biconditional x 500", 5.0):
         rng = np.random.default_rng(99)
         for _ in range(500):
             d = int(rng.integers(2, 7))
@@ -183,7 +169,7 @@ def test_09_halmos_lemma_property():
 
 
 def test_10_measure_suite():
-    with _Budget("10 conformality, equilibrium state, regularity band", 10.0):
+    with _criterion("10 conformality, equilibrium state, regularity band", 10.0):
         for mat in ([[1] * 2] * 2, FIB):
             spec = sl.AdjacencySpec.from_matrix(mat)
             pf = sl.perron_frobenius(spec)

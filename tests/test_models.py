@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from shiftlab.errors import (
     NotBiunitary,
     NotProjection,
 )
-from conftest import fourier_qls_vectors, random_projection
+from conftest import budget, fourier_qls_vectors, random_projection
 from oracles import (
     dense_relation_defect,
     generator_operator,
@@ -276,9 +275,8 @@ class TestRelationCheckOracle:
     def test_length_four_in_bounded_time(self, build):
         # 69,904 word pairs; the dense loop does not end within 120 s on qls
         model = build()
-        start = time.perf_counter()
-        rep = sl.relation_check(model, 4)
-        assert time.perf_counter() - start < 2.0
+        with budget(cpu_s=2.0):
+            rep = sl.relation_check(model, 4)
         assert rep.words_checked == 16 + 16**2 + 16**3 + 16**4
         assert rep.max_partial_isometry_defect < 1e-10
 
@@ -292,10 +290,8 @@ class TestRelationCheckOracle:
             sl.relation_check(model, 1)
 
     def test_huge_length_refused_at_once(self):
-        start = time.perf_counter()
-        with pytest.raises(LengthOverflow, match="up to length 5 "):
+        with budget(cpu_s=1.0), pytest.raises(LengthOverflow, match="up to length 5 "):
             sl.relation_check(two_projection_magic(np.pi / 5), 10**9)
-        assert time.perf_counter() - start < 1.0
 
 
 class TestFullShiftNonvanishing:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +21,7 @@ from shiftlab.errors import LengthOverflow, PrefixMismatch
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
+    budget,
     primitive_matrices,
     random_primitive,
     wielandt,
@@ -34,6 +34,7 @@ from oracles import (
     loop_level_basis,
     loop_spectrum,
     pairwise_delta_matrix,
+    pressure_root,
     projected_dirac_block,
     shell_delta_values,
 )
@@ -398,15 +399,9 @@ class TestSpectrum:
         spec = sl.AdjacencySpec.from_matrix(random_primitive(16, seed=20261018))
         pf = sl.perron_frobenius(spec)
         monkeypatch.setenv("ARIADNE_CAP", "20000")
-        tracemalloc.start()
-        try:
-            message = "^spectrum walk exceeds cap 20000$"
-            with pytest.raises(LengthOverflow, match=message):
-                sl.spectrum(pf, 5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        message = "^spectrum walk exceeds cap 20000$"
+        with budget(traced_mib=8), pytest.raises(LengthOverflow, match=message):
+            sl.spectrum(pf, 5.0)
 
     def test_spectral_gap(self, fib_pf, full2_pf):
         # |D| >= 1 on every block: nothing inside (-1, 1)
@@ -419,6 +414,48 @@ class TestSpectrum:
         pairs = [(1.0, 1), (1.0 + 5e-10, 2), (2.0, 1)]
         assert merge_multiset(pairs) == [(1.0, 3), (2.0, 1)]
 
+
+def _log_count(pf, cutoff):
+    """log N(cutoff), N the sum of the multiplicities spectrum returns."""
+    return math.log(sum(m for _, m in sl.spectrum(pf, cutoff)))
+
+
+class TestGrowthRate:
+    # N(cutoff) grows as exp(beta * cutoff), beta = oracles.pressure_root
+
+    @pytest.mark.parametrize(
+        "matrix, cutoffs",
+        [(UNKNOWN_EXHIBIT, (8, 12)), ([[1] * 2] * 2, (16, 20, 24)), ([[1] * 3] * 3, (18, 20))],
+        ids=["unknown", "full2", "full3"],
+    )
+    def test_slope_is_the_pressure_root(self, matrix, cutoffs):
+        # constant u, so f is lattice and the slope of log N settles to
+        # beta: at 8 -> 12 on the exhibit (beta = 4 ln 2), and at 18 -> 20
+        # on the full 3-shift, whose 12 -> 14 still reads 3.4e-4 over
+        pf = pf_of(matrix)
+        beta = pressure_root(pf)
+        logs = [_log_count(pf, cutoff) for cutoff in cutoffs]
+        for i in range(len(cutoffs) - 1):
+            slope = (logs[i + 1] - logs[i]) / (cutoffs[i + 1] - cutoffs[i])
+            assert abs(slope - beta) <= 1e-4
+
+    # the bands: log N - beta * cutoff read -0.8570, -0.8689, -0.8779 and
+    # -0.8825 on Fibonacci (non-lattice f, drifting to its limit), and
+    # -3.040, -3.008, -3.034 and -3.015 on Wielandt 4 (oscillating); each
+    # band is the readings' range widened by that range on both sides
+    @pytest.mark.parametrize(
+        "matrix, cutoffs, band",
+        [
+            (FIBONACCI, (20, 30, 40, 60), (-0.91, -0.83)),
+            (wielandt(4), (8, 10, 12, 14), (-3.08, -2.97)),
+        ],
+        ids=["fibonacci", "wielandt4"],
+    )
+    def test_count_over_its_growth_stays_in_a_band(self, matrix, cutoffs, band):
+        pf = pf_of(matrix)
+        beta = pressure_root(pf)
+        for cutoff in cutoffs:
+            assert band[0] <= _log_count(pf, cutoff) - beta * cutoff <= band[1]
 
 def _spectrum_or_overflow(fn, pf, cutoff):
     try:

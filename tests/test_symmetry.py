@@ -3,8 +3,6 @@ import cmath
 import math
 import random
 import re
-import time
-import tracemalloc
 import types
 
 import numpy as np
@@ -30,6 +28,7 @@ from shiftlab.errors import LengthOverflow, NotClosed, SearchCapExceeded
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
+    budget,
     primitive_circulants,
     primitive_matrices,
     random_primitive,
@@ -314,12 +313,11 @@ class TestFirstPathSearch:
         # at once, and the level-1 orbit still comes from the generators
         monkeypatch.delenv("ARIADNE_CAP", raising=False)
         spec = sl.AdjacencySpec.full_shift(12)
-        start = time.perf_counter()
-        with pytest.raises(LengthOverflow):
-            sl.automorphism_group(spec)
-        assert len(generating_set(spec)) == 11
-        assert sl.classical_fixed_points(spec, 1).dimension == 1
-        assert time.perf_counter() - start < 1.0
+        with budget(cpu_s=1.0):
+            with pytest.raises(LengthOverflow):
+                sl.automorphism_group(spec)
+            assert len(generating_set(spec)) == 11
+            assert sl.classical_fixed_points(spec, 1).dimension == 1
 
     @pytest.mark.parametrize(
         "weights",
@@ -532,13 +530,8 @@ class TestCommutationResidual:
         iso = ClassicalIsometry(
             phases=(z, z**2, z**3), perm=swap_permutation(3, 1, 2)
         )
-        tracemalloc.start()
-        try:
+        with budget(traced_mib=16):
             assert sl.commutation_residual(iso, full3_pf, 5.0) <= 1e-9
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "mat, cutoff",
@@ -576,9 +569,8 @@ class TestCommutationResidual:
         for g in generating_set(full3_pf.spec):
             for z in sample_phase_vectors(3):
                 iso = ClassicalIsometry(phases=z, perm=g)
-                started = time.process_time()
-                assert sl.commutation_residual(iso, full3_pf, 4.0) <= 1e-9
-                assert time.process_time() - started < 0.5
+                with budget(cpu_s=0.5):
+                    assert sl.commutation_residual(iso, full3_pf, 4.0) <= 1e-9
 
     @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.5])
     def test_cutoff_refused_as_spectrum_refuses_it(self, fib_pf, cutoff):
@@ -601,9 +593,8 @@ class TestClassicalFixedPoints:
     def test_full_7_shift_level_3_within_budget(self):
         # one image set per orbit: 5 orbits of 343 words under S_7
         spec = sl.AdjacencySpec.full_shift(7)
-        started = time.perf_counter()
-        rep = sl.classical_fixed_points(spec, 3)
-        assert time.perf_counter() - started < 0.5
+        with budget(cpu_s=0.5):
+            rep = sl.classical_fixed_points(spec, 3)
         assert rep.dimension == 5
 
     def test_orbits_partition_words(self, full3):
