@@ -578,8 +578,9 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
     """Commuting permutations of the flip-intertwiner; past ``word_cap()``:
     LengthOverflow in n^4 entries or group elements, SearchCapExceeded in nodes."""
-    if spec.n**4 > word_cap():
-        raise LengthOverflow(f"{spec.n**4} t-a matrix entries exceed cap {word_cap()}")
+    cap = word_cap()
+    if spec.n**4 > cap:
+        raise LengthOverflow(f"{spec.n**4} t-a matrix entries exceed cap {cap}")
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())
     return TAReport(matrix=_frozen(t), permutations=_frozen(perms))

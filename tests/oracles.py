@@ -69,8 +69,6 @@ from shiftlab.spectral import (
 from shiftlab.symmetry import (
     GraphAutomorphism,
     UnionFind,
-    _word_orbits,
-    automorphism_group,
     truncation_basis,
 )
 
@@ -736,7 +734,9 @@ def _validate_pattern(pattern):
 
 
 def loop_word_support(pattern, pf, k):
-    """word_support as a double loop over every pair of words."""
+    """word_support as a double loop over every pair of words; off the full
+    shift, (g nu, nu) is certified for each g that backtrack_automorphisms
+    lists."""
     spec = pf.spec
     words = enumerate_words(spec, k)
     idx = {w: i for i, w in enumerate(words)}
@@ -757,16 +757,15 @@ def loop_word_support(pattern, pf, k):
                 if states[i][j] != CERTAIN_ZERO:
                     states[i][j] = CERTIFIED_NONZERO
     else:
-        for orbit in _word_orbits(spec, words):
-            members = [idx[w] for w in orbit]
-            for i in members:
-                for j in members:
-                    if states[i][j] == CERTAIN_ZERO:
-                        raise Inconsistent(
-                            "witnessed pair was forced to zero; "
-                            "propagation is unsound"
-                        )
-                    states[i][j] = CERTIFIED_NONZERO
+        group = backtrack_automorphisms(spec.a)
+        for j, nu in enumerate(words):
+            for g in group:
+                i = idx[tuple(g[x - 1] for x in nu)]
+                if states[i][j] == CERTAIN_ZERO:
+                    raise Inconsistent(
+                        "witnessed pair was forced to zero; propagation is unsound"
+                    )
+                states[i][j] = CERTIFIED_NONZERO
 
     return SupportPattern(
         level=k,
@@ -809,12 +808,13 @@ def loop_ergodicity_verdict(spec, pf, k, pattern=None):
 
 
 def loop_classical_witness(spec, mu, nu):
-    """classical_witness as a loop over the listed group's elements."""
+    """classical_witness as a loop over the elements, in order, that
+    backtrack_automorphisms lists."""
     if len(mu) != len(nu):
         raise ValueError("words must have equal length")
-    for g in automorphism_group(spec):
-        if g.apply_word(nu) == mu:
-            return g
+    for g in backtrack_automorphisms(spec.a):
+        if tuple(g[x - 1] for x in nu) == tuple(mu):
+            return GraphAutomorphism(g)
     if spec.is_full_shift():
         perms = []
         for a, b in zip(mu, nu):

@@ -157,15 +157,6 @@ class TestDispatch:
         code, rep = run_json(capsys, "t-a", "--input", str(path))
         assert code == 0 and rep["results"]["group_order"] == 28
 
-    def test_search_past_the_cap_exits_one(self, capsys, tmp_path, monkeypatch):
-        # the search for S_12 takes 77 nodes
-        monkeypatch.setenv("ARIADNE_CAP", "50")
-        path = tmp_path / "full12.json"
-        path.write_text(json.dumps({"n": 12, "a": [[1] * 12] * 12}))
-        assert main(["autgroup", "--input", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == "shiftlab: SearchCapExceeded: search exceeds cap 50 nodes\n"
-
     def test_repmodel(self, capsys):
         code, rep = run_json(
             capsys, "repmodel", "--model", "two-projection", "--ell", "2"
@@ -190,152 +181,164 @@ class TestDispatch:
         }
 
 
-class TestErrorPaths:
-    def test_parse_error_exit_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["pf", "--input", str(bad)]) == 2
-        assert "parse error" in capsys.readouterr().err
+# Every refused cli.main call, one row each: the input written to in.json in
+# the test's directory (a matrix, JSON text, or None: no file), the
+# arguments (split at spaces), ARIADNE_CAP (None: unset), the exit code, the
+# stderr, and a bound on the call's CPU time in s (None: none).  The stderr
+# is exact; a row whose stderr stops before the end of the line gives its
+# fixed head, where the rest is Python's or the OS's error text.  A refused
+# call prints nothing on stdout and writes no report and no CSV.
+EXITS = {
+    "parse-error": ("{not json", "pf --input in.json", None, 2,
+        "shiftlab: parse error: bad adjacency JSON: ", None),
+    "missing-file": (None, "pf --input /nonexistent/x.json", None, 2,
+        "shiftlab: parse error: cannot read /nonexistent/x.json: ", None),
+    "not-primitive": ([[0, 1], [1, 0]], "pf --input in.json", None, 3,
+        "shiftlab: not primitive: no power up to the Wielandt bound 2 is strictly positive\n",
+        None),
+    "shape-one-letter": ([[1]], "pf --input in.json", None, 3,
+        "shiftlab: not primitive: alphabet size must be >= 2, got 1\n", None),
+    "shape-zero-column": ([[1, 0], [1, 0]], "pf --input in.json", None, 3,
+        "shiftlab: not primitive: column 2 has no incoming edge\n", None),
+    # the first offender is named: a bad row before its entries, and the
+    # first of two bad entries
+    "schema-float-entry": ('{"n": 2, "a": [[1, 1.7], [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: entry 1.7 in row 1 is not an integer\n", None),
+    "schema-bool-entry": ('{"n": 2, "a": [[1, true], [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: entry true in row 1 is not an integer\n", None),
+    "schema-string-row": ('{"n": 2, "a": ["11", [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: row 1 is not a list of 2 entries\n", None),
+    "schema-float-n": ('{"n": 2.9, "a": [[1, 1], [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: n must be an integer, got 2.9\n", None),
+    "schema-ragged": ('{"n": 2, "a": [[1, 1, 1], [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: row 1 is not a list of 2 entries\n", None),
+    "schema-ragged-before-entries": (
+        '{"n": 2, "a": [[1, 1], [0, "1", 2.0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: row 2 is not a list of 2 entries\n", None),
+    "schema-first-of-two-entries": (
+        '{"n": 3, "a": [[1, 1, 1], [1, "1", 2.0], [1, 1, 1]]}', "pf --input in.json", None, 2,
+        'shiftlab: parse error: entry "1" in row 2 is not an integer\n', None),
+    "schema-two-entry": ('{"n": 2, "a": [[1, 1], [2, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: entry 2 in row 2 is not 0 or 1\n", None),
+    "schema-negative-entry": ('{"n": 2, "a": [[1, -1], [1, 0]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: entry -1 in row 1 is not 0 or 1\n", None),
+    "schema-a-not-a-list": ('{"n": 2, "a": 5}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: a must be a list of rows\n", None),
+    "schema-row-count": ('{"n": 3, "a": [[1, 1, 1], [1, 1, 1]]}', "pf --input in.json", None, 2,
+        "shiftlab: parse error: matrix has 2 rows, expected n=3\n", None),
+    "cutoff-0.5": (FIBONACCI, "spectrum --input in.json --cutoff 0.5", None, 2,
+        "shiftlab: parse error: --cutoff must be finite and >= 1, got 0.5\n", None),
+    "cutoff-nan": (FIBONACCI, "spectrum --input in.json --cutoff nan", None, 2,
+        "shiftlab: parse error: --cutoff must be finite and >= 1, got nan\n", None),
+    "cutoff-inf": (FIBONACCI, "spectrum --input in.json --cutoff inf", None, 2,
+        "shiftlab: parse error: --cutoff must be finite and >= 1, got inf\n", None),
+    "tol-nan": (FIBONACCI, "pf --input in.json --tol nan", None, 2,
+        "shiftlab: parse error: --tol must be finite and > 0, got nan\n", None),
+    "tol-inf": (FIBONACCI, "pf --input in.json --tol inf", None, 2,
+        "shiftlab: parse error: --tol must be finite and > 0, got inf\n", None),
+    "tol-0": (FIBONACCI, "pf --input in.json --tol 0", None, 2,
+        "shiftlab: parse error: --tol must be finite and > 0, got 0.0\n", None),
+    "tol-minus-1": (FIBONACCI, "pf --input in.json --tol -1", None, 2,
+        "shiftlab: parse error: --tol must be finite and > 0, got -1.0\n", None),
+    "seed-repmodel": (None, "repmodel --seed -1 --model qls", None, 2,
+        "shiftlab: parse error: --seed must be >= 0, got -1\n", None),
+    "seed-pf": (FIBONACCI, "pf --seed -1 --input in.json", None, 2,
+        "shiftlab: parse error: --seed must be >= 0, got -1\n", None),
+    "cap-abc": (FIBONACCI, "measures --input in.json", "abc", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got 'abc'\n", None),
+    "cap-1.5": (FIBONACCI, "measures --input in.json", "1.5", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '1.5'\n", None),
+    "cap-0": (FIBONACCI, "measures --input in.json", "0", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '0'\n", None),
+    # report must not file the error under each section and exit 0
+    "cap-minus-3-report": (FIBONACCI, "report --input in.json", "-3", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '-3'\n", None),
+    # int() takes these, but the value is ASCII digits only
+    "cap-space-5": (FIBONACCI, "measures --input in.json", " 5", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got ' 5'\n", None),
+    "cap-plus-5": (FIBONACCI, "measures --input in.json", "+5", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '+5'\n", None),
+    "cap-arabic-5": (FIBONACCI, "measures --input in.json", "\u0665", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '\u0665'\n", None),
+    "cap-1_000": (FIBONACCI, "measures --input in.json", "1_000", 2,
+        "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '1_000'\n", None),
+    "depth-0": (FIBONACCI, "measures --depth 0 --input in.json", None, 2,
+        "shiftlab: parse error: --depth must be >= 1, got 0\n", None),
+    "classical-level-0": (FIBONACCI, "classical-fix --level 0 --input in.json", None, 2,
+        "shiftlab: parse error: --level must be >= 1, got 0\n", None),
+    "ergodicity-level-minus-1": (FIBONACCI, "ergodicity --level -1 --input in.json", None, 2,
+        "shiftlab: parse error: --level must be >= 1, got -1\n", None),
+    "ergodicity-level-0": (FIBONACCI, "ergodicity --level 0 --input in.json", None, 2,
+        "shiftlab: parse error: --level must be >= 1, got 0\n", None),
+    "ell-0": (None, "repmodel --ell 0", None, 2,
+        "shiftlab: parse error: --ell must be >= 1, got 0\n", None),
+    "size-0": (None, "repmodel --size 0", None, 2,
+        "shiftlab: parse error: --size must be >= 1, got 0\n", None),
+    "spectrum-csv-output": (FIBONACCI, "spectrum --input in.json --output spec.csv", None, 2,
+        "shiftlab: parse error: --output spec.csv would be overwritten by the eigenvalue CSV\n",
+        None),
+    # the full 12-shift: 12! automorphisms
+    "group-autgroup-full12": ([[1] * 12] * 12, "autgroup --input in.json", None, 4,
+        f"shiftlab: enumeration overflow: group of order {math.factorial(12)} exceeds cap "
+        "1000000\n", 1.0),
+    # the full 4-shift: 16! flip-intertwiner symmetries
+    "group-t-a-full4": ([[1] * 4] * 4, "t-a --input in.json", None, 4,
+        f"shiftlab: enumeration overflow: group of order {math.factorial(16)} exceeds cap "
+        "1000000\n", 1.0),
+    # 12^2 + 12^4 + 12^6 word pairs, for the classical model and for qls
+    # before its polar fits
+    "pairs-classical12": (None, "repmodel --model classical --size 12 --ell 3", None, 4,
+        "shiftlab: enumeration overflow: 3006864 word pairs up to length 3 exceed cap 1000000\n",
+        1.0),
+    "pairs-qls12": (None, "repmodel --model qls --size 12 --ell 3", None, 4,
+        "shiftlab: enumeration overflow: 3006864 word pairs up to length 3 exceed cap 1000000\n",
+        1.0),
+    # 120 * 119 * 118 normality triples
+    "triples-classical120": (None, "repmodel --model classical --size 120 --ell 1", None, 4,
+        "shiftlab: enumeration overflow: 1685040 normality triples exceed cap 1000000\n", 1.0),
+    # a length whose pair count has over 24,000 digits
+    "pairs-huge-ell": (None, "repmodel --model two-projection --ell 20000", None, 4,
+        "shiftlab: enumeration overflow: 1118480 word pairs up to length 5 exceed cap 1000000\n",
+        1.0),
+    # past about level 20,600 the exact Fibonacci word count has more digits
+    # than int-to-str allows, and the count itself takes level steps
+    "level-classical-fix": (FIBONACCI, "classical-fix --input in.json --level 30000", None, 4,
+        "shiftlab: enumeration overflow: 1346269 words of length 29 exceed cap 1000000\n", 1.0),
+    "level-ergodicity": (FIBONACCI, "ergodicity --input in.json --level 30000", None, 4,
+        "shiftlab: enumeration overflow: 1346269 words of length 29 exceed cap 1000000\n", 1.0),
+    "measures-depth-over-cap": ([[1, 1], [1, 1]], "measures --input in.json --depth 6", "10", 4,
+        "shiftlab: enumeration overflow: 16 words of length 4 exceed cap 10\n", None),
+    # the search for S_12 takes 77 nodes
+    "search-over-cap": ([[1] * 12] * 12, "autgroup --input in.json", "50", 1,
+        "shiftlab: SearchCapExceeded: search exceeds cap 50 nodes\n", None),
+}
 
-    def test_missing_file_exit_two(self, capsys):
-        assert main(["pf", "--input", "/nonexistent/x.json"]) == 2
 
-    def test_not_primitive_exit_three(self, tmp_path, capsys):
-        path = tmp_path / "per.json"
-        path.write_text(json.dumps({"n": 2, "a": [[0, 1], [1, 0]]}))
-        assert main(["pf", "--input", str(path)]) == 3
-
-    @pytest.mark.parametrize(
-        "a, message",
-        [([[1]], "alphabet size must be >= 2, got 1"),
-         ([[1, 0], [1, 0]], "column 2 has no incoming edge")],
-        ids=["one-letter", "zero-column"],
-    )
-    def test_bad_shape_exit_three(self, tmp_path, capsys, a, message):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": len(a), "a": a}))
-        assert main(["pf", "--input", str(path)]) == 3
-        assert capsys.readouterr().err == f"shiftlab: not primitive: {message}\n"
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (
-                '{"n": 2, "a": [[1, 1.7], [1, 0]]}',
-                "entry 1.7 in row 1 is not an integer",
-            ),
-            (
-                '{"n": 2, "a": [[1, true], [1, 0]]}',
-                "entry true in row 1 is not an integer",
-            ),
-            ('{"n": 2, "a": ["11", [1, 0]]}', "row 1 is not a list of 2 entries"),
-            ('{"n": 2.9, "a": [[1, 1], [1, 0]]}', "n must be an integer, got 2.9"),
-            ('{"n": 2, "a": [[1, 1, 1], [1, 0]]}', "row 1 is not a list of 2 entries"),
-            (
-                '{"n": 2, "a": [[1, 1], [0, "1", 2.0]]}',
-                "row 2 is not a list of 2 entries",
-            ),
-            (
-                '{"n": 3, "a": [[1, 1, 1], [1, "1", 2.0], [1, 1, 1]]}',
-                'entry "1" in row 2 is not an integer',
-            ),
-            ('{"n": 2, "a": [[1, 1], [2, 0]]}', "entry 2 in row 2 is not 0 or 1"),
-            ('{"n": 2, "a": [[1, -1], [1, 0]]}', "entry -1 in row 1 is not 0 or 1"),
-            ('{"n": 2, "a": 5}', "a must be a list of rows"),
-            (
-                '{"n": 3, "a": [[1, 1, 1], [1, 1, 1]]}',
-                "matrix has 2 rows, expected n=3",
-            ),
-        ],
-        ids=[
-            "float-entry",
-            "bool-entry",
-            "string-row",
-            "float-n",
-            "ragged",
-            "ragged-before-entries",
-            "first-of-two-entries",
-            "two-entry",
-            "negative-entry",
-            "a-not-a-list",
-            "row-count",
-        ],
-    )
-    def test_schema_violation_exit_two(self, tmp_path, capsys, text, message):
-        # the first offender is named: a bad row before its entries, and the
-        # first of two bad entries
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        assert main(["pf", "--input", str(path)]) == 2
-        assert capsys.readouterr().err == f"shiftlab: parse error: {message}\n"
-
-    @pytest.mark.parametrize("cutoff", ["0.5", "nan", "inf"])
-    def test_spectrum_bad_cutoff_exit_two(self, capsys, fib_file, cutoff):
-        assert main(["spectrum", "--input", fib_file, "--cutoff", cutoff]) == 2
-        err = capsys.readouterr().err
-        assert "--cutoff" in err and len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_bad_tol_exit_two(self, capsys, fib_file, tol):
-        assert main(["pf", "--input", fib_file, "--tol", tol]) == 2
-        err = capsys.readouterr().err
-        assert "--tol" in err and len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("command", ["repmodel", "pf"])
-    def test_negative_seed_exit_two(self, capsys, fib_file, command):
-        argv = [command, "--seed", "-1"]
-        argv += ["--model", "qls"] if command == "repmodel" else ["--input", fib_file]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--seed" in err and len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize(
-        "cap, command",
-        [
-            ("abc", "measures"), ("1.5", "measures"), ("0", "measures"), ("-3", "report"),
-            # int() takes these, but the value is ASCII digits only
-            (" 5", "measures"), ("+5", "measures"), ("\u0665", "measures"),
-            ("1_000", "measures"),
-        ],
-    )
-    def test_bad_cap_env_exit_two(self, capsys, monkeypatch, fib_file, cap, command):
-        # report must not file the error under each section and exit 0
+@pytest.mark.parametrize(
+    "given, argv, cap, code, stderr, cpu_s", EXITS.values(), ids=EXITS.keys()
+)
+def test_exit(tmp_path, monkeypatch, capsys, given, argv, cap, code, stderr, cpu_s):
+    monkeypatch.chdir(tmp_path)
+    if given is not None:
+        text = given if isinstance(given, str) else json.dumps({"n": len(given), "a": given})
+        Path("in.json").write_text(text)
+    monkeypatch.delenv("ARIADNE_CAP", raising=False)
+    if cap is not None:
         monkeypatch.setenv("ARIADNE_CAP", cap)
-        assert main([command, "--input", fib_file]) == 2
-        err = capsys.readouterr().err
-        assert "ARIADNE_CAP" in err and len(err.strip().splitlines()) == 1
+    with budget(cpu_s=cpu_s) if cpu_s else contextlib.nullcontext():
+        assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if stderr.endswith("\n"):
+        assert err == stderr
+    else:
+        assert err.startswith(stderr) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert os.listdir() == ([] if given is None else ["in.json"])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["measures", "--depth", "0"],
-            ["classical-fix", "--level", "0"],
-            ["ergodicity", "--level", "-1"],
-            ["ergodicity", "--level", "0"],
-            ["repmodel", "--ell", "0"],
-            ["repmodel", "--size", "0"],
-        ],
-        ids=[
-            "depth",
-            "classical-level",
-            "ergodicity-level-neg",
-            "ergodicity-level",
-            "ell",
-            "size",
-        ],
-    )
-    def test_count_flag_below_one_exit_two(self, capsys, fib_file, argv):
-        if argv[0] != "repmodel":
-            argv = argv + ["--input", fib_file]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert argv[1] in err and len(err.strip().splitlines()) == 1
 
-    def test_spectrum_csv_output_path_exit_two(self, tmp_path, capsys, fib_file):
-        out = tmp_path / "spec.csv"
-        assert main(["spectrum", "--input", fib_file, "--output", str(out)]) == 2
-        assert "--output" in capsys.readouterr().err
-        assert not out.exists()
+class TestErrorPaths:
+    """What a row of EXITS cannot hold: an output path made a directory
+    first, a reader that closes the pipe, and a bound on a library call."""
 
     # a report into a missing directory or onto a directory, and the
     # spectrum CSV onto a directory: (command, --output, path named)
@@ -374,47 +377,6 @@ class TestErrorPaths:
         assert head.startswith(b"{")
         assert err == "shiftlab: output closed early\n"
 
-    # autgroup on the full 12-shift: 12! automorphisms; t-a on the full
-    # 4-shift: 16! flip-intertwiner symmetries
-    @pytest.mark.parametrize("command, n", [("autgroup", 12), ("t-a", 4)])
-    def test_group_over_cap_exits_four_at_once(
-        self, tmp_path, monkeypatch, command, n
-    ):
-        monkeypatch.delenv("ARIADNE_CAP", raising=False)
-        path = tmp_path / "full.json"
-        path.write_text(json.dumps({"n": n, "a": [[1] * n] * n}))
-        with budget(cpu_s=1.0):
-            assert main([command, "--input", str(path)]) == 4
-
-    def test_relation_pairs_over_cap_exit_four_at_once(self, monkeypatch):
-        # 12^2 + 12^4 + 12^6 word pairs
-        monkeypatch.delenv("ARIADNE_CAP", raising=False)
-        argv = ["repmodel", "--model", "classical", "--size", "12", "--ell", "3"]
-        with budget(cpu_s=1.0):
-            assert main(argv) == 4
-
-    # (argv, what the one-line message names): 120 * 119 * 118 normality
-    # triples; qls 12^2 + 12^4 + 12^6 word pairs, refused before the model's
-    # polar fits; a length whose pair count has over 24,000 digits
-    @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (["--model", "classical", "--size", "120", "--ell", "1"],
-             "1685040 normality triples"),
-            (["--model", "qls", "--size", "12", "--ell", "3"], "word pairs"),
-            (["--model", "two-projection", "--ell", "20000"], "word pairs"),
-        ],
-        ids=["triples", "qls-pairs", "huge-ell"],
-    )
-    def test_repmodel_counts_over_cap_exit_four_at_once(
-        self, capsys, monkeypatch, argv, named
-    ):
-        monkeypatch.delenv("ARIADNE_CAP", raising=False)
-        with budget(cpu_s=1.0):
-            assert main(["repmodel"] + argv) == 4
-        err = capsys.readouterr().err
-        assert named in err and len(err.strip().splitlines()) == 1
-
     def test_large_classical_model_in_bounded_time(self):
         # 59,280 normality triples and an n^3 unitarity check on n = 40
         # (about 2.4 s as one SVD per triple and a loop over the pairs)
@@ -423,27 +385,6 @@ class TestErrorPaths:
         assert len(out["normality_norms"]) == 40 * 39 * 38
         assert out["max_normality_norm"] == 0.0
         assert out["unitarity_defect"] == 0.0
-
-    # past about level 20,600 the exact Fibonacci word count has more
-    # digits than int-to-str allows, and the count itself takes level steps
-    @pytest.mark.parametrize("command", ["classical-fix", "ergodicity"])
-    def test_word_length_over_cap_exits_four_at_once(
-        self, capsys, monkeypatch, fib_file, command
-    ):
-        monkeypatch.delenv("ARIADNE_CAP", raising=False)
-        with budget(cpu_s=1.0):
-            assert main([command, "--input", fib_file, "--level", "30000"]) == 4
-        err = capsys.readouterr().err
-        assert err == (
-            "shiftlab: enumeration overflow: "
-            "1346269 words of length 29 exceed cap 1000000\n"
-        )
-
-    def test_overflow_exit_four(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ARIADNE_CAP", "10")
-        path = tmp_path / "full.json"
-        path.write_text(json.dumps({"n": 2, "a": [[1, 1], [1, 1]]}))
-        assert main(["measures", "--input", str(path), "--depth", "6"]) == 4
 
 
 def _subparsers(parser):

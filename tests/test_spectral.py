@@ -440,16 +440,23 @@ class TestGrowthRate:
             assert abs(slope - beta) <= 1e-4
 
     # the bands: log N - beta * cutoff read -0.8570, -0.8689, -0.8779 and
-    # -0.8825 on Fibonacci (non-lattice f, drifting to its limit), and
-    # -3.040, -3.008, -3.034 and -3.015 on Wielandt 4 (oscillating); each
-    # band is the readings' range widened by that range on both sides
+    # -0.8825 on Fibonacci (non-lattice f, drifting to its limit),
+    # -3.040, -3.008, -3.034 and -3.015 on Wielandt 4 (oscillating), and
+    # -3.9017, -3.8982 and -3.8942 on Wielandt 5; each band is the
+    # readings' range widened by that range on both sides.  Wielandt 5
+    # rises by about 0.016 a unit of cutoff and drops back by 0.09 every 7
+    # units (-3.9017 to -3.8102 over cutoffs 8-14), so it is read at one
+    # phase, just past each drop: a band over every phase would be
+    # [-4.00, -3.71], and would hold children counted under their parent
+    # letter (-3.8178 to -3.7953 over cutoffs 8-22)
     @pytest.mark.parametrize(
         "matrix, cutoffs, band",
         [
             (FIBONACCI, (20, 30, 40, 60), (-0.91, -0.83)),
             (wielandt(4), (8, 10, 12, 14), (-3.08, -2.97)),
+            (wielandt(5), (8, 15, 22), (-3.91, -3.88)),
         ],
-        ids=["fibonacci", "wielandt4"],
+        ids=["fibonacci", "wielandt4", "wielandt5"],
     )
     def test_count_over_its_growth_stays_in_a_band(self, matrix, cutoffs, band):
         pf = pf_of(matrix)
