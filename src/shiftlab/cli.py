@@ -85,8 +85,8 @@ def fingerprint(spec: AdjacencySpec) -> str:
 
 def load_spec(path: str) -> AdjacencySpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # JSON's, not the locale's
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return AdjacencySpec.from_json(text)
 

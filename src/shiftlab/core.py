@@ -56,14 +56,24 @@ _CAP_ENV = "ARIADNE_CAP"
 
 def word_cap() -> int:
     """Enumeration cap: ``ARIADNE_CAP`` when set, else the default.  The
-    value is ASCII digits only: ``int`` would also take a sign, spaces,
-    underscores and other scripts' digits."""
+    value is ASCII digits only, as many as ``int`` converts: ``int`` would
+    also take a sign, spaces, underscores and other scripts' digits."""
     env = os.environ.get(_CAP_ENV)
     if env is None:
         return DEFAULT_WORD_CAP
-    if not (env.isascii() and env.isdigit() and int(env) >= 1):
-        raise ParseError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
-    return int(env)
+    try:
+        if env.isascii() and env.isdigit() and int(env) >= 1:
+            return int(env)
+    except ValueError:  # past int's digit limit (4300 unless set otherwise)
+        raise ParseError(f"{_CAP_ENV} has {len(env)} digits, too many for int") from None
+    raise ParseError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
+
+
+def charge(count: int, message: str, error=LengthOverflow, **fields) -> None:
+    """Every cap refusal: error(message formatted with count, cap and fields)
+    when count passes word_cap().  Loops keep a local bound and charge past it."""
+    if count > (cap := word_cap()):
+        raise error(message.format(count=count, cap=cap, **fields))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -127,10 +137,10 @@ class AdjacencySpec:
     def from_json(cls, text: str) -> "AdjacencySpec":
         """Parse {"n": int, "a": [[int, ...], ...]}; nothing is coerced."""
         try:
-            obj = json.loads(text)
+            obj = json.loads(text)  # a ValueError also past int's digit limit
             n = obj["n"]
             a = obj["a"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ParseError(f"bad adjacency JSON: {exc}") from exc
         if type(n) is not int:  # bool is its own type, so true is refused
             raise ParseError(f"n must be an integer, got {json.dumps(n)}")
@@ -359,9 +369,8 @@ def _walk_words(
     # counting stops at the first length whose total passes the cap: totals
     # never fall with the length, since every letter has a successor
     for m, counts in enumerate(_ending_count_steps(spec, start), 1):
-        total = sum(counts)
-        if total > limit:
-            raise LengthOverflow(f"{total} words of length {m} exceed cap {limit}")
+        if (total := sum(counts)) > limit:
+            charge(total, "{count} words of length {m} exceed cap {cap}", m=m)
         if m == length:
             break
     # depth first along one path: a word is copied once, at its leaf

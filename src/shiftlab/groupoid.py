@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from .core import (
     AdjacencySpec,
     Word,
+    charge,
     ending_table,
     enumerate_words,
     is_admissible,
-    word_cap,
 )
-from .errors import LastLetterMismatch, LengthOverflow, NotAdmissible
+from .errors import LastLetterMismatch, NotAdmissible
 
 
 @dataclass(frozen=True, order=True)
@@ -78,11 +78,8 @@ def enumerate_bisections(
     spec: AdjacencySpec, r_len: int, s_len: int
 ) -> list[BisectionIndex]:
     """All indices with the given word lengths, lexicographically sorted."""
-    limit = word_cap()
-    if count_bisections(spec, r_len, s_len) > limit:  # refuses bad lengths
-        raise LengthOverflow(
-            f"bisection count at ({r_len}, {s_len}) exceeds cap {limit}"
-        )
+    count = count_bisections(spec, r_len, s_len)  # refuses bad lengths
+    charge(count, "bisection count at {at} exceeds cap {cap}", at=(r_len, s_len))
     out = []
     s_words = enumerate_words(spec, s_len)
     for r in enumerate_words(spec, r_len):

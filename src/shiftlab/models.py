@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import word_cap
+from .core import charge, word_cap
 from .errors import (
     DegenerateAngle,
     IndexClash,
-    LengthOverflow,
     NotBiunitary,
     NotProjection,
 )
@@ -233,16 +232,13 @@ class RelationReport:
 def capped_word_pairs(n: int, ell: int) -> int:
     """Word pairs of length <= ell on an n-grid, summed only until they pass
     ``word_cap()``; LengthOverflow when they or the normality triples do."""
-    cap = word_cap()
-    pairs = m = 0
-    while m < ell and pairs <= cap:
+    limit, pairs, m = word_cap(), 0, 0
+    while m < ell and pairs <= limit:
         m += 1
         pairs += n ** (2 * m)
-    if pairs > cap:
-        raise LengthOverflow(f"{pairs} word pairs up to length {m} exceed cap {cap}")
+    charge(pairs, "{count} word pairs up to length {m} exceed cap {cap}", m=m)
     triples = n * (n - 1) * (n - 2) if n >= 4 else 0
-    if triples > cap:
-        raise LengthOverflow(f"{triples} normality triples exceed cap {cap}")
+    charge(triples, "{count} normality triples exceed cap {cap}")
     return pairs
 
 

@@ -29,10 +29,10 @@ from .core import (
     PerronFrobeniusData,
     Word,
     _frozen,
+    charge,
     enumerate_words,
-    word_cap,
 )
-from .errors import Inconsistent, LengthOverflow
+from .errors import Inconsistent
 from .symmetry import (
     GraphAutomorphism,
     UnionFind,
@@ -578,9 +578,7 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
     """Commuting permutations of the flip-intertwiner; past ``word_cap()``:
     LengthOverflow in n^4 entries or group elements, SearchCapExceeded in nodes."""
-    cap = word_cap()
-    if spec.n**4 > cap:
-        raise LengthOverflow(f"{spec.n**4} t-a matrix entries exceed cap {cap}")
+    charge(spec.n**4, "{count} t-a matrix entries exceed cap {cap}")
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())
     return TAReport(matrix=_frozen(t), permutations=_frozen(perms))

@@ -38,12 +38,13 @@ from .core import (
     _dot,
     _frozen,
     _walk_words,
+    charge,
     conformal_measure,
     ending_table,
     is_admissible,
     word_cap,
 )
-from .errors import LengthOverflow, NotAdmissible, PrefixMismatch
+from .errors import NotAdmissible, PrefixMismatch
 from .groupoid import (
     BisectionIndex,
     bisections_up_to,
@@ -311,7 +312,7 @@ def spectrum(pf: PerronFrobeniusData, cutoff: float) -> list[tuple[float, int]]:
             for (last, code), paths in level.items():
                 # the next level counts too: a level past the cap is never built
                 if states + len(nxt) > limit:
-                    raise LengthOverflow(f"spectrum walk exceeds cap {limit}")
+                    charge(states + len(nxt), "spectrum walk exceeds cap {cap}")
                 extra = (len(kids[last]) - 1) * paths
                 if extra:
                     val = values[code]

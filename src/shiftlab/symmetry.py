@@ -21,11 +21,12 @@ from .core import (
     AdjacencySpec,
     PerronFrobeniusData,
     Word,
+    charge,
     enumerate_words,
     is_admissible,
     word_cap,
 )
-from .errors import LengthOverflow, NotClosed, SearchCapExceeded
+from .errors import NotClosed, SearchCapExceeded
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
 from .spectral import dirac_block, level_basis
 
@@ -134,8 +135,8 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
                 return False
             found.append(tuple(x + 1 for x in p))
             return True
-        if next(nodes) > limit:
-            raise SearchCapExceeded(f"search exceeds cap {limit} nodes")
+        if (node := next(nodes)) > limit:
+            charge(node, "search exceeds cap {cap} nodes", SearchCapExceeded)
         for j in images or range(n):
             if tgt[j] != src[i]:  # so no assigned image: its colour is its own
                 continue
@@ -176,9 +177,8 @@ def _listed_group(a: Sequence[Sequence[int]]) -> tuple[np.ndarray, list]:
     at a time: a chunk's children are its rows composed with the
     transversal, reordered as whole rows (one void item each) by the
     parents' images of the orbit points, so no temporary outgrows a chunk."""
-    (order, found, sizes), limit = _search(a), word_cap()
-    if order > limit:
-        raise LengthOverflow(f"group of order {order} exceeds cap {limit}")
+    order, found, sizes = _search(a)
+    charge(order, "group of order {count} exceeds cap {cap}")
     n = len(a)
     dtype = np.min_scalar_type(-n - 1)  # the least signed type that holds n
     rows = np.arange(1, n + 1, dtype=dtype)[None, :]

@@ -16,10 +16,11 @@ from shiftlab.errors import (
     NotAdmissible,
     NotBiunitary,
     PrefixMismatch,
+    SearchCapExceeded,
 )
 from shiftlab.groupoid import make_bisection
 from shiftlab.models import classical_model
-from shiftlab.symmetry import GraphAutomorphism
+from shiftlab.symmetry import GraphAutomorphism, generating_set, matrix_automorphisms
 
 EXPORTS = {
     "AdjacencySpec", "BisectionIndex", "CONFORMAL", "ClassicalIsometry",
@@ -171,4 +172,55 @@ REFUSALS = {
 def test_library_refusals(monkeypatch, fib, fib_pf, call, error, fragment):
     monkeypatch.delenv("ARIADNE_CAP", raising=False)
     with pytest.raises(error, match=re.escape(fragment)):
+        call(fib, fib_pf)
+
+
+def _full(n):
+    return sl.AdjacencySpec.full_shift(n)
+
+
+# Every cap refusal, one row per core.charge site (and level_basis's walk
+# from one letter): the call on Fibonacci (its spec and PF data), reduced to
+# one figure of its result; the count it charges; that figure when
+# ARIADNE_CAP is the count; and the exception and its exact message when
+# ARIADNE_CAP is one less
+CAPS = {
+    # 2, 4, 8, 16 words of lengths 1..4
+    "words": (lambda fib, pf: len(sl.enumerate_words(_full(2), 4)), 16, 16,
+        LengthOverflow, "16 words of length 4 exceed cap 15"),
+    # from letter 1: 1, 2, 3, 5 words of lengths 1..4, so length 4 is named
+    "level-basis": (lambda fib, pf: sl.level_basis(fib, (2, 1), 3).size, 5, 5,
+        LengthOverflow, "5 words of length 4 exceed cap 4"),
+    "bisections": (lambda fib, pf: len(sl.enumerate_bisections(_full(2), 2, 3)), 16, 16,
+        LengthOverflow, "bisection count at (2, 3) exceeds cap 15"),
+    # 9 + 81 word pairs on a 3-grid
+    "word-pairs": (
+        lambda fib, pf: sl.relation_check(classical_model((1, 2, 3)), 2).words_checked,
+        90, 90, LengthOverflow, "90 word pairs up to length 2 exceed cap 89"),
+    # 16 word pairs, 4 * 3 * 2 normality triples
+    "normality-triples": (
+        lambda fib, pf: sl.relation_check(classical_model((1, 2, 3, 4)), 1).words_checked,
+        24, 16, LengthOverflow, "24 normality triples exceed cap 23"),
+    "t-a-entries": (lambda fib, pf: sl.t_a_analysis(fib).order, 16, 2,
+        LengthOverflow, "16 t-a matrix entries exceed cap 15"),
+    # walk states, counted with the level being built; 562 eigenvalues
+    "spectrum-walk": (lambda fib, pf: sum(m for _, m in sl.spectrum(pf, 5.0)), 99, 562,
+        LengthOverflow, "spectrum walk exceeds cap 98"),
+    # S_3, refused before it is listed
+    "group-order": (lambda fib, pf: len(matrix_automorphisms(_full(3).a)), 6, 6,
+        LengthOverflow, "group of order 6 exceeds cap 5"),
+    # S_12: 11 generators found in 77 search nodes, the group never listed
+    "search-nodes": (lambda fib, pf: len(generating_set(_full(12))), 77, 11,
+        SearchCapExceeded, "search exceeds cap 76 nodes"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, count, figure, error, message", CAPS.values(), ids=CAPS.keys()
+)
+def test_cap_boundaries(monkeypatch, fib, fib_pf, call, count, figure, error, message):
+    monkeypatch.setenv("ARIADNE_CAP", str(count))
+    assert call(fib, fib_pf) == figure
+    monkeypatch.setenv("ARIADNE_CAP", str(count - 1))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(fib, fib_pf)

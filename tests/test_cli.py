@@ -182,7 +182,7 @@ class TestDispatch:
 
 
 # Every refused cli.main call, one row each: the input written to in.json in
-# the test's directory (a matrix, JSON text, or None: no file), the
+# the test's directory (a matrix, JSON text, raw bytes, or None: no file), the
 # arguments (split at spaces), ARIADNE_CAP (None: unset), the exit code, the
 # stderr, and a bound on the call's CPU time in s (None: none).  The stderr
 # is exact; a row whose stderr stops before the end of the line gives its
@@ -190,6 +190,15 @@ class TestDispatch:
 # call prints nothing on stdout and writes no report and no CSV.
 EXITS = {
     "parse-error": ("{not json", "pf --input in.json", None, 2,
+        "shiftlab: parse error: bad adjacency JSON: ", None),
+    # the file is read as UTF-8, JSON's encoding, whatever the locale
+    "not-utf8": (b'{"n": 2, "a": [[1, 1], [1, 0]]}\xff', "pf --input in.json", None, 2,
+        "shiftlab: parse error: cannot read in.json: ", None),
+    # more digits than int converts (4300 by default)
+    "integer-5000-digits": ('{"n": ' + "1" * 5000 + "}", "pf --input in.json", None, 2,
+        "shiftlab: parse error: bad adjacency JSON: ", None),
+    # nested past the recursion limit
+    "arrays-nested-200000": ("[" * 200_000, "pf --input in.json", None, 2,
         "shiftlab: parse error: bad adjacency JSON: ", None),
     "missing-file": (None, "pf --input /nonexistent/x.json", None, 2,
         "shiftlab: parse error: cannot read /nonexistent/x.json: ", None),
@@ -262,6 +271,9 @@ EXITS = {
         "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '\u0665'\n", None),
     "cap-1_000": (FIBONACCI, "measures --input in.json", "1_000", 2,
         "shiftlab: parse error: ARIADNE_CAP must be an integer >= 1, got '1_000'\n", None),
+    # ASCII digits, but more than int converts (4300 by default)
+    "cap-5000-digits": (FIBONACCI, "measures --input in.json", "1" * 5000, 2,
+        "shiftlab: parse error: ARIADNE_CAP has 5000 digits, too many for int\n", None),
     "depth-0": (FIBONACCI, "measures --depth 0 --input in.json", None, 2,
         "shiftlab: parse error: --depth must be >= 1, got 0\n", None),
     "classical-level-0": (FIBONACCI, "classical-fix --level 0 --input in.json", None, 2,
@@ -319,7 +331,9 @@ EXITS = {
 )
 def test_exit(tmp_path, monkeypatch, capsys, given, argv, cap, code, stderr, cpu_s):
     monkeypatch.chdir(tmp_path)
-    if given is not None:
+    if isinstance(given, bytes):
+        Path("in.json").write_bytes(given)
+    elif given is not None:
         text = given if isinstance(given, str) else json.dumps({"n": len(given), "a": given})
         Path("in.json").write_text(text)
     monkeypatch.delenv("ARIADNE_CAP", raising=False)

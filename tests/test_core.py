@@ -236,17 +236,19 @@ class TestWords:
                 j + 1 for j in range(spec.n) if mat[x - 1][j]
             )
 
+    def test_edges_row_major_one_based(self, fib):
+        assert fib.edges() == [(1, 1), (1, 2), (2, 1)]
+        # against the matrix: np.argwhere lists its nonzero entries row-major
+        a = random_primitive(16, seed=20261018)
+        want = [(i + 1, j + 1) for i, j in np.argwhere(a).tolist()]
+        assert len(want) > 16 and AdjacencySpec.from_matrix(a).edges() == want
+
     def test_exact_counts_past_int64(self, fib):
         assert sl.count_words(AdjacencySpec.full_shift(10), 30) == 10**30
         counts = [1, 2]  # of the lengths 0 and 1; then the Fibonacci rule
         while len(counts) <= 200:
             counts.append(counts[-1] + counts[-2])
         assert sl.count_words(fib, 200) == counts[200]
-
-    def test_cap_overflow(self, full2, monkeypatch):
-        monkeypatch.setenv("ARIADNE_CAP", "1000")
-        with pytest.raises(LengthOverflow):
-            sl.enumerate_words(full2, 30)
 
     def test_cap_overflow_names_the_first_length_past_it(self, fib, monkeypatch):
         # the exact count of length 10**9 would take 10**9 big-int steps

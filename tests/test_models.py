@@ -194,13 +194,12 @@ class TestRelationCheck:
         assert rep.max_partial_isometry_defect <= 1e-9
         assert rep.max_unitarity_defect <= 1e-9
 
-    def test_word_pairs_bounded_by_cap(self, monkeypatch):
-        model = classical_model((1, 2, 3))
+    def test_pair_sum_goes_on_past_a_sum_equal_to_the_cap(self, monkeypatch):
+        # 9 + 81 pairs reach the cap at length 2, and length 3 still counts
         monkeypatch.setenv("ARIADNE_CAP", "90")
-        assert sl.relation_check(model, 2).words_checked == 9 + 81
-        monkeypatch.setenv("ARIADNE_CAP", "89")
-        with pytest.raises(LengthOverflow):
-            sl.relation_check(model, 2)
+        message = r"^819 word pairs up to length 3 exceed cap 90$"
+        with pytest.raises(LengthOverflow, match=message):
+            sl.relation_check(classical_model((1, 2, 3)), 3)
 
 
 def rotated_latin_square(n, seed):
@@ -279,15 +278,6 @@ class TestRelationCheckOracle:
             rep = sl.relation_check(model, 4)
         assert rep.words_checked == 16 + 16**2 + 16**3 + 16**4
         assert rep.max_partial_isometry_defect < 1e-10
-
-    def test_normality_triples_bounded_by_cap(self, monkeypatch):
-        # 16 word pairs, 4 * 3 * 2 = 24 normality triples
-        model = classical_model((1, 2, 3, 4))
-        monkeypatch.setenv("ARIADNE_CAP", "24")
-        assert sl.relation_check(model, 1).words_checked == 16
-        monkeypatch.setenv("ARIADNE_CAP", "23")
-        with pytest.raises(LengthOverflow, match="24 normality triples"):
-            sl.relation_check(model, 1)
 
     def test_huge_length_refused_at_once(self):
         with budget(cpu_s=1.0), pytest.raises(LengthOverflow, match="up to length 5 "):

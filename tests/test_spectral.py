@@ -160,13 +160,6 @@ class TestLevelBasis:
                     want = _cells_or_overflow(loop_level_basis, spec, base, depth)
                     assert got == want
 
-    def test_overflow_names_the_first_length_over_cap(self, fib, monkeypatch):
-        # words from letter 1 of lengths 1..4 number 1, 2, 3, 5
-        monkeypatch.setenv("ARIADNE_CAP", "3")
-        assert level_basis(fib, (2, 1), 2).size == 3
-        with pytest.raises(LengthOverflow, match="^5 words of length 4 exceed cap 3$"):
-            level_basis(fib, (2, 1), 3)
-
 
 class TestEigenvalueFormula:
     def test_full_shift_linear_in_depth(self, full2_pf):
@@ -385,11 +378,6 @@ class TestSpectrum:
         for fn in (sl.spectrum, sl.spectrum_dense):
             with pytest.raises(ValueError, match=r"^cutoff must be finite and >= 1$"):
                 fn(fib_pf, cutoff)
-
-    def test_tiny_cap_overflows(self, fib_pf, monkeypatch):
-        monkeypatch.setenv("ARIADNE_CAP", "3")
-        with pytest.raises(LengthOverflow):
-            sl.spectrum(fib_pf, 5.0)
 
     def test_cap_checked_while_a_level_is_built(self, monkeypatch):
         # from letter 1 at cutoff 5, the seeded n = 16 graph walks 16,672

@@ -300,14 +300,6 @@ class TestFirstPathSearch:
         assert generated_group([g.perm for g in generating_set(spec)], n) == group
         assert generated_group([rotation, square], n) == group
 
-    def test_order_over_cap_raises_before_listing(self, monkeypatch):
-        full3 = [[1] * 3] * 3
-        monkeypatch.setenv("ARIADNE_CAP", "6")
-        assert len(matrix_automorphisms(full3)) == 6
-        monkeypatch.setenv("ARIADNE_CAP", "5")
-        with pytest.raises(LengthOverflow):
-            matrix_automorphisms(full3)
-
     def test_big_groups_are_not_listed(self, monkeypatch):
         # S_12 has 12! elements, over the default cap: the order is refused
         # at once, and the level-1 orbit still comes from the generators
