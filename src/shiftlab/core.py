@@ -69,11 +69,11 @@ def word_cap() -> int:
     raise ParseError(f"{_CAP_ENV} must be an integer >= 1, got {env!r}")
 
 
-def charge(count: int, message: str, error=LengthOverflow, **fields) -> None:
-    """Every cap refusal: error(message formatted with count, cap and fields)
+def charge(count: int, message: str, **fields) -> None:
+    """Every cap refusal: LengthOverflow(message with count, cap and fields)
     when count passes word_cap().  Loops keep a local bound and charge past it."""
     if count > (cap := word_cap()):
-        raise error(message.format(count=count, cap=cap, **fields))
+        raise LengthOverflow(message.format(count=count, cap=cap, **fields))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

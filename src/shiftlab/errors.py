@@ -45,10 +45,6 @@ class Inconsistent(ShiftLabError):
     """Constraint propagation derived a contradiction."""
 
 
-class SearchCapExceeded(ShiftLabError):
-    """An automorphism search visits more nodes than ``ARIADNE_CAP``."""
-
-
 class DegenerateAngle(ShiftLabError):
     """Two-projection model needs an angle strictly inside (0, pi/2)."""
 

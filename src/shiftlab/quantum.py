@@ -541,10 +541,13 @@ def ergodicity_verdict(
     is formed: a pair is certainly zero when some position holds letters
     that are not ``alive``, so its state is read letter position by letter
     position.  The sweep starts from the eigenvector rule's Zeros and
-    frees none, so ``alive`` needs no eigenvector mask of its own.
+    frees none, so ``alive`` needs no eigenvector mask of its own.  A full
+    shift with every pair alive is certified unlisted (``PerLegWitness``).
     """
     n = spec.n
     alive = (_live_sweep(spec, pf)[1][: n * n] != _ZERO_VAR).reshape(n, n)
+    if k >= 0 and alive.all() and spec.is_full_shift():
+        return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     words, letters, root = _words_and_orbits(spec, k, alive)
     reached = _reached_from_first(letters, alive)
     if not reached.all():
@@ -576,8 +579,8 @@ def t_a_matrix(spec: AdjacencySpec) -> np.ndarray:
 
 
 def t_a_analysis(spec: AdjacencySpec) -> TAReport:
-    """Commuting permutations of the flip-intertwiner; past ``word_cap()``:
-    LengthOverflow in n^4 entries or group elements, SearchCapExceeded in nodes."""
+    """Commuting permutations of the flip-intertwiner; LengthOverflow when its
+    n^4 entries, group elements or search nodes pass ``word_cap()``."""
     charge(spec.n**4, "{count} t-a matrix entries exceed cap {cap}")
     t = t_a_matrix(spec)
     perms = matrix_automorphisms(t.tolist())

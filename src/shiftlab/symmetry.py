@@ -26,7 +26,7 @@ from .core import (
     is_admissible,
     word_cap,
 )
-from .errors import NotClosed, SearchCapExceeded
+from .errors import NotClosed
 from .groupoid import BisectionIndex, bisections_up_to, is_bisection_index
 from .spectral import dirac_block, level_basis
 
@@ -97,7 +97,7 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
     unless nothing can split, refines both sides together: images keep
     colours and class sizes, as automorphisms do.  The colours only prune:
     one check per leaf, a permutation that keeps the matrix, decides.  Past
-    ``word_cap()`` nodes: SearchCapExceeded.  Returns (order, generators,
+    ``word_cap()`` nodes: LengthOverflow.  Returns (order, generators,
     sizes): sizes[i] is the size of i's orbit under the elements fixing the
     points below i.
     """
@@ -136,7 +136,7 @@ def _search(a: Sequence[Sequence[int]]) -> tuple[int, list, list[int]]:
             found.append(tuple(x + 1 for x in p))
             return True
         if (node := next(nodes)) > limit:
-            charge(node, "search exceeds cap {cap} nodes", SearchCapExceeded)
+            charge(node, "search exceeds cap {cap} nodes")
         for j in images or range(n):
             if tgt[j] != src[i]:  # so no assigned image: its colour is its own
                 continue

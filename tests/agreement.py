@@ -5,10 +5,11 @@
     python tests/agreement.py compare parent.json change.json [expected.txt]
 
 `run` sends every case of the corpus through ``shiftlab.cli.main`` in this
-one process, each under an alarm of ``ALARM_S`` seconds, and writes per
-case the exit code (argparse's ``SystemExit`` code included), stderr, the
-sha256 of stdout, the sha256 of the report (cut by
-``conftest.cut_wall_time``) and the sha256 of the CSV, if one was written.
+one process, each under an alarm of ``ALARM_S`` seconds and its
+``ARIADNE_CAP`` (unset for the default), and writes per case the exit
+code (argparse's ``SystemExit`` code included), stderr, the sha256 of
+stdout, the sha256 of the report (cut by ``conftest.cut_wall_time``) and
+the sha256 of the CSV, if one was written.
 Help and usage text wrap at ``COLUMNS``, which `run` fixes at 80.
 `compare` prints every case whose record differs between the two files
 and exits 1 if any does.  A case the first (reference) side did not finish
@@ -31,10 +32,13 @@ The corpus:
     where the index counts and the (class, length) expansion dominate;
   * the argv of ``PARSER_ARGV`` in ``tests/conftest.py``, run as they are:
     help, version, usage and argparse's errors.
-Left out, each for its time: ``report`` and ``t-a`` on Wielandt n >= 18
-(``t-a`` searches a group of hundreds of digits to its end, minutes per
-case), and ``spectrum`` and ``report`` on the seeded n >= 32 graphs
-(``spectrum`` exits 4 only after several seconds and hundreds of MiB).
+Left out at the default cap, each for its time: ``report`` and ``t-a`` on
+Wielandt n >= 18 (``t-a`` searches a group of hundreds of digits to its
+end, minutes per case), and ``spectrum`` and ``report`` on the seeded
+n >= 32 graphs (``spectrum`` exits 4 only after several seconds and
+hundreds of MiB).  Every case, these 20 included, runs a second time under
+``ARIADNE_CAP=CAP``, its id suffixed `` @cap<CAP>``: there the over-cap
+refusals and the refusals a report section records are compared too.
 """
 
 from __future__ import annotations
@@ -49,10 +53,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]  # perfbench and conftest
 ALARM_S = 60
+CAP = 2000  # ARIADNE_CAP of the second pass
 
 COMMANDS = [
     ["pf"],
@@ -92,13 +98,14 @@ def _inputs() -> dict[str, list[list[int]]]:
     return inputs
 
 
-def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool]]:
+def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | None]]:
     """Case id -> (argv, matrix or None, whether run adds --input and
-    --output to argv)."""
+    --output to argv, ARIADNE_CAP or None for the default)."""
     from conftest import PARSER_ARGV
     from perfbench.workloads import WORKLOADS, fingerprint
 
     cases: dict[str, tuple[list[str], list[list[int]] | None, bool]] = {}
+    slow_cases: dict[str, tuple[list[str], list[list[int]] | None, bool]] = {}
     inputs = _inputs()
     for name, a in inputs.items():
         n = len(a)
@@ -106,8 +113,7 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool]]:
             slow = (
                 name.startswith("wielandt") and n >= 18 and argv[0] in ("report", "t-a")
             ) or (name.startswith("seeded") and n >= 32 and argv[0] in ("spectrum", "report"))
-            if not slow:
-                cases[f"{' '.join(argv)} :{name}"] = (argv, a, True)
+            (slow_cases if slow else cases)[f"{' '.join(argv)} :{name}"] = (argv, a, True)
     for model in ("two-projection", "qls", "classical"):
         for size in range(4, 11):
             for ell in (1, 3):
@@ -127,7 +133,10 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool]]:
                     cases[" ".join(argv) + tag] = (argv, a, True)
     for argv in PARSER_ARGV:
         cases[f"argv {json.dumps(argv)}"] = (argv, None, False)
-    return cases
+    return {
+        **{case: (*spec, None) for case, spec in cases.items()},
+        **{f"{case} @cap{CAP}": (*spec, CAP) for case, spec in {**cases, **slow_cases}.items()},
+    }
 
 
 def _digest(path: Path, cut: bool = False) -> str | None:
@@ -149,10 +158,12 @@ def run(out_path: str) -> None:
         raise CaseTimeout
 
     signal.signal(signal.SIGALRM, on_alarm)
-    os.environ["COLUMNS"] = "80"
     records = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for k, (case, (argv, a, files)) in enumerate(corpus().items()):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
+        for k, (case, (argv, a, files, cap)) in enumerate(corpus().items()):
+            os.environ.pop("ARIADNE_CAP", None)
+            if cap is not None:
+                os.environ["ARIADNE_CAP"] = str(cap)
             out = Path(tmp) / f"{k}.json"
             args = [*argv, "--output", str(out)] if files else [*argv]
             if a is not None:

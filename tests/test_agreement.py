@@ -3,6 +3,7 @@ list of intended differences."""
 
 import hashlib
 import json
+import os
 import signal
 import sys
 
@@ -76,7 +77,7 @@ def test_run_records_argparse_exits(monkeypatch, tmp_path):
     import agreement
     from shiftlab import __version__
 
-    cases = {"version": (["--version"], None, False), "bogus": (["bogus"], None, False)}
+    cases = {"version": (["--version"], None, False, None), "bogus": (["bogus"], None, False, None)}
     monkeypatch.setattr(agreement, "corpus", lambda: cases)
     handler = signal.getsignal(signal.SIGALRM)
     try:
@@ -88,3 +89,52 @@ def test_run_records_argparse_exits(monkeypatch, tmp_path):
     assert records["version"]["exit"] == 0 and records["version"]["stdout"] == version
     assert records["bogus"]["exit"] == 2
     assert "invalid choice: 'bogus'" in records["bogus"]["stderr"]
+
+
+def test_run_sets_each_case_cap(monkeypatch, tmp_path):
+    # a case runs under its own ARIADNE_CAP, or the default when it has
+    # none, and the caller's environment comes back as it was
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    monkeypatch.setenv("ARIADNE_CAP", "7")
+    import agreement
+
+    full2 = [[1, 1], [1, 1]]
+    cases = {
+        "default": (["measures", "--depth", "3"], full2, True, None),
+        "capped": (["measures", "--depth", "3"], full2, True, 3),
+    }
+    monkeypatch.setattr(agreement, "corpus", lambda: cases)
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        agreement.run(str(tmp_path / "records.json"))
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    records = json.loads((tmp_path / "records.json").read_text())
+    assert records["default"]["exit"] == 0
+    assert records["capped"]["exit"] == 4
+    assert records["capped"]["stderr"] == (
+        "shiftlab: enumeration overflow: 4 words of length 2 exceed cap 3\n"
+    )
+    assert os.environ["ARIADNE_CAP"] == "7"
+
+
+def test_capped_pass_repeats_every_case(monkeypatch):
+    # every case again at the small cap, with the 20 left out of the
+    # default pass for their time
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    import agreement
+
+    cases = agreement.corpus()
+    default = [case for case, spec in cases.items() if spec[3] is None]
+    capped = [case for case, spec in cases.items() if spec[3] == agreement.CAP == 2000]
+    assert len(default) + len(capped) == len(cases)
+    assert [f"{case} @cap2000" for case in default] == capped[: len(default)]
+    assert sorted(capped[len(default):]) == sorted(
+        f"{command} :{name} @cap2000"
+        for command, names in [
+            ("report", [*(f"wielandt{n}" for n in range(18, 25)), "seeded32", "seeded64", "seeded128"]),
+            ("t-a", [f"wielandt{n}" for n in range(18, 25)]),
+            ("spectrum", ["seeded32", "seeded64", "seeded128"]),
+        ]
+        for name in names
+    )

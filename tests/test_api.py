@@ -1,8 +1,11 @@
 """The public API is fixed: these sets change only on purpose."""
 
 import argparse
+import ast
 import re
+import string
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from shiftlab.errors import (
     NotAdmissible,
     NotBiunitary,
     PrefixMismatch,
-    SearchCapExceeded,
 )
 from shiftlab.groupoid import make_bisection
 from shiftlab.models import classical_model
@@ -182,45 +184,77 @@ def _full(n):
 # Every cap refusal, one row per core.charge site (and level_basis's walk
 # from one letter): the call on Fibonacci (its spec and PF data), reduced to
 # one figure of its result; the count it charges; that figure when
-# ARIADNE_CAP is the count; and the exception and its exact message when
+# ARIADNE_CAP is the count; and the exact message of the LengthOverflow when
 # ARIADNE_CAP is one less
 CAPS = {
     # 2, 4, 8, 16 words of lengths 1..4
     "words": (lambda fib, pf: len(sl.enumerate_words(_full(2), 4)), 16, 16,
-        LengthOverflow, "16 words of length 4 exceed cap 15"),
+        "16 words of length 4 exceed cap 15"),
     # from letter 1: 1, 2, 3, 5 words of lengths 1..4, so length 4 is named
     "level-basis": (lambda fib, pf: sl.level_basis(fib, (2, 1), 3).size, 5, 5,
-        LengthOverflow, "5 words of length 4 exceed cap 4"),
+        "5 words of length 4 exceed cap 4"),
     "bisections": (lambda fib, pf: len(sl.enumerate_bisections(_full(2), 2, 3)), 16, 16,
-        LengthOverflow, "bisection count at (2, 3) exceeds cap 15"),
+        "bisection count at (2, 3) exceeds cap 15"),
     # 9 + 81 word pairs on a 3-grid
     "word-pairs": (
         lambda fib, pf: sl.relation_check(classical_model((1, 2, 3)), 2).words_checked,
-        90, 90, LengthOverflow, "90 word pairs up to length 2 exceed cap 89"),
+        90, 90, "90 word pairs up to length 2 exceed cap 89"),
     # 16 word pairs, 4 * 3 * 2 normality triples
     "normality-triples": (
         lambda fib, pf: sl.relation_check(classical_model((1, 2, 3, 4)), 1).words_checked,
-        24, 16, LengthOverflow, "24 normality triples exceed cap 23"),
+        24, 16, "24 normality triples exceed cap 23"),
     "t-a-entries": (lambda fib, pf: sl.t_a_analysis(fib).order, 16, 2,
-        LengthOverflow, "16 t-a matrix entries exceed cap 15"),
+        "16 t-a matrix entries exceed cap 15"),
     # walk states, counted with the level being built; 562 eigenvalues
     "spectrum-walk": (lambda fib, pf: sum(m for _, m in sl.spectrum(pf, 5.0)), 99, 562,
-        LengthOverflow, "spectrum walk exceeds cap 98"),
+        "spectrum walk exceeds cap 98"),
     # S_3, refused before it is listed
     "group-order": (lambda fib, pf: len(matrix_automorphisms(_full(3).a)), 6, 6,
-        LengthOverflow, "group of order 6 exceeds cap 5"),
+        "group of order 6 exceeds cap 5"),
     # S_12: 11 generators found in 77 search nodes, the group never listed
     "search-nodes": (lambda fib, pf: len(generating_set(_full(12))), 77, 11,
-        SearchCapExceeded, "search exceeds cap 76 nodes"),
+        "search exceeds cap 76 nodes"),
 }
 
 
 @pytest.mark.parametrize(
-    "call, count, figure, error, message", CAPS.values(), ids=CAPS.keys()
+    "call, count, figure, message", CAPS.values(), ids=CAPS.keys()
 )
-def test_cap_boundaries(monkeypatch, fib, fib_pf, call, count, figure, error, message):
+def test_cap_boundaries(monkeypatch, fib, fib_pf, call, count, figure, message):
     monkeypatch.setenv("ARIADNE_CAP", str(count))
     assert call(fib, fib_pf) == figure
     monkeypatch.setenv("ARIADNE_CAP", str(count - 1))
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+    with pytest.raises(LengthOverflow, match=f"^{re.escape(message)}$"):
         call(fib, fib_pf)
+
+
+def _charge_templates():
+    """The constant template of every charge(...) call in shiftlab's modules."""
+    calls = [
+        node
+        for path in sorted(Path(sl.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "charge" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls and all(isinstance(call.args[1], ast.Constant) for call in calls)
+    return {call.args[1].value for call in calls}
+
+
+def _template_pattern(template):
+    """A regex of the messages a template formats to: any text per field."""
+    return "".join(
+        re.escape(text) + ("" if field is None else ".+")
+        for text, field, _, _ in string.Formatter().parse(template)
+    )
+
+
+def test_every_charge_template_has_a_cap_row():
+    # so a new cap site cannot land without its boundary row
+    templates = _charge_templates()
+    messages = [row[-1] for row in CAPS.values()]
+    for template in templates:
+        assert any(re.fullmatch(_template_pattern(template), m) for m in messages), template
+    for message in messages:
+        hits = [t for t in templates if re.fullmatch(_template_pattern(t), message)]
+        assert len(hits) == 1, (message, hits)

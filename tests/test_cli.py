@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import shiftlab
 import shiftlab.cli
-from shiftlab import AdjacencySpec, enumerate_words, perron_frobenius, t_a_analysis
+from shiftlab import AdjacencySpec, enumerate_words, errors, perron_frobenius, t_a_analysis
 from shiftlab.cli import (
     ROW_CHUNK, _COMMANDS, _emit, _word_str, build_parser, main, round15,
 )
@@ -321,8 +321,8 @@ EXITS = {
     "measures-depth-over-cap": ([[1, 1], [1, 1]], "measures --input in.json --depth 6", "10", 4,
         "shiftlab: enumeration overflow: 16 words of length 4 exceed cap 10\n", None),
     # the search for S_12 takes 77 nodes
-    "search-over-cap": ([[1] * 12] * 12, "autgroup --input in.json", "50", 1,
-        "shiftlab: SearchCapExceeded: search exceeds cap 50 nodes\n", None),
+    "search-over-cap": ([[1] * 12] * 12, "autgroup --input in.json", "50", 4,
+        "shiftlab: enumeration overflow: search exceeds cap 50 nodes\n", None),
 }
 
 
@@ -348,6 +348,54 @@ def test_exit(tmp_path, monkeypatch, capsys, given, argv, cap, code, stderr, cpu
     else:
         assert err.startswith(stderr) and err.count("\n") == 1 and err.endswith("\n"), err
     assert os.listdir() == ([] if given is None else ["in.json"])
+
+
+# The CLI outcome of each error class in shiftlab.errors: the exit code and
+# the head of the one stderr line, before the message
+ERROR_EXITS = {
+    errors.ParseError: (2, "shiftlab: parse error: "),
+    errors.NotPrimitive: (3, "shiftlab: not primitive: "),
+    errors.LengthOverflow: (4, "shiftlab: enumeration overflow: "),
+    errors.NotZeroOne: (1, "shiftlab: NotZeroOne: "),
+    errors.NonConvergence: (1, "shiftlab: NonConvergence: "),
+    errors.NotAdmissible: (1, "shiftlab: NotAdmissible: "),
+    errors.LastLetterMismatch: (1, "shiftlab: LastLetterMismatch: "),
+    errors.PrefixMismatch: (1, "shiftlab: PrefixMismatch: "),
+    errors.NotClosed: (1, "shiftlab: NotClosed: "),
+    errors.Inconsistent: (1, "shiftlab: Inconsistent: "),
+    errors.DegenerateAngle: (1, "shiftlab: DegenerateAngle: "),
+    errors.NotBiunitary: (1, "shiftlab: NotBiunitary: "),
+    errors.IndexClash: (1, "shiftlab: IndexClash: "),
+    errors.NotProjection: (1, "shiftlab: NotProjection: "),
+}
+
+
+def test_every_error_class_has_an_exit_row():
+    classes = {
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.ShiftLabError)
+    }
+    assert set(ERROR_EXITS) == classes - {errors.ShiftLabError}
+
+
+@pytest.mark.parametrize(
+    "error, code, head",
+    [(error, *row) for error, row in ERROR_EXITS.items()],
+    ids=[error.__name__ for error in ERROR_EXITS],
+)
+def test_error_class_exit(monkeypatch, capsys, fib_file, error, code, head):
+    # autgroup's handler raises the class: the command exits with its code
+    # and one stderr line, and report records the section and goes on
+    def raising(spec, pf, args):
+        raise error("stubbed")
+
+    help_line, flags, _ = _COMMANDS["autgroup"]
+    monkeypatch.setitem(_COMMANDS, "autgroup", (help_line, flags, raising))
+    assert main(["autgroup", "--input", fib_file]) == code
+    assert capsys.readouterr() == ("", f"{head}stubbed\n")
+    assert run_json(capsys, "report", "--input", fib_file)[1]["results"]["autgroup"] == {
+        "ok": False, "error": error.__name__, "message": "stubbed",
+    }
 
 
 class TestErrorPaths:
@@ -488,6 +536,22 @@ class TestReportBundle:
         sections = json.loads(out.read_text())["results"]
         assert sections["t-a"]["error"] == "LengthOverflow"
         assert all(sections[name]["ok"] for name in sections if name != "t-a")
+
+    def test_full12_sections_at_a_small_cap(self, tmp_path, monkeypatch, capsys):
+        # the search for S_12 takes 77 nodes, so autgroup is refused like
+        # every other cap; the verdict on a full shift lists no word
+        monkeypatch.setenv("ARIADNE_CAP", "50")
+        path = tmp_path / "full12.json"
+        path.write_text(json.dumps({"n": 12, "a": [[1] * 12] * 12}))
+        code, rep = run_json(capsys, "report", "--input", str(path))
+        assert code == 0
+        sections = rep["results"]
+        assert sections["autgroup"] == {
+            "ok": False, "error": "LengthOverflow", "message": "search exceeds cap 50 nodes",
+        }
+        assert sections["ergodicity"] == {
+            "ok": True, "results": {"level": 3, "verdict": "ErgodicCertified", "witness": None},
+        }
 
     def test_one_pf_computation(self, tmp_path, monkeypatch, fib_file):
         calls = []
@@ -837,6 +901,16 @@ GATES = [
         lambda run, res: res["verdict"], "Unknown",
         150, 10,
         marks=NEEDS_VMHWM, id="ergodicity-level6-complete8",
+    ),
+    # every pair of words on a full shift has a per-leg witness, so the
+    # verdict lists no word (2^20 words passed the cap at level 20)
+    pytest.param(
+        [[1] * 2] * 2,
+        ["ergodicity", "--input", "in.json", "--level", "1000000", "--output", "out.json"],
+        None, 0,
+        lambda run, res: (res["level"], res["verdict"]), (1000000, "ErgodicCertified"),
+        100, 1,
+        marks=NEEDS_VMHWM, id="ergodicity-level1000000-full2",
     ),
     # the walk passes the cap; the cap is checked as each level is built,
     # so no level past it is held (475 MiB when each level was counted only

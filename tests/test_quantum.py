@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import replace
 from unittest import mock
@@ -30,7 +31,7 @@ from shiftlab.quantum import (
 )
 from shiftlab.models import classical_model
 from shiftlab.symmetry import _orbit_roots
-from shiftlab.errors import Inconsistent, LengthOverflow, SearchCapExceeded
+from shiftlab.errors import Inconsistent, LengthOverflow
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
@@ -286,6 +287,24 @@ class TestErgodicityVerdict:
                     continue
                 v = sl.ergodicity_verdict(spec, pf, k)
                 assert v.verdict == ERGODIC_CERTIFIED
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_full_shift_verdict_lists_no_word(self, monkeypatch, n):
+        # the sweep keeps every letter pair on the full shift, so every pair
+        # of words has a PerLegWitness: certified at every level, and no
+        # word is listed; a negative level is still refused
+        spec = sl.AdjacencySpec.full_shift(n)
+        pf = sl.perron_frobenius(spec)
+        want = [loop_ergodicity_verdict(spec, pf, k) for k in (1, 2, 3)]
+        assert {v.verdict for v in want} == {ERGODIC_CERTIFIED}
+        with pytest.raises(ValueError, match=r"^length must be >= 0$"):
+            sl.ergodicity_verdict(spec, pf, -1)
+
+        def unlisted(spec, k):
+            raise AssertionError(f"level-{k} words listed")
+
+        monkeypatch.setattr(quantum, "enumerate_words", unlisted)
+        assert [sl.ergodicity_verdict(spec, pf, k) for k in (1, 2, 3)] == want
 
     def test_fibonacci_non_ergodic_with_witness(self, fib, fib_pf):
         v = sl.ergodicity_verdict(fib, fib_pf, 2)
@@ -933,8 +952,8 @@ class TestTAAnalysis:
                 with budget(cpu_s=2.0):
                     try:
                         outcome = sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a)).order
-                    except (LengthOverflow, SearchCapExceeded) as exc:
-                        outcome = type(exc).__name__
+                    except LengthOverflow as exc:
+                        outcome = re.sub(r"\d+", "N", str(exc))
                 outcomes[c] = outcome
         assert len(outcomes) == 206
         assert outcomes[(1, 1, 0, 0, 0, 0, 0)] == 28
@@ -951,7 +970,7 @@ class TestTAAnalysis:
                 (1, 1, 1, 1, 1, 1),
                 (1, 1, 1, 1, 1, 1, 1),
             ],
-            "LengthOverflow",
+            "group of order N exceeds cap N",
         )
 
     def test_small_cap_stops_the_search(self, monkeypatch):
@@ -960,9 +979,9 @@ class TestTAAnalysis:
         full12 = sl.AdjacencySpec.full_shift(12)
         a = [[int((j - i) % 7 in (0, 1)) for j in range(7)] for i in range(7)]
         monkeypatch.setenv("ARIADNE_CAP", "50")
-        with pytest.raises(SearchCapExceeded, match=r"^search exceeds cap 50 nodes$"):
+        with pytest.raises(LengthOverflow, match=r"^search exceeds cap 50 nodes$"):
             sl.symmetry.generating_set(full12)
-        with pytest.raises(SearchCapExceeded):
+        with pytest.raises(LengthOverflow, match=r"^search exceeds cap 50 nodes$"):
             sl.automorphism_group(full12)
         with pytest.raises(LengthOverflow, match=r"^2401 t-a matrix entries"):
             sl.t_a_analysis(sl.AdjacencySpec.from_matrix(a))

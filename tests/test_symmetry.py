@@ -24,7 +24,7 @@ from shiftlab.symmetry import (
     matrix_automorphisms,
     truncation_basis,
 )
-from shiftlab.errors import LengthOverflow, NotClosed, SearchCapExceeded
+from shiftlab.errors import LengthOverflow, NotClosed
 from conftest import (
     FIBONACCI,
     UNKNOWN_EXHIBIT,
@@ -355,7 +355,7 @@ class TestFirstPathSearch:
         monkeypatch.setenv("ARIADNE_CAP", str(nodes))
         _search(mat)
         monkeypatch.setenv("ARIADNE_CAP", str(nodes - 1))
-        with pytest.raises(SearchCapExceeded):
+        with pytest.raises(LengthOverflow, match=f"^search exceeds cap {nodes - 1} nodes$"):
             _search(mat)
 
     @pytest.mark.parametrize("name", list(STRONGLY_REGULAR))
