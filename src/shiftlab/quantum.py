@@ -416,41 +416,31 @@ def classical_witness(
 _STATES = (POSSIBLE, CERTAIN_ZERO, CERTIFIED_NONZERO)
 _CERTIFIED_CODE = 2
 
-#: cells of the largest boolean word-pair block formed at once
-_PAIR_CHUNK = 1 << 20
-
-
-def _alive_pairs(alive: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) bool for words given as rows of 0-based letters:
-    True where ``alive[a_t, b_t]`` at every position t, i.e. where the pair
-    is not certainly zero."""
-    out = np.ones((len(a), len(b)), dtype=bool)
-    for a_t, b_t in zip(a.T, b.T):
-        out &= alive[a_t][:, b_t]  # rows, then columns: 4x faster than one gather
-    return out
-
 
 def _words_and_orbits(
     spec: AdjacencySpec, k: int, alive: np.ndarray
-) -> tuple[list[Word], np.ndarray, np.ndarray | None]:
+) -> tuple[list[Word], np.ndarray, np.ndarray]:
     """Level-k words, their letters as an (m, k) array of 0-based indices,
-    and each word's orbit root: the index of the least word in its
-    automorphism orbit (None on the full shift, where no orbits are formed).
+    and each word's root: the index of the least word in its automorphism
+    orbit, or 0 for every word on the full shift, where per-leg witnesses
+    (``PerLegWitness``) join every pair into one class.
 
-    Some automorphism maps nu to mu exactly when they share an orbit, so
-    every ordered pair in an orbit, (w, w) included, is certified and must
-    be alive (n x n bool over letters) at every position.  At position t
-    the pair (g(w), h(w)) holds (g(w_t), h(w_t)), so these letters run
-    over every ordered pair of one letter orbit; every letter starts some
-    level-k word (each has a successor), so the check is ``alive`` on each
-    letter orbit squared.  The root of a word is its orbit's least word,
+    Every ordered pair of words with one root, (w, w) included, is
+    certified and must be alive (n x n bool over letters) at every
+    position.  At position t the pairs of one orbit hold the letters
+    (g(w_t), h(w_t)), which run over every ordered pair of one letter
+    orbit; on the full shift they run over every letter pair.  Every
+    letter starts some level-k word (each has a successor), so the check
+    is ``alive`` on each letter orbit squared, and on the full shift
+    ``alive`` everywhere.  The root of a word is its class's least word,
     so its first letter is the least letter of the first letter's orbit.
     """
     words = enumerate_words(spec, k)
     letters = np.array(words, dtype=np.intp).reshape(len(words), k) - 1
     if spec.is_full_shift():
-        return words, letters, None
-    root = np.array(_orbit_roots(spec, words), dtype=np.intp)
+        root = np.zeros(len(words), dtype=np.intp)
+    else:
+        root = np.array(_orbit_roots(spec, words), dtype=np.intp)
     if k:
         least = np.empty(spec.n, dtype=np.intp)
         least[letters[:, 0]] = letters[root, 0]
@@ -468,17 +458,20 @@ def word_support(
 
     CertainZero when some position holds a Zero variable (or distinct
     eigenvector entries, which force one); CertifiedNonzero on a classical
-    witness, i.e. when the two words share an automorphism orbit;
-    Possible otherwise.  Pairs mixing an admissible with an
-    inadmissible word are identically zero and never indexed.
+    witness, i.e. when the two words share an automorphism orbit (on the
+    full shift, every pair); Possible otherwise.  Pairs mixing an
+    admissible with an inadmissible word are identically zero and never
+    indexed.  The m x m states are charged against ``word_cap()`` before
+    they are formed; a certified pair forced to zero raises Inconsistent.
     """
     alive = ~(_u_differs(pf) | [[st.is_zero for st in row] for row in pattern.p])
     words, letters, root = _words_and_orbits(pf.spec, k, alive)
-    live = _alive_pairs(alive, letters, letters)
-    # on the full shift every pair not certainly zero is certified
-    certified = live if root is None else root[:, None] == root[None, :]
+    charge(len(words) ** 2, "{count} word pairs of length {k} exceed cap {cap}", k=k)
+    live = np.ones((len(words),) * 2, dtype=bool)  # not certainly zero
+    for a_t in letters.T:
+        live &= alive[a_t][:, a_t]  # rows, then columns: 4x faster than one gather
     codes = (~live).astype(np.int8)  # True is CertainZero
-    codes[certified] = _CERTIFIED_CODE
+    codes[root[:, None] == root] = _CERTIFIED_CODE
     states = np.array(_STATES, dtype=object)[codes].tolist()
     return SupportPattern(k, tuple(words), tuple(map(tuple, states)))
 
@@ -490,37 +483,6 @@ class ErgodicityVerdict:
     witness: tuple[Word, ...] | None
 
 
-def _reached_from_first(letters: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Which words the support graph connects to word 0: words i < j are
-    adjacent when ``alive[mu_i_t, mu_j_t]`` at every position t (the pair's
-    state in the upper triangle).
-
-    Breadth first, with a chunk of the frontier tested against the
-    unreached words at a time, so no block exceeds ``_PAIR_CHUNK`` cells
-    (or one row); it stops once every word is reached.
-    """
-    m = len(letters)
-    symmetric = (alive == alive.T).all()
-    frontier, unreached = np.zeros(1, dtype=np.intp), np.arange(1, m)
-    while frontier.size and unreached.size:
-        found, start = [], 0
-        while start < frontier.size and unreached.size:
-            rows = frontier[start : start + max(1, _PAIR_CHUNK // unreached.size)]
-            start += rows.size
-            a, b = letters[rows], letters[unreached]
-            edge = _alive_pairs(alive, a, b)
-            if not symmetric:  # a pair is read with its earlier word first
-                below = rows[:, None] > unreached
-                edge[below] = _alive_pairs(alive.T, a, b)[below]
-            hit = edge.any(axis=0)
-            found.append(unreached[hit])
-            unreached = unreached[~hit]
-        frontier = np.concatenate(found)
-    reached = np.ones(m, dtype=bool)
-    reached[unreached] = False
-    return reached
-
-
 def ergodicity_verdict(
     spec: AdjacencySpec, pf: PerronFrobeniusData, k: int
 ) -> ErgodicityVerdict:
@@ -528,32 +490,38 @@ def ergodicity_verdict(
 
     A fixed element of the level-k diagonal algebra is forced to be the
     indicator of a word set F whose coefficients towards the complement
-    all vanish.  If the graph of not-certainly-zero pairs is disconnected,
-    one component is such an F (the coefficients summing to one stay
-    inside); if even the certified-nonzero subgraph is connected, a proper
-    F would need a vanishing certified coefficient, which is absurd.
-    Everything in between stays Unknown.  The witness of a disconnected
-    graph is the component of the first word.
+    all vanish.  If F holds the words whose letter at every position lies
+    in the class of word 0's letter there, a class of the equivalence
+    relation that ``alive | alive.T`` generates on the letters, then every
+    word outside F has, at some position, a letter of another class than
+    word 0's: neither order of the two letters is alive, so both
+    coefficients between the words vanish, and a proper F makes the
+    verdict NonErgodic with F as its witness.  When ``alive`` is itself an
+    equivalence relation, the support graph (its k-fold direct product)
+    has exactly these components.  If instead the certified-nonzero
+    subgraph is connected, a proper F would need a vanishing certified
+    coefficient, which is absurd.  Everything in between stays Unknown.
 
-    The certified subgraph needs no search of its own: on the full shift
-    it is the not-certainly-zero graph itself, and elsewhere its pairs are
-    the same-orbit pairs, so its components are the orbits.  No pair array
-    is formed: a pair is certainly zero when some position holds letters
-    that are not ``alive``, so its state is read letter position by letter
-    position.  The sweep starts from the eigenvector rule's Zeros and
-    frees none, so ``alive`` needs no eigenvector mask of its own.  A full
-    shift with every pair alive is certified unlisted (``PerLegWitness``).
+    The certified subgraph needs no search of its own: its pairs are the
+    pairs with one root (``_words_and_orbits``), so its components are the
+    roots.  The sweep starts from the eigenvector rule's Zeros and frees
+    none, so ``alive`` needs no eigenvector mask of its own.  A full shift
+    with every pair alive is certified unlisted (``PerLegWitness``).
     """
     n = spec.n
     alive = (_live_sweep(spec, pf)[1][: n * n] != _ZERO_VAR).reshape(n, n)
     if k >= 0 and alive.all() and spec.is_full_shift():
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     words, letters, root = _words_and_orbits(spec, k, alive)
-    reached = _reached_from_first(letters, alive)
-    if not reached.all():
-        witness = tuple(words[i] for i in np.flatnonzero(reached))
+    uf = UnionFind(n)
+    for a, b in np.argwhere(alive).tolist():
+        uf.union(a, b)
+    cls = np.array([uf.find(x) for x in range(n)], dtype=np.intp)[letters]
+    first = (cls == cls[0]).all(axis=1)
+    if not first.all():
+        witness = tuple(words[i] for i in np.flatnonzero(first))
         return ErgodicityVerdict(NON_ERGODIC, k, witness)
-    if root is None or not root.any():  # one orbit: every root is word 0
+    if not root.any():  # one class: every root is word 0
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     return ErgodicityVerdict(UNKNOWN, k, None)
 

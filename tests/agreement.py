@@ -27,6 +27,9 @@ The corpus:
     Fibonacci, ``UNKNOWN_EXHIBIT``, the full 2..7 shifts, Wielandt 3..24,
     the primitive circulants with n <= 5 and the seeded n = 16..128 graphs
     of ``tests/conftest.py``;
+  * ``ergodicity --level 1..3`` on the primitive circulants with n = 6
+    and 7 (the complete digraphs without loops among them) and on the
+    complete digraph without loops on 8 letters;
   * ``repmodel`` with all three models at sizes 4..10, ``--ell`` 1 and 3;
   * ``spectrum`` on Fibonacci at cutoffs 9..60, and 70..120 in steps of 10,
     where the index counts and the (class, length) expansion dominate;
@@ -80,22 +83,32 @@ class CaseTimeout(BaseException):
 
 def _inputs() -> dict[str, list[list[int]]]:
     from conftest import UNKNOWN_EXHIBIT, random_primitive
-    from perfbench.workloads import FIBONACCI, full_shift, is_primitive, wielandt
-
-    import numpy as np
+    from perfbench.workloads import FIBONACCI, full_shift, wielandt
 
     inputs = {"fib": FIBONACCI, "unknown": UNKNOWN_EXHIBIT}
     inputs.update((f"full{n}", full_shift(n)) for n in range(2, 8))
     inputs.update((f"wielandt{n}", wielandt(n)) for n in range(3, 25))
-    for n in range(2, 6):  # a[i][j] = c[(j - i) % n], with c[1] = 1 as in conftest
-        for bits in range(2 ** (n - 1)):
-            c = [bits >> k & 1 for k in range(n - 1)]
-            c = c[:1] + [1] + c[1:]
-            a = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
-            if is_primitive(np.array(a)):
-                inputs[f"circulant{n}-{''.join(map(str, c))}"] = a
+    for n in range(2, 6):
+        inputs.update(_circulants(n))
     inputs.update((f"seeded{n}", random_primitive(n, seed=20261018)) for n in (16, 32, 64, 128))
     return inputs
+
+
+def _circulants(n: int) -> dict[str, list[list[int]]]:
+    """The primitive circulants a[i][j] = c[(j - i) % n] with c[1] = 1, as
+    in conftest, by name."""
+    from perfbench.workloads import is_primitive
+
+    import numpy as np
+
+    out = {}
+    for bits in range(2 ** (n - 1)):
+        c = [bits >> k & 1 for k in range(n - 1)]
+        c = c[:1] + [1] + c[1:]
+        a = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+        if is_primitive(np.array(a)):
+            out[f"circulant{n}-{''.join(map(str, c))}"] = a
+    return out
 
 
 def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | None]]:
@@ -114,6 +127,11 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | N
                 name.startswith("wielandt") and n >= 18 and argv[0] in ("report", "t-a")
             ) or (name.startswith("seeded") and n >= 32 and argv[0] in ("spectrum", "report"))
             (slow_cases if slow else cases)[f"{' '.join(argv)} :{name}"] = (argv, a, True)
+    complete8 = [[int(i != j) for j in range(8)] for i in range(8)]
+    for name, a in {**_circulants(6), **_circulants(7), "complete8": complete8}.items():
+        for k in (1, 2, 3):
+            argv = ["ergodicity", "--level", str(k)]
+            cases[f"{' '.join(argv)} :{name}"] = (argv, a, True)
     for model in ("two-projection", "qls", "classical"):
         for size in range(4, 11):
             for ell in (1, 3):

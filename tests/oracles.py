@@ -733,18 +733,24 @@ def _validate_pattern(pattern):
                     raise Inconsistent("two ones in one line of a pattern")
 
 
+def _zero_positions(pattern, pf):
+    """n x n bools: True where a letter pair is certainly zero."""
+    n = pf.spec.n
+    return [
+        [pattern.p[a][b].is_zero or _u_differs(pf, a, b) for b in range(n)]
+        for a in range(n)
+    ]
+
+
 def loop_word_support(pattern, pf, k):
-    """word_support as a double loop over every pair of words; off the full
-    shift, (g nu, nu) is certified for each g that backtrack_automorphisms
-    lists."""
+    """word_support as a double loop over every pair of words; (g nu, nu) is
+    certified for each g that backtrack_automorphisms lists, and on the full
+    shift (per-leg witnesses) every pair is."""
     spec = pf.spec
     words = enumerate_words(spec, k)
     idx = {w: i for i, w in enumerate(words)}
     m = len(words)
-    zero_pos = [
-        [pattern.p[a][b].is_zero or _u_differs(pf, a, b) for b in range(spec.n)]
-        for a in range(spec.n)
-    ]
+    zero_pos = _zero_positions(pattern, pf)
     states = [[POSSIBLE] * m for _ in range(m)]
     for i, mu in enumerate(words):
         for j, nu in enumerate(words):
@@ -752,20 +758,20 @@ def loop_word_support(pattern, pf, k):
                 states[i][j] = CERTAIN_ZERO
 
     if spec.is_full_shift():
-        for i in range(m):
-            for j in range(m):
-                if states[i][j] != CERTAIN_ZERO:
-                    states[i][j] = CERTIFIED_NONZERO
+        certified = [(i, j) for i in range(m) for j in range(m)]
     else:
         group = backtrack_automorphisms(spec.a)
-        for j, nu in enumerate(words):
-            for g in group:
-                i = idx[tuple(g[x - 1] for x in nu)]
-                if states[i][j] == CERTAIN_ZERO:
-                    raise Inconsistent(
-                        "witnessed pair was forced to zero; propagation is unsound"
-                    )
-                states[i][j] = CERTIFIED_NONZERO
+        certified = [
+            (idx[tuple(g[x - 1] for x in nu)], j)
+            for j, nu in enumerate(words)
+            for g in group
+        ]
+    for i, j in certified:
+        if states[i][j] == CERTAIN_ZERO:
+            raise Inconsistent(
+                "witnessed pair was forced to zero; propagation is unsound"
+            )
+        states[i][j] = CERTIFIED_NONZERO
 
     return SupportPattern(
         level=k,
@@ -788,23 +794,64 @@ def _components(m, edge):
     return [out[r] for r in sorted(out)]
 
 
-def loop_ergodicity_verdict(spec, pf, k, pattern=None):
-    """ergodicity_verdict from union-find components of loop_word_support;
-    ``pattern`` replaces the propagated one when given."""
-    if pattern is None:
-        pattern = propagate(build_constraints(spec, pf))
-    support = loop_word_support(pattern, pf, k)
-    words = support.words
-    m = len(words)
-    comps = _components(m, lambda i, j: support.states[i][j] != CERTAIN_ZERO)
-    if len(comps) > 1:
-        return ErgodicityVerdict(NON_ERGODIC, k, tuple(words[i] for i in comps[0]))
+def _certified_verdict(support):
+    """ErgodicCertified when the certified pairs connect every word, else
+    Unknown."""
+    m = len(support.words)
     certified = _components(
         m, lambda i, j: support.states[i][j] == CERTIFIED_NONZERO
     )
     if len(certified) == 1:
-        return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
-    return ErgodicityVerdict(UNKNOWN, k, None)
+        return ErgodicityVerdict(ERGODIC_CERTIFIED, support.level, None)
+    return ErgodicityVerdict(UNKNOWN, support.level, None)
+
+
+def _letter_classes(alive):
+    """Each letter's least partner under the equivalence relation that the
+    n x n bools ``alive`` generate: Warshall's transitive closure of
+    alive, its transpose and the identity."""
+    n = len(alive)
+    reach = [[alive[a][b] or alive[b][a] or a == b for b in range(n)] for a in range(n)]
+    for c in range(n):
+        for a in range(n):
+            if reach[a][c]:
+                for b in range(n):
+                    reach[a][b] = reach[a][b] or reach[c][b]
+    return [reach[a].index(True) for a in range(n)]
+
+
+def loop_ergodicity_verdict(spec, pf, k, pattern=None):
+    """ergodicity_verdict from the letter classes of the alive pairs: the
+    words grouped by their sequence of classes, the group of the first word
+    as the witness; ``pattern`` replaces the propagated one when given."""
+    if pattern is None:
+        pattern = propagate(build_constraints(spec, pf))
+    support = loop_word_support(pattern, pf, k)
+    cls = _letter_classes([[not z for z in row] for row in _zero_positions(pattern, pf)])
+    groups = {}
+    for w in support.words:
+        groups.setdefault(tuple(cls[x - 1] for x in w), []).append(w)
+    if len(groups) > 1:
+        return ErgodicityVerdict(NON_ERGODIC, k, tuple(next(iter(groups.values()))))
+    return _certified_verdict(support)
+
+
+def loop_upper_triangle_verdict(spec, pf, k, pattern=None):
+    """The earlier rule of ergodicity_verdict: union-find components of the
+    pairs i < j whose state in loop_word_support is not CertainZero, the
+    first word's component as the witness.  It agrees with
+    loop_ergodicity_verdict whenever the alive letter pairs form an
+    equivalence relation."""
+    if pattern is None:
+        pattern = propagate(build_constraints(spec, pf))
+    support = loop_word_support(pattern, pf, k)
+    words = support.words
+    comps = _components(
+        len(words), lambda i, j: support.states[i][j] != CERTAIN_ZERO
+    )
+    if len(comps) > 1:
+        return ErgodicityVerdict(NON_ERGODIC, k, tuple(words[i] for i in comps[0]))
+    return _certified_verdict(support)
 
 
 def loop_classical_witness(spec, mu, nu):

@@ -208,6 +208,11 @@ CAPS = {
     # walk states, counted with the level being built; 562 eigenvalues
     "spectrum-walk": (lambda fib, pf: sum(m for _, m in sl.spectrum(pf, 5.0)), 99, 562,
         "spectrum walk exceeds cap 98"),
+    # 5 Fibonacci words of length 3: their 25 pairs are refused before the
+    # pair states are formed
+    "word-support-pairs": (
+        lambda fib, pf: len(sl.word_support(sl.propagate(sl.build_constraints(fib, pf)), pf, 3).words),
+        25, 5, "25 word pairs of length 3 exceed cap 24"),
     # S_3, refused before it is listed
     "group-order": (lambda fib, pf: len(matrix_automorphisms(_full(3).a)), 6, 6,
         "group of order 6 exceeds cap 5"),

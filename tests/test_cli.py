@@ -869,7 +869,7 @@ COMPLETE8 = [[int(i != j) for j in range(8)] for i in range(8)]
 # A row with a peak bound needs the child's VmHWM.
 GATES = [
     # 23,580 level-3 words, whose m x m pair array alone would be 556 MB;
-    # the verdict is a search over words
+    # the verdict reads each word's letter classes
     pytest.param(
         random_primitive(128, seed=SEEDED),
         ["ergodicity", "--input", "in.json", "--level", "3", "--output", "out.json"],

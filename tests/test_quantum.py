@@ -46,6 +46,7 @@ from oracles import (
     loop_classical_witness,
     loop_build_constraints,
     loop_ergodicity_verdict,
+    loop_upper_triangle_verdict,
     loop_word_support,
     p_var,
     q_var,
@@ -159,6 +160,20 @@ class TestWordSupport:
         for mu in sup.words:
             for nu in sup.words:
                 assert sup.state(mu, nu) == CERTIFIED_NONZERO
+
+    def test_zero_on_the_full_shift_is_inconsistent(self, full2, full2_pf):
+        # one more pre-zeroed variable, p[0][1], propagates to a pattern with
+        # a Zero there, but classical_witness aligns (2) with (1) by the swap
+        s = sl.build_constraints(full2, full2_pf)
+        pattern = sl.propagate(ConstraintSystem(full2, s.equations, s.pre_zero + (1,)))
+        assert pattern.p_state(1, 2).is_zero
+        assert sl.classical_witness(full2, (1,), (2,)) == sl.GraphAutomorphism((2, 1))
+        for call in (sl.word_support, loop_word_support):
+            with pytest.raises(
+                Inconsistent,
+                match="^witnessed pair was forced to zero; propagation is unsound$",
+            ):
+                call(pattern, full2_pf, 1)
 
     def test_only_admissible_words_indexed(self, fib_pattern, fib_pf):
         sup = sl.word_support(fib_pattern, fib_pf, 2)
@@ -328,8 +343,8 @@ class TestErgodicityVerdict:
     @pytest.mark.parametrize(
         "mat, orbit_count, verdict",
         [
-            # every pair is certified: no orbits are formed
-            ([[1] * 3] * 3, None, ERGODIC_CERTIFIED),
+            # per-leg witnesses join every pair: one class, no orbit formed
+            ([[1] * 3] * 3, 1, ERGODIC_CERTIFIED),
             # the 6 ordered pairs of distinct letters are one S3 orbit
             ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1, ERGODIC_CERTIFIED),
             # loops plus the 3-cycle: (i, i) and (i, i + 1) are two orbits
@@ -341,7 +356,7 @@ class TestErgodicityVerdict:
         pf = sl.perron_frobenius(spec)
         alive = np.ones((spec.n, spec.n), dtype=bool)
         root = quantum._words_and_orbits(spec, 2, alive)[2]
-        assert (None if root is None else len(set(root.tolist()))) == orbit_count
+        assert len(set(root.tolist())) == orbit_count
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == verdict
         assert v == loop_ergodicity_verdict(spec, pf, 2)
@@ -435,20 +450,28 @@ class TestAgainstLoopReferences:
         )
 
     @pytest.mark.parametrize("zero_at", [(0, 1), (1, 0)])
-    def test_only_upper_triangle_read(self, monkeypatch, full2, full2_pf, zero_at):
-        # one Zero off the diagonal: the pair of level-1 words is CertainZero
-        # one way round and CertifiedNonzero the other
-        free = ProjVarState("free", 0)
-        grid = [[free, free], [free, free]]
-        grid[zero_at[0]][zero_at[1]] = ProjVarState("0")
-        pattern = PatternMatrix(2, tuple(map(tuple, grid)), tuple(map(tuple, grid)))
+    def test_one_way_zero_splits_no_class(self, monkeypatch, zero_at):
+        # UNKNOWN_EXHIBIT (trivial group, constant eigenvector) with letter
+        # 1 cut off from the others but for one order of the pair 1, 2: that
+        # pair of level-1 words is CertainZero one way round only, so the
+        # letters stay one class and the four orbits leave the verdict
+        # Unknown either way; the earlier rule read the pair with its
+        # earlier word first and split off (1) for a Zero at p[0][1]
+        spec = sl.AdjacencySpec.from_matrix(UNKNOWN_EXHIBIT)
+        pf = sl.perron_frobenius(spec)
+        zero = np.zeros((4, 4), dtype=bool)
+        zero[0, 1:] = zero[1:, 0] = True
+        zero[zero_at[::-1]] = False
+        pattern = _zero_pattern(zero)
         monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
-        v = sl.ergodicity_verdict(full2, full2_pf, 1)
-        assert v == loop_ergodicity_verdict(full2, full2_pf, 1, pattern)
-        if zero_at == (0, 1):  # states[0][1] is read: no edge
-            assert v.verdict == NON_ERGODIC and v.witness == ((1,),)
+        v = sl.ergodicity_verdict(spec, pf, 1)
+        assert v == loop_ergodicity_verdict(spec, pf, 1, pattern)
+        assert v == quantum.ErgodicityVerdict(UNKNOWN, 1, None)
+        old = loop_upper_triangle_verdict(spec, pf, 1, pattern)
+        if zero_at == (0, 1):  # states[0][1] was read: no edge
+            assert old.verdict == NON_ERGODIC and old.witness == ((1,),)
         else:
-            assert v.verdict == ERGODIC_CERTIFIED
+            assert old == v
 
     @pytest.mark.parametrize("zero_at", [(0, 1), (1, 1)])
     @pytest.mark.parametrize("k", [1, 2])
@@ -511,16 +534,16 @@ class TestAgainstLoopReferences:
             primitive_matrices(max_n=5),
             primitive_circulants(max_n=5),
             st.integers(2, 5).map(lambda n: [[1] * n] * n),
+            st.just(UNKNOWN_EXHIBIT),
         ),
         st.integers(1, 3),
         st.data(),
     )
     def test_verdicts_on_injected_zero_patterns(self, mat, k, data):
-        # Zero off a band of drawn width around a drawn letter order, so that
-        # components take several frontiers, flipped at a drawn density
-        # (a zero diagonal entry kills the certified pair (w, w), so half
-        # the draws clear it); blocks as small as one cell split orbits and
-        # frontiers
+        # Zero off a band of drawn width around a drawn letter order, flipped
+        # at a drawn density, so that the alive letter pairs are often
+        # neither symmetric nor transitive (a zero diagonal entry kills the
+        # certified pair (w, w), so half the draws clear it)
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
         n = len(mat)
@@ -535,44 +558,82 @@ class TestAgainstLoopReferences:
         # so the verdict reads them with the drawn ones; word_support takes
         # the drawn pattern alone, as a pattern propagated without that rule
         swept = _zero_pattern(zero | quantum._u_differs(pf))
-        chunk = data.draw(st.sampled_from([1, 3, quantum._PAIR_CHUNK]))
-        with mock.patch.object(
-            quantum, "_live_sweep", _sweep_returning(swept)
-        ), mock.patch.object(quantum, "_PAIR_CHUNK", chunk):
+        with mock.patch.object(quantum, "_live_sweep", _sweep_returning(swept)):
             verdict = _propagated(lambda k: sl.ergodicity_verdict(spec, pf, k), k)
             support = _propagated(lambda k: sl.word_support(pattern, pf, k), k)
         assert verdict == _propagated(
             lambda k: loop_ergodicity_verdict(spec, pf, k, pattern), k
         )
         assert support == _propagated(lambda k: loop_word_support(pattern, pf, k), k)
+        # the witness's indicator is fixed: each pair across its boundary is
+        # certainly zero in both orders, whatever alive's shape
+        if not isinstance(verdict, str) and verdict.verdict == NON_ERGODIC:
+            inside = set(verdict.witness)
+            for mu, nu in itertools.product(support.words, repeat=2):
+                if (mu in inside) != (nu in inside):
+                    assert support.state(mu, nu) == CERTAIN_ZERO
+
+    @seed(20261023)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            primitive_matrices(max_n=5),
+            primitive_circulants(max_n=5),
+            st.integers(2, 5).map(lambda n: [[1] * n] * n),
+            st.just(UNKNOWN_EXHIBIT),
+        ),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_equivalence_patterns_keep_the_earlier_verdict(self, mat, k, data):
+        # Zero between the blocks of a drawn partition of the letters into
+        # unions of letter orbits (so that no certified pair is cut): with
+        # the eigenvector rule's Zeros, alive is an equivalence relation, and
+        # then the class rule gives the earlier rule's verdict and witness
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        n = len(mat)
+        label = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        block = np.array(label)[_orbit_roots(spec, sl.enumerate_words(spec, 1))]
+        pattern = _zero_pattern(block[:, None] != block)
+        swept = _zero_pattern((block[:, None] != block) | quantum._u_differs(pf))
+        with mock.patch.object(quantum, "_live_sweep", _sweep_returning(swept)):
+            verdict = _propagated(lambda k: sl.ergodicity_verdict(spec, pf, k), k)
+        assert verdict == _propagated(
+            lambda k: loop_upper_triangle_verdict(spec, pf, k, pattern), k
+        )
+        assert verdict == _propagated(
+            lambda k: loop_ergodicity_verdict(spec, pf, k, pattern), k
+        )
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize(
         "cut, verdict1",
         [
-            (None, ERGODIC_CERTIFIED),
-            ((2, 3), NON_ERGODIC),
-            ((3, 2), ERGODIC_CERTIFIED),
+            ((), UNKNOWN),
+            (((1, 2),), UNKNOWN),
+            (((1, 2), (2, 1)), NON_ERGODIC),
         ],
     )
     def test_band_pattern_paths(self, monkeypatch, k, cut, verdict1):
-        # the full 6-shift with Zero wherever letters differ by more than
-        # one: the level-1 words form the path 1 - 2 - ... - 6, reached one
-        # frontier per step; a cut at p[2][3] (read for the pair (3), (4))
-        # splits it, one at p[3][2] (never read at level 1) does not
-        spec = sl.AdjacencySpec.full_shift(6)
+        # UNKNOWN_EXHIBIT (trivial group, constant eigenvector) with Zero
+        # wherever letters differ by more than one: the letter classes join
+        # along the path 1 - 2 - 3 - 4, so one class and four orbits; a cut
+        # at p[1][2] alone (the pair (2), (3) dead one way round) joins them
+        # still, and a cut both ways splits the letters into 1, 2 and 3, 4
+        spec = sl.AdjacencySpec.from_matrix(UNKNOWN_EXHIBIT)
         pf = sl.perron_frobenius(spec)
-        letters = np.arange(6)
+        letters = np.arange(4)
         zero = np.abs(letters[:, None] - letters) > 1
-        if cut is not None:
-            zero[cut] = True
+        for cell in cut:
+            zero[cell] = True
         pattern = _zero_pattern(zero)
         monkeypatch.setattr(quantum, "_live_sweep", _sweep_returning(pattern))
         v = sl.ergodicity_verdict(spec, pf, k)
         assert v == loop_ergodicity_verdict(spec, pf, k, pattern)
         if k == 1:
             assert v.verdict == verdict1
-            assert v.witness == (((1,), (2,), (3,)) if cut == (2, 3) else None)
+            assert v.witness == (((1,), (2,)) if len(cut) == 2 else None)
 
     @seed(20261020)
     @settings(max_examples=100, deadline=None)
