@@ -45,6 +45,12 @@ DEFAULT_WORD_CAP = 10**6
 #: eigenvector residual and entry-comparison tolerance (CLI ``--tol``)
 DEFAULT_PF_TOL = 1e-9
 
+#: steps of the Perron-Frobenius iteration (``_noda``) before it stops
+NODA_STEPS = 64
+
+#: relative width of a closed Collatz-Wielandt bracket: a few ulps of the root
+NODA_CLOSED = 4 * 2.0**-52
+
 #: shells summed by :func:`ball_kernel_integral` past the ball's own depth
 KERNEL_TAIL_DEPTH = 60
 
@@ -252,35 +258,65 @@ def _dot(k: tuple[int, ...], u: list[float]) -> float:
     return reduce(operator.add, map(operator.mul, k, u), 0)
 
 
-def _null_vector(m: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the (numerically) smallest singular direction."""
-    _, _, vh = np.linalg.svd(m)
-    return vh[-1]
+def _noda(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root of the irreducible a and its right and left vectors (the
+    rows of a (2, n) array), by Noda's shifted inverse iteration (Numer.
+    Math. 1971; quadratic, Elsner 1976) on a and a.T at once.
+
+    From the all-ones x, a step sets sigma = max_i (Ax)_i / x_i, solves
+    (sigma I - A) y = x and takes x = y / sum(y).  A side is solved while
+    its Collatz-Wielandt bracket [min_i (Ax)_i / x_i, sigma], which holds
+    the root, is wider than NODA_CLOSED and still shrinking; a side whose x
+    stays put closes.  So an exact start (constant row sums) is never
+    solved, and a singular solve, whose sigma is the root to the last bits,
+    keeps x: of two sides, the wider goes on alone.  A y that is not
+    positive, or NODA_STEPS, ends the loop, and the caller's residual checks
+    decide.  The root is the right side's sigma.
+    """
+    n = len(a)
+    sides, eye = np.stack([a, a.T]), np.eye(n)
+    x, last = np.ones((2, n, 1)), [math.inf, math.inf]
+    # ufunc reductions, not the array methods' Python wrappers: at n <= 4 a
+    # step is a few microseconds of numpy calls, and this loop is most of it
+    for step in range(NODA_STEPS + 1):
+        ratio = sides @ x / x
+        sigma = np.maximum.reduce(ratio, 1)[:, 0]
+        lows = np.minimum.reduce(ratio, 1)[:, 0].tolist()
+        width = [1 - lo / hi for lo, hi in zip(lows, sigma.tolist())]  # relative
+        todo = [NODA_CLOSED < w < w0 for w, w0 in zip(width, last)]
+        last = width
+        if step == NODA_STEPS or not any(todo):
+            break
+        side = slice(None) if all(todo) else todo.index(True)  # both, or one
+        try:
+            y = np.linalg.solve(sigma[side, None, None] * eye - sides[side], x[side])
+        except np.linalg.LinAlgError:
+            if all(todo):
+                last[width.index(max(width))] = math.inf
+            continue
+        y /= np.add.reduce(y, -2, keepdims=True)
+        if not np.minimum.reduce(y, None) > 0:  # nan fails this too
+            break
+        x[side] = y
+    return float(sigma[0]), x[..., 0]
 
 
 def perron_frobenius(
     spec: AdjacencySpec, tol: float = DEFAULT_PF_TOL
 ) -> PerronFrobeniusData:
-    """Compute eigendata: one dense eigensolve, SVD null vectors, residual checks."""
+    """Compute eigendata: Noda's iteration (``_noda``) for the root and both
+    vectors, then the positivity and residual checks at ``tol``."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     k = validate_primitive(spec)
     a = spec.matrix.astype(float)
-    n = spec.n
-
-    # primitive: every other eigenvalue is smaller in modulus than the Perron root
-    lambda_max = float(np.linalg.eigvals(a).real.max())
+    lambda_max, (u, v) = _noda(a)
     if not lambda_max > 1.0:
         raise NotPrimitive(
             f"maximal eigenvalue {lambda_max} <= 1; matrix cannot be primitive"
         )
-
-    u = _null_vector(a - lambda_max * np.eye(n))
-    u = np.abs(u)
-    u /= u.sum()
-    v = _null_vector(a.T - lambda_max * np.eye(n))
-    v = np.abs(v)
-    v /= float(u @ v)
+    u = u / u.sum()
+    v = v / float(u @ v)
 
     if not (u > 0).all() or not (v > 0).all():
         raise NonConvergence("eigenvector has a non-positive entry")

@@ -418,12 +418,12 @@ _CERTIFIED_CODE = 2
 
 
 def _words_and_orbits(
-    spec: AdjacencySpec, k: int, alive: np.ndarray
-) -> tuple[list[Word], np.ndarray, np.ndarray]:
-    """Level-k words, their letters as an (m, k) array of 0-based indices,
-    and each word's root: the index of the least word in its automorphism
-    orbit, or 0 for every word on the full shift, where per-leg witnesses
-    (``PerLegWitness``) join every pair into one class.
+    spec: AdjacencySpec, words: list[Word], alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The letters of the listed level-k words as an (m, k) array of 0-based
+    indices, and each word's root: the index of the least word in its
+    automorphism orbit, or 0 for every word on the full shift, where per-leg
+    witnesses (``PerLegWitness``) join every pair into one class.
 
     Every ordered pair of words with one root, (w, w) included, is
     certified and must be alive (n x n bool over letters) at every
@@ -435,20 +435,19 @@ def _words_and_orbits(
     ``alive`` everywhere.  The root of a word is its class's least word,
     so its first letter is the least letter of the first letter's orbit.
     """
-    words = enumerate_words(spec, k)
-    letters = np.array(words, dtype=np.intp).reshape(len(words), k) - 1
+    letters = np.array(words, dtype=np.intp) - 1
     if spec.is_full_shift():
         root = np.zeros(len(words), dtype=np.intp)
     else:
         root = np.array(_orbit_roots(spec, words), dtype=np.intp)
-    if k:
+    if letters.size:
         least = np.empty(spec.n, dtype=np.intp)
         least[letters[:, 0]] = letters[root, 0]
         if (~alive & (least[:, None] == least)).any():
             raise Inconsistent(
                 "witnessed pair was forced to zero; propagation is unsound"
             )
-    return words, letters, root
+    return letters, root
 
 
 def word_support(
@@ -465,8 +464,9 @@ def word_support(
     they are formed; a certified pair forced to zero raises Inconsistent.
     """
     alive = ~(_u_differs(pf) | [[st.is_zero for st in row] for row in pattern.p])
-    words, letters, root = _words_and_orbits(pf.spec, k, alive)
+    words = enumerate_words(pf.spec, k)
     charge(len(words) ** 2, "{count} word pairs of length {k} exceed cap {cap}", k=k)
+    letters, root = _words_and_orbits(pf.spec, words, alive)
     live = np.ones((len(words),) * 2, dtype=bool)  # not certainly zero
     for a_t in letters.T:
         live &= alive[a_t][:, a_t]  # rows, then columns: 4x faster than one gather
@@ -512,7 +512,8 @@ def ergodicity_verdict(
     alive = (_live_sweep(spec, pf)[1][: n * n] != _ZERO_VAR).reshape(n, n)
     if k >= 0 and alive.all() and spec.is_full_shift():
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
-    words, letters, root = _words_and_orbits(spec, k, alive)
+    words = enumerate_words(spec, k)
+    letters, root = _words_and_orbits(spec, words, alive)
     uf = UnionFind(n)
     for a, b in np.argwhere(alive).tolist():
         uf.union(a, b)

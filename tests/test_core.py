@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 import shiftlab as sl
 from shiftlab.core import (
     EXPANSION_BASE,
+    NODA_STEPS,
     AdjacencySpec,
     _dot,
     ending_counts,
@@ -16,13 +20,15 @@ from shiftlab.core import (
 )
 from shiftlab.errors import (
     LengthOverflow,
+    NonConvergence,
     NotAdmissible,
     NotPrimitive,
     NotZeroOne,
     ParseError,
 )
 from conftest import (
-    budget, irreducible_matrices, primitive_matrices, random_primitive, wielandt,
+    FIBONACCI, budget, irreducible_matrices, primitive_circulants, primitive_matrices,
+    random_primitive, wielandt,
 )
 from oracles import (
     dense_perron_frobenius,
@@ -33,6 +39,18 @@ from oracles import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:  # perfbench, as tests/agreement.py imports it
+    sys.path.append(str(ROOT))
+
+
+def _large_alphabet_draws():
+    """The seeded n = 64, 96 and 128 graphs of perfbench's large-alphabet
+    workload at seeds 1 and 2, one per pattern op."""
+    from perfbench.workloads import large_alphabet
+
+    return [op["matrix"] for seed in (1, 2) for op in large_alphabet(seed) if op["cmd"] == "pattern"]
 
 
 class TestValidatePrimitive:
@@ -182,6 +200,103 @@ class TestPerronFrobenius:
         assert (u > 0).all() and (v > 0).all()
         assert np.allclose(pf.u, u, rtol=1e-9, atol=1e-12)
         assert np.allclose(pf.v, v, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            wielandt(48),
+            wielandt(96),
+            *(random_primitive(n, seed=20261018) for n in (16, 32, 64, 96, 128)),
+        ],
+        ids=["wielandt48", "wielandt96", *(f"seeded{n}" for n in (16, 32, 64, 96, 128))],
+    )
+    def test_large_n_against_dense_oracle(self, mat):
+        self._agrees_with_dense_oracle(mat)
+
+    def test_large_alphabet_draws_against_dense_oracle(self):
+        draws = _large_alphabet_draws()
+        assert [len(a) for a in draws] == [64, 96, 128] * 2
+        for mat in draws:
+            self._agrees_with_dense_oracle(mat)
+
+    @staticmethod
+    def _agrees_with_dense_oracle(mat):
+        pf = sl.perron_frobenius(AdjacencySpec.from_matrix(mat))
+        lam, u, v = dense_perron_frobenius(mat)
+        assert pf.lambda_max == pytest.approx(lam, rel=1e-12)
+        np.testing.assert_allclose(pf.u, u, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pf.v, v, rtol=1e-12, atol=0)
+
+    @seed(20261024)
+    @settings(max_examples=150, deadline=None)
+    @given(primitive_matrices())
+    def test_collatz_wielandt_certificate(self, mat):
+        self._certified(mat)
+
+    @staticmethod
+    def _certified(mat):
+        # min_i (Au)_i / u_i <= lambda <= max_i (Au)_i / u_i, each (Au)_i
+        # summed exactly (fsum), and the bracket is a few ulps wide
+        pf = sl.perron_frobenius(AdjacencySpec.from_matrix(mat))
+        u = pf.u.tolist()
+        ratios = [
+            math.fsum(x for x, bit in zip(u, row) if bit) / u[i] for i, row in enumerate(mat)
+        ]
+        lo, hi, ulp = min(ratios), max(ratios), math.ulp(pf.lambda_max)
+        assert lo - 8 * ulp <= pf.lambda_max <= hi + 8 * ulp
+        assert hi - lo <= 16 * ulp
+
+    def test_singular_side_leaves_the_other_open(self):
+        # with brackets closed at one unit of 2^-52, OpenBLAS's LU finds the
+        # stacked solve of step 4 exactly singular on the left side (its
+        # sigma is the root to the last bit) while the right bracket is still
+        # about 30 ulps wide: the right side must go on alone and close
+        mat = [[1, 0, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]
+        with mock.patch.object(sl.core, "NODA_CLOSED", 2.0**-52):
+            self._certified(mat)
+        self._agrees_with_dense_oracle(mat)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_full_shift_exact_without_a_solve(self, n):
+        # constant row and column sums: the all-ones start is exact
+        self._exact_without_a_solve(AdjacencySpec.full_shift(n).a)
+
+    @seed(20261025)
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_circulants(max_n=10))
+    def test_circulant_exact_without_a_solve(self, mat):
+        self._exact_without_a_solve(mat)
+
+    @staticmethod
+    def _exact_without_a_solve(mat):
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solved")):
+            pf = sl.perron_frobenius(AdjacencySpec.from_matrix(mat))
+        assert pf.lambda_max == sum(mat[0])
+        assert (pf.u == pf.u[0]).all() and (pf.v == pf.v[0]).all()
+
+    def test_open_bracket_stops_at_the_step_bound(self, fib):
+        # a stand-in solve that moves each side a hundredth of the way to its
+        # Perron vector: every bracket shrinks, and none closes
+        _, u, v = dense_perron_frobenius(FIBONACCI)
+        target = np.stack([u, v / v.sum()])[..., None]
+        shapes = []
+
+        def creep(m, b):
+            shapes.append(m.shape)
+            return 0.99 * b / b.sum(axis=-2, keepdims=True) + 0.01 * target
+
+        with mock.patch.object(np.linalg, "solve", creep):
+            with pytest.raises(NonConvergence, match="eigenvector residual above tolerance"):
+                sl.perron_frobenius(fib)
+        assert shapes == [(2, 2, 2)] * NODA_STEPS
+
+    def test_128_letters_within_budget(self):
+        # 20 calls took about 0.2 s of CPU with a dense eigensolve and two SVDs
+        spec = AdjacencySpec.from_matrix(random_primitive(128, seed=20261018))
+        sl.perron_frobenius(spec)
+        with budget(cpu_s=0.12):
+            for _ in range(20):
+                sl.perron_frobenius(spec)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_tolerance_refused_as_the_cli_refuses_it(self, fib, tol):

@@ -175,6 +175,18 @@ class TestWordSupport:
             ):
                 call(pattern, full2_pf, 1)
 
+    def test_pairs_refused_before_the_orbits(self, monkeypatch):
+        # the complete digraph without loops on 8 letters: 134,456 level-6
+        # words, refused on their m² pairs before one orbit root is formed
+        # (forming them first took about 1.2 s of CPU)
+        monkeypatch.delenv("ARIADNE_CAP", raising=False)
+        spec = sl.AdjacencySpec.from_matrix(_circulant(8, range(1, 8)))
+        pf = sl.perron_frobenius(spec)
+        pattern = sl.propagate(sl.build_constraints(spec, pf))
+        message = r"^18078415936 word pairs of length 6 exceed cap 1000000$"
+        with budget(cpu_s=0.3), pytest.raises(LengthOverflow, match=message):
+            sl.word_support(pattern, pf, 6)
+
     def test_only_admissible_words_indexed(self, fib_pattern, fib_pf):
         sup = sl.word_support(fib_pattern, fib_pf, 2)
         assert (2, 2) not in sup.words
@@ -355,7 +367,7 @@ class TestErgodicityVerdict:
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
         alive = np.ones((spec.n, spec.n), dtype=bool)
-        root = quantum._words_and_orbits(spec, 2, alive)[2]
+        root = quantum._words_and_orbits(spec, sl.enumerate_words(spec, 2), alive)[1]
         assert len(set(root.tolist())) == orbit_count
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == verdict
