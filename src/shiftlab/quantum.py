@@ -31,6 +31,7 @@ from .core import (
     _frozen,
     charge,
     enumerate_words,
+    require_admissible,
 )
 from .errors import Inconsistent
 from .symmetry import (
@@ -396,6 +397,8 @@ def classical_witness(
     The group is listed, so an order above ``word_cap()`` raises
     LengthOverflow.
     """
+    require_admissible(spec, mu)
+    require_admissible(spec, nu)
     if len(mu) != len(nu):
         raise ValueError("words must have equal length")
     group = matrix_automorphisms(spec.a)
@@ -417,37 +420,26 @@ _STATES = (POSSIBLE, CERTAIN_ZERO, CERTIFIED_NONZERO)
 _CERTIFIED_CODE = 2
 
 
-def _words_and_orbits(
-    spec: AdjacencySpec, words: list[Word], alive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The letters of the listed level-k words as an (m, k) array of 0-based
-    indices, and each word's root: the index of the least word in its
+def _certified_roots(spec: AdjacencySpec, words: list[Word]) -> np.ndarray:
+    """Each listed word's root: the index of the least word in its
     automorphism orbit, or 0 for every word on the full shift, where per-leg
-    witnesses (``PerLegWitness``) join every pair into one class.
-
-    Every ordered pair of words with one root, (w, w) included, is
-    certified and must be alive (n x n bool over letters) at every
-    position.  At position t the pairs of one orbit hold the letters
-    (g(w_t), h(w_t)), which run over every ordered pair of one letter
-    orbit; on the full shift they run over every letter pair.  Every
-    letter starts some level-k word (each has a successor), so the check
-    is ``alive`` on each letter orbit squared, and on the full shift
-    ``alive`` everywhere.  The root of a word is its class's least word,
-    so its first letter is the least letter of the first letter's orbit.
-    """
-    letters = np.array(words, dtype=np.intp) - 1
+    witnesses (``PerLegWitness``) join every pair into one class.  Every
+    ordered pair of words with one root, (w, w) included, is certified."""
     if spec.is_full_shift():
-        root = np.zeros(len(words), dtype=np.intp)
-    else:
-        root = np.array(_orbit_roots(spec, words), dtype=np.intp)
-    if letters.size:
-        least = np.empty(spec.n, dtype=np.intp)
-        least[letters[:, 0]] = letters[root, 0]
-        if (~alive & (least[:, None] == least)).any():
-            raise Inconsistent(
-                "witnessed pair was forced to zero; propagation is unsound"
-            )
-    return letters, root
+        return np.zeros(len(words), dtype=np.intp)
+    return np.array(_orbit_roots(spec, words), dtype=np.intp)
+
+
+def _check_letter_orbits(spec: AdjacencySpec, alive: np.ndarray, k: int) -> None:
+    """Inconsistent unless every certified pair of level-k words is alive
+    (n x n bool over letters) at every position.  At position t the pairs
+    of one word orbit hold the letters (g(w_t), h(w_t)), which run over
+    every ordered pair of one letter orbit, and every letter starts some
+    word, so at k >= 1 this is ``alive`` on each letter orbit squared; at
+    k = 0 the one word, (), has no position to check."""
+    root = _certified_roots(spec, [(x,) for x in range(1, spec.n + 1)])
+    if k and (~alive & (root[:, None] == root)).any():
+        raise Inconsistent("witnessed pair was forced to zero; propagation is unsound")
 
 
 def word_support(
@@ -461,14 +453,15 @@ def word_support(
     full shift, every pair); Possible otherwise.  Pairs mixing an
     admissible with an inadmissible word are identically zero and never
     indexed.  The m x m states are charged against ``word_cap()`` before
-    they are formed; a certified pair forced to zero raises Inconsistent.
+    any orbit is formed; a certified pair forced to zero raises Inconsistent.
     """
     alive = ~(_u_differs(pf) | [[st.is_zero for st in row] for row in pattern.p])
     words = enumerate_words(pf.spec, k)
     charge(len(words) ** 2, "{count} word pairs of length {k} exceed cap {cap}", k=k)
-    letters, root = _words_and_orbits(pf.spec, words, alive)
+    _check_letter_orbits(pf.spec, alive, k)
+    root = _certified_roots(pf.spec, words)
     live = np.ones((len(words),) * 2, dtype=bool)  # not certainly zero
-    for a_t in letters.T:
+    for a_t in (np.array(words, dtype=np.intp) - 1).T:
         live &= alive[a_t][:, a_t]  # rows, then columns: 4x faster than one gather
     codes = (~live).astype(np.int8)  # True is CertainZero
     codes[root[:, None] == root] = _CERTIFIED_CODE
@@ -502,29 +495,35 @@ def ergodicity_verdict(
     subgraph is connected, a proper F would need a vanishing certified
     coefficient, which is absurd.  Everything in between stays Unknown.
 
-    The certified subgraph needs no search of its own: its pairs are the
-    pairs with one root (``_words_and_orbits``), so its components are the
-    roots.  The sweep starts from the eigenvector rule's Zeros and frees
-    none, so ``alive`` needs no eigenvector mask of its own.  A full shift
-    with every pair alive is certified unlisted (``PerLegWitness``).
+    At k >= 1 every letter starts some word, so two or more letter classes
+    leave a word outside F, and no word orbit is formed.  With one class
+    the certified components are the roots (``_certified_roots``); on the
+    full shift, once its letter orbits pass the soundness check, that is
+    one class, certified unlisted.  The sweep starts from the eigenvector
+    rule's Zeros and frees none, so ``alive`` needs no mask of its own.
     """
     n = spec.n
     alive = (_live_sweep(spec, pf)[1][: n * n] != _ZERO_VAR).reshape(n, n)
-    if k >= 0 and alive.all() and spec.is_full_shift():
+    if k < 0:
+        raise ValueError("length must be >= 0")
+    # a full shift lists no word; the others' words are charged before the
+    # check's group search, so a level past both caps names its words
+    full = spec.is_full_shift()
+    words = [] if full else enumerate_words(spec, k)
+    _check_letter_orbits(spec, alive, k)
+    if full:
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
-    words = enumerate_words(spec, k)
-    letters, root = _words_and_orbits(spec, words, alive)
     uf = UnionFind(n)
     for a, b in np.argwhere(alive).tolist():
         uf.union(a, b)
-    cls = np.array([uf.find(x) for x in range(n)], dtype=np.intp)[letters]
-    first = (cls == cls[0]).all(axis=1)
-    if not first.all():
+    cls = np.array([uf.find(x) for x in range(n)], dtype=np.intp)
+    if k and cls.any():  # letter 0 roots its class, so another class is left
+        cls = cls[np.array(words, dtype=np.intp) - 1]
+        first = (cls == cls[0]).all(axis=1)
         witness = tuple(words[i] for i in np.flatnonzero(first))
         return ErgodicityVerdict(NON_ERGODIC, k, witness)
-    if not root.any():  # one class: every root is word 0
-        return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
-    return ErgodicityVerdict(UNKNOWN, k, None)
+    verdict = UNKNOWN if _certified_roots(spec, words).any() else ERGODIC_CERTIFIED
+    return ErgodicityVerdict(verdict, k, None)
 
 
 @dataclass(frozen=True, eq=False)

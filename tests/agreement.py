@@ -28,8 +28,11 @@ The corpus:
     the primitive circulants with n <= 5 and the seeded n = 16..128 graphs
     of ``tests/conftest.py``;
   * ``ergodicity --level 1..3`` on the primitive circulants with n = 6
-    and 7 (the complete digraphs without loops among them) and on the
-    complete digraph without loops on 8 letters;
+    and 7 (the complete digraphs without loops among them), on the
+    complete digraph without loops on 8 letters, and on the twin blow-ups
+    A ⊗ J_2 and A ⊗ J_3 of Fibonacci (several letter classes under a
+    non-trivial group) and of ``UNKNOWN_EXHIBIT`` (one class, several
+    orbits);
   * ``repmodel`` with all three models at sizes 4..10, ``--ell`` 1 and 3;
   * ``spectrum`` on Fibonacci at cutoffs 9..60, and 70..120 in steps of 10,
     where the index counts and the (class, length) expansion dominate;
@@ -114,6 +117,7 @@ def _circulants(n: int) -> dict[str, list[list[int]]]:
 def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | None]]:
     """Case id -> (argv, matrix or None, whether run adds --input and
     --output to argv, ARIADNE_CAP or None for the default)."""
+    import numpy as np
     from conftest import PARSER_ARGV
     from perfbench.workloads import WORKLOADS, fingerprint
 
@@ -128,7 +132,12 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | N
             ) or (name.startswith("seeded") and n >= 32 and argv[0] in ("spectrum", "report"))
             (slow_cases if slow else cases)[f"{' '.join(argv)} :{name}"] = (argv, a, True)
     complete8 = [[int(i != j) for j in range(8)] for i in range(8)]
-    for name, a in {**_circulants(6), **_circulants(7), "complete8": complete8}.items():
+    twins = {
+        f"{name}-x-J{r}": np.kron(inputs[name], np.ones((r, r), dtype=int)).tolist()
+        for name in ("fib", "unknown")
+        for r in (2, 3)
+    }
+    for name, a in {**_circulants(6), **_circulants(7), "complete8": complete8, **twins}.items():
         for k in (1, 2, 3):
             argv = ["ergodicity", "--level", str(k)]
             cases[f"{' '.join(argv)} :{name}"] = (argv, a, True)

@@ -149,6 +149,19 @@ REFUSALS = {
         lambda fib, pf: sl.classical_witness(fib, (1,), (1, 2)),
         ValueError, "words must have equal length",
     ),
+    # letter 0 would index the listed group's last column: letter n
+    "witness-letter-0": (
+        lambda fib, pf: sl.classical_witness(fib, (2,), (0,)),
+        NotAdmissible, "word (0,) is not admissible",
+    ),
+    "witness-inadmissible": (
+        lambda fib, pf: sl.classical_witness(fib, (2, 2), (2, 2)),
+        NotAdmissible, "word (2, 2) is not admissible",
+    ),
+    "witness-letter-past-n": (
+        lambda fib, pf: sl.classical_witness(fib, (1,), (3,)),
+        NotAdmissible, "word (3,) is not admissible",
+    ),
     "qls-non-cubic-grid": (
         lambda fib, pf: sl.qls_magic(np.zeros((2, 2, 3))),
         NotBiunitary, "expected shape (n, n, n), got (2, 2, 3)",

@@ -318,6 +318,11 @@ EXITS = {
         "shiftlab: enumeration overflow: 1346269 words of length 29 exceed cap 1000000\n", 1.0),
     "level-ergodicity": (FIBONACCI, "ergodicity --input in.json --level 30000", None, 4,
         "shiftlab: enumeration overflow: 1346269 words of length 29 exceed cap 1000000\n", 1.0),
+    # the complete digraph without loops on 3 letters: its group search
+    # also passes cap 3, but the words are charged first
+    "level-ergodicity-before-search": ([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "ergodicity --input in.json --level 2", "3", 4,
+        "shiftlab: enumeration overflow: 6 words of length 2 exceed cap 3\n", None),
     "measures-depth-over-cap": ([[1, 1], [1, 1]], "measures --input in.json --depth 6", "10", 4,
         "shiftlab: enumeration overflow: 16 words of length 4 exceed cap 10\n", None),
     # the search for S_12 takes 77 nodes

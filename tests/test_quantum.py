@@ -64,6 +64,11 @@ def full2_pattern(full2, full2_pf):
     return sl.propagate(sl.build_constraints(full2, full2_pf))
 
 
+def _blow_up(mat, r):
+    """A ⊗ J_r: each letter of A becomes r twin letters."""
+    return np.kron(mat, np.ones((r, r), dtype=int)).tolist()
+
+
 class TestBuildConstraints:
     def test_full_shift_no_eigenvector_zeroing(self, full2, full2_pf):
         system = sl.build_constraints(full2, full2_pf)
@@ -366,12 +371,47 @@ class TestErgodicityVerdict:
     def test_certified_connectivity_from_orbit_count(self, mat, orbit_count, verdict):
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
-        alive = np.ones((spec.n, spec.n), dtype=bool)
-        root = quantum._words_and_orbits(spec, sl.enumerate_words(spec, 2), alive)[1]
+        root = quantum._certified_roots(spec, sl.enumerate_words(spec, 2))
         assert len(set(root.tolist())) == orbit_count
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == verdict
         assert v == loop_ergodicity_verdict(spec, pf, 2)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [_blow_up(FIBONACCI, 2), _blow_up(FIBONACCI, 3), random_primitive(16, seed=20261018)],
+        ids=["fibonacci-x-J2", "fibonacci-x-J3", "seeded16"],
+    )
+    def test_non_ergodic_forms_only_letter_orbits(self, monkeypatch, mat):
+        # two or more letter classes decide the verdict, so the only orbits
+        # formed are the n letters', for the soundness check
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        want = [loop_ergodicity_verdict(spec, pf, k) for k in (1, 2, 3)]
+        assert {v.verdict for v in want} == {NON_ERGODIC}
+        lengths = []
+
+        def recording(spec, words):
+            lengths.append(sorted({len(w) for w in words}))
+            return _orbit_roots(spec, words)
+
+        monkeypatch.setattr(quantum, "_orbit_roots", recording)
+        assert [sl.ergodicity_verdict(spec, pf, k) for k in (1, 2, 3)] == want
+        assert lengths == [[1]] * 3
+
+    def test_level7_blow_up_in_bounded_time(self):
+        # Fibonacci ⊗ J₃: 6 letters, a group of order 36 and 74,358 level-7
+        # words in two letter classes, decided in about 0.08 s of CPU where
+        # forming the word orbits took 0.43-0.49 s (shared 2-core machine);
+        # the 3^7 words over the first class are the witness
+        spec = sl.AdjacencySpec.from_matrix(_blow_up(FIBONACCI, 3))
+        pf = sl.perron_frobenius(spec)
+        with budget(cpu_s=0.35):
+            v = sl.ergodicity_verdict(spec, pf, 7)
+        assert v == quantum.ErgodicityVerdict(
+            NON_ERGODIC, 7, tuple(itertools.product((1, 2, 3), repeat=7))
+        )
+        assert sl.ergodicity_verdict(spec, pf, 3) == loop_ergodicity_verdict(spec, pf, 3)
 
     def test_unknown_exhibit_pinned(self):
         spec = sl.AdjacencySpec.from_matrix(UNKNOWN_EXHIBIT)
