@@ -258,59 +258,51 @@ def _dot(k: tuple[int, ...], u: list[float]) -> float:
     return reduce(operator.add, map(operator.mul, k, u), 0)
 
 
-def _noda(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root of the irreducible a and its right and left vectors (the
-    rows of a (2, n) array), by Noda's shifted inverse iteration (Numer.
-    Math. 1971; quadratic, Elsner 1976) on a and a.T at once.
+def _noda(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root of the irreducible m and its right vector, by Noda's
+    shifted inverse iteration (Numer. Math. 1971; quadratic, Elsner 1976).
 
-    From the all-ones x, a step sets sigma = max_i (Ax)_i / x_i, solves
-    (sigma I - A) y = x and takes x = y / sum(y).  A side is solved while
-    its Collatz-Wielandt bracket [min_i (Ax)_i / x_i, sigma], which holds
-    the root, is wider than NODA_CLOSED and still shrinking; a side whose x
-    stays put closes.  So an exact start (constant row sums) is never
-    solved, and a singular solve, whose sigma is the root to the last bits,
-    keeps x: of two sides, the wider goes on alone.  A y that is not
-    positive, or NODA_STEPS, ends the loop, and the caller's residual checks
-    decide.  The root is the right side's sigma.
+    From the all-ones x, a step sets sigma = max_i (mx)_i / x_i, solves
+    (sigma I - m) y = x and takes x = y / sum(y), while the Collatz-Wielandt
+    bracket [min_i (mx)_i / x_i, sigma], which holds the root, is wider
+    than NODA_CLOSED and still shrinking: an exact start (constant row
+    sums) is never solved.  A singular solve (its sigma is the root to the
+    last bits), a y that is not positive, or NODA_STEPS end the loop, and
+    the caller's residual checks decide.
     """
-    n = len(a)
-    sides, eye = np.stack([a, a.T]), np.eye(n)
-    x, last = np.ones((2, n, 1)), [math.inf, math.inf]
+    x, last, eye = np.ones((len(m), 1)), math.inf, np.eye(len(m))
     # ufunc reductions, not the array methods' Python wrappers: at n <= 4 a
     # step is a few microseconds of numpy calls, and this loop is most of it
     for step in range(NODA_STEPS + 1):
-        ratio = sides @ x / x
-        sigma = np.maximum.reduce(ratio, 1)[:, 0]
-        lows = np.minimum.reduce(ratio, 1)[:, 0].tolist()
-        width = [1 - lo / hi for lo, hi in zip(lows, sigma.tolist())]  # relative
-        todo = [NODA_CLOSED < w < w0 for w, w0 in zip(width, last)]
-        last = width
-        if step == NODA_STEPS or not any(todo):
+        ratio = m @ x / x
+        sigma = np.maximum.reduce(ratio, None)
+        width = 1 - float(np.minimum.reduce(ratio, None)) / float(sigma)  # relative
+        if step == NODA_STEPS or not NODA_CLOSED < width < last:
             break
-        side = slice(None) if all(todo) else todo.index(True)  # both, or one
+        last = width
         try:
-            y = np.linalg.solve(sigma[side, None, None] * eye - sides[side], x[side])
+            y = np.linalg.solve(sigma * eye - m, x)
         except np.linalg.LinAlgError:
-            if all(todo):
-                last[width.index(max(width))] = math.inf
-            continue
-        y /= np.add.reduce(y, -2, keepdims=True)
+            break
+        y /= np.add.reduce(y, 0)
         if not np.minimum.reduce(y, None) > 0:  # nan fails this too
             break
-        x[side] = y
-    return float(sigma[0]), x[..., 0]
+        x = y
+    return float(sigma), x[:, 0]
 
 
 def perron_frobenius(
     spec: AdjacencySpec, tol: float = DEFAULT_PF_TOL
 ) -> PerronFrobeniusData:
-    """Compute eigendata: Noda's iteration (``_noda``) for the root and both
-    vectors, then the positivity and residual checks at ``tol``."""
+    """Compute eigendata: Noda's iteration (``_noda``) on A for the root and
+    u, then on its transpose for v, each stopping on its own; then the
+    positivity and residual checks at ``tol``."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     k = validate_primitive(spec)
     a = spec.matrix.astype(float)
-    lambda_max, (u, v) = _noda(a)
+    lambda_max, u = _noda(a)
+    v = _noda(np.ascontiguousarray(a.T))[1]
     if not lambda_max > 1.0:
         raise NotPrimitive(
             f"maximal eigenvalue {lambda_max} <= 1; matrix cannot be primitive"
@@ -515,6 +507,8 @@ def ball_kernel_integral(pf: PerronFrobeniusData, word: Word, s: float) -> float
     so the integral is an exact shell sum; the geometric tail beyond
     KERNEL_TAIL_DEPTH shells is discarded (ratio base^-s per level).
     """
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be finite and > 0, got {s}")
     if not word:
         raise ValueError("ball needs a nonempty center word")
     require_admissible(pf.spec, word)

@@ -38,6 +38,7 @@ from .symmetry import (
     GraphAutomorphism,
     UnionFind,
     _orbit_roots,
+    _search,
     matrix_automorphisms,
 )
 
@@ -420,26 +421,29 @@ _STATES = (POSSIBLE, CERTAIN_ZERO, CERTIFIED_NONZERO)
 _CERTIFIED_CODE = 2
 
 
-def _certified_roots(spec: AdjacencySpec, words: list[Word]) -> np.ndarray:
-    """Each listed word's root: the index of the least word in its
-    automorphism orbit, or 0 for every word on the full shift, where per-leg
-    witnesses (``PerLegWitness``) join every pair into one class.  Every
-    ordered pair of words with one root, (w, w) included, is certified."""
-    if spec.is_full_shift():
+def _certified_roots(gens: list | None, words: list[Word]) -> np.ndarray:
+    """Each listed word's root: the least word's index in its orbit under
+    ``gens``, or 0 for every word when gens is None (the full shift), where
+    per-leg witnesses (``PerLegWitness``) join every pair into one class.
+    Every ordered pair of words with one root, (w, w) included, is certified."""
+    if gens is None:
         return np.zeros(len(words), dtype=np.intp)
-    return np.array(_orbit_roots(spec, words), dtype=np.intp)
+    return np.array(_orbit_roots(gens, words), dtype=np.intp)
 
 
-def _check_letter_orbits(spec: AdjacencySpec, alive: np.ndarray, k: int) -> None:
-    """Inconsistent unless every certified pair of level-k words is alive
+def _check_letter_orbits(spec: AdjacencySpec, alive: np.ndarray, k: int) -> list | None:
+    """``_search``'s generators (None on the full shift), once checked:
+    Inconsistent unless every certified pair of level-k words is alive
     (n x n bool over letters) at every position.  At position t the pairs
     of one word orbit hold the letters (g(w_t), h(w_t)), which run over
     every ordered pair of one letter orbit, and every letter starts some
     word, so at k >= 1 this is ``alive`` on each letter orbit squared; at
     k = 0 the one word, (), has no position to check."""
-    root = _certified_roots(spec, [(x,) for x in range(1, spec.n + 1)])
+    gens = None if spec.is_full_shift() else _search(spec.a)[1]
+    root = _certified_roots(gens, [(x,) for x in range(1, spec.n + 1)])
     if k and (~alive & (root[:, None] == root)).any():
         raise Inconsistent("witnessed pair was forced to zero; propagation is unsound")
+    return gens
 
 
 def word_support(
@@ -458,8 +462,7 @@ def word_support(
     alive = ~(_u_differs(pf) | [[st.is_zero for st in row] for row in pattern.p])
     words = enumerate_words(pf.spec, k)
     charge(len(words) ** 2, "{count} word pairs of length {k} exceed cap {cap}", k=k)
-    _check_letter_orbits(pf.spec, alive, k)
-    root = _certified_roots(pf.spec, words)
+    root = _certified_roots(_check_letter_orbits(pf.spec, alive, k), words)
     live = np.ones((len(words),) * 2, dtype=bool)  # not certainly zero
     for a_t in (np.array(words, dtype=np.intp) - 1).T:
         live &= alive[a_t][:, a_t]  # rows, then columns: 4x faster than one gather
@@ -510,7 +513,7 @@ def ergodicity_verdict(
     # check's group search, so a level past both caps names its words
     full = spec.is_full_shift()
     words = [] if full else enumerate_words(spec, k)
-    _check_letter_orbits(spec, alive, k)
+    gens = _check_letter_orbits(spec, alive, k)
     if full:
         return ErgodicityVerdict(ERGODIC_CERTIFIED, k, None)
     uf = UnionFind(n)
@@ -522,7 +525,7 @@ def ergodicity_verdict(
         first = (cls == cls[0]).all(axis=1)
         witness = tuple(words[i] for i in np.flatnonzero(first))
         return ErgodicityVerdict(NON_ERGODIC, k, witness)
-    verdict = UNKNOWN if _certified_roots(spec, words).any() else ERGODIC_CERTIFIED
+    verdict = UNKNOWN if _certified_roots(gens, words).any() else ERGODIC_CERTIFIED
     return ErgodicityVerdict(verdict, k, None)
 
 

@@ -336,24 +336,17 @@ def commutation_residual(
     return float(worst)
 
 
-def _orbit_roots(spec: AdjacencySpec, words: list[Word]) -> list[int]:
-    """Index of the least word in each word's automorphism orbit, for all
-    admissible words of one length, sorted: one union per word and
-    generator (the group is never listed)."""
+def _orbit_roots(gens: list[tuple[int, ...]], words: list[Word]) -> list[int]:
+    """Index of the least word in each word's orbit under the group that
+    ``gens`` (``_search``'s generators) generate, for all admissible words
+    of one length, sorted: one union per word and generator (the group is
+    never listed)."""
     index = {w: i for i, w in enumerate(words)}
     uf = UnionFind(len(words))
-    for g in generating_set(spec):
+    for g in gens:
         for i, w in enumerate(words):
-            uf.union(i, index[g.apply_word(w)])
+            uf.union(i, index[tuple([g[x - 1] for x in w])])
     return [uf.find(i) for i in range(len(words))]
-
-
-def _word_orbits(spec: AdjacencySpec, words: list[Word]) -> list[tuple[Word, ...]]:
-    """Automorphism orbits of sorted words, each sorted, by least member."""
-    orbits: dict[int, list[Word]] = {}
-    for w, root in zip(words, _orbit_roots(spec, words)):
-        orbits.setdefault(root, []).append(w)
-    return [tuple(orbit) for orbit in orbits.values()]
 
 
 @dataclass(frozen=True)
@@ -380,7 +373,10 @@ def classical_fixed_points(spec: AdjacencySpec, k: int) -> FixedPointReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     words = enumerate_words(spec, k)
-    orbits = tuple(_word_orbits(spec, words))
+    members: dict[int, list[Word]] = {}  # each orbit, sorted, by least member
+    for w, root in zip(words, _orbit_roots(_search(spec.a)[1], words)):
+        members.setdefault(root, []).append(w)
+    orbits = tuple(map(tuple, members.values()))
 
     cycles = tuple(w for w in words if spec.a[w[-1] - 1][w[0] - 1])
     proper = 0 < len(cycles) < len(words)

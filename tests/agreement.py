@@ -33,6 +33,10 @@ The corpus:
     A ⊗ J_2 and A ⊗ J_3 of Fibonacci (several letter classes under a
     non-trivial group) and of ``UNKNOWN_EXHIBIT`` (one class, several
     orbits);
+  * ``pf`` and ``measures --depth 1..3`` on 20 dense draws,
+    ``perfbench.workloads.random_primitive(default_rng([s, 9]), n, n*n // 2)``
+    with n = 5..14 and s = 1, 2: in 9 of them the right and left Perron
+    vectors take different numbers of solves;
   * ``repmodel`` with all three models at sizes 4..10, ``--ell`` 1 and 3;
   * ``spectrum`` on Fibonacci at cutoffs 9..60, and 70..120 in steps of 10,
     where the index counts and the (class, length) expansion dominate;
@@ -119,7 +123,7 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | N
     --output to argv, ARIADNE_CAP or None for the default)."""
     import numpy as np
     from conftest import PARSER_ARGV
-    from perfbench.workloads import WORKLOADS, fingerprint
+    from perfbench.workloads import WORKLOADS, fingerprint, random_primitive
 
     cases: dict[str, tuple[list[str], list[list[int]] | None, bool]] = {}
     slow_cases: dict[str, tuple[list[str], list[list[int]] | None, bool]] = {}
@@ -141,6 +145,11 @@ def corpus() -> dict[str, tuple[list[str], list[list[int]] | None, bool, int | N
         for k in (1, 2, 3):
             argv = ["ergodicity", "--level", str(k)]
             cases[f"{' '.join(argv)} :{name}"] = (argv, a, True)
+    for seed in (1, 2):
+        for n in range(5, 15):
+            a = random_primitive(np.random.default_rng([seed, 9]), n, n * n // 2)
+            for argv in COMMANDS[:4]:  # pf and measures --depth 1..3
+                cases[f"{' '.join(argv)} :dense{seed}-{n}"] = (argv, a, True)
     for model in ("two-projection", "qls", "classical"):
         for size in range(4, 11):
             for ell in (1, 3):

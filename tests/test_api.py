@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import math
 import re
 import string
 import types
@@ -87,6 +88,22 @@ REFUSALS = {
     "ball-empty-word": (
         lambda fib, pf: sl.ball_kernel_integral(pf, (), 0.5),
         ValueError, "ball needs a nonempty center word",
+    ),
+    "ball-s-0": (
+        lambda fib, pf: sl.ball_kernel_integral(pf, (1,), 0),
+        ValueError, "s must be finite and > 0, got 0",
+    ),
+    "ball-s-minus-0.5": (
+        lambda fib, pf: sl.ball_kernel_integral(pf, (1,), -0.5),
+        ValueError, "s must be finite and > 0, got -0.5",
+    ),
+    "ball-s-nan": (
+        lambda fib, pf: sl.ball_kernel_integral(pf, (1,), math.nan),
+        ValueError, "s must be finite and > 0, got nan",
+    ),
+    "ball-s-inf": (
+        lambda fib, pf: sl.ball_kernel_integral(pf, (1,), math.inf),
+        ValueError, "s must be finite and > 0, got inf",
     ),
     "count-words-length-minus-1": (
         lambda fib, pf: sl.count_words(fib, -1), ValueError, "length must be >= 0"

@@ -275,10 +275,10 @@ class TestPerronFrobenius:
         assert (pf.u == pf.u[0]).all() and (pf.v == pf.v[0]).all()
 
     def test_open_bracket_stops_at_the_step_bound(self, fib):
-        # a stand-in solve that moves each side a hundredth of the way to its
-        # Perron vector: every bracket shrinks, and none closes
-        _, u, v = dense_perron_frobenius(FIBONACCI)
-        target = np.stack([u, v / v.sum()])[..., None]
+        # a stand-in solve that moves x a hundredth of the way to the Perron
+        # vector (one for both sides: Fibonacci is symmetric): every bracket
+        # shrinks, and none closes
+        target = dense_perron_frobenius(FIBONACCI)[1][:, None]
         shapes = []
 
         def creep(m, b):
@@ -288,7 +288,27 @@ class TestPerronFrobenius:
         with mock.patch.object(np.linalg, "solve", creep):
             with pytest.raises(NonConvergence, match="eigenvector residual above tolerance"):
                 sl.perron_frobenius(fib)
-        assert shapes == [(2, 2, 2)] * NODA_STEPS
+        assert shapes == [(2, 2)] * 2 * NODA_STEPS
+
+    def test_failed_solve_ends_only_its_own_side(self):
+        # the left side's second solve fails: that side stops one step from
+        # the all-ones start and its residual is refused; the right side,
+        # solved on its own, is not held back
+        mat = wielandt(5)
+        left = -np.array(mat, dtype=float).T  # sigma I - A.T off the zero diagonal
+        solve, left_solves = np.linalg.solve, []
+
+        def failing(m, b):
+            if (m * (1 - np.eye(5)) == left).all(axis=(-2, -1)).any():
+                left_solves.append(m.shape)
+                if len(left_solves) == 2:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return solve(m, b)
+
+        with mock.patch.object(np.linalg, "solve", failing):
+            with pytest.raises(NonConvergence, match="^left eigenvector residual"):
+                sl.perron_frobenius(AdjacencySpec.from_matrix(mat))
+        assert left_solves == [(5, 5)] * 2
 
     def test_128_letters_within_budget(self):
         # 20 calls took about 0.2 s of CPU with a dense eigensolve and two SVDs

@@ -30,7 +30,7 @@ from shiftlab.quantum import (
     ProjVarState,
 )
 from shiftlab.models import classical_model
-from shiftlab.symmetry import _orbit_roots
+from shiftlab.symmetry import _orbit_roots, _search
 from shiftlab.errors import Inconsistent, LengthOverflow
 from conftest import (
     FIBONACCI,
@@ -302,7 +302,7 @@ class TestWordOrbits:
     def test_roots_are_least_orbit_indices(self, mat, k):
         spec = sl.AdjacencySpec.from_matrix(mat)
         words = sl.enumerate_words(spec, k)
-        roots = _orbit_roots(spec, words)
+        roots = _orbit_roots(_search(mat)[1], words)
         index = {w: i for i, w in enumerate(words)}
         for orbit in brute_force_orbits(mat, k):
             members = [index[w] for w in orbit]
@@ -371,7 +371,10 @@ class TestErgodicityVerdict:
     def test_certified_connectivity_from_orbit_count(self, mat, orbit_count, verdict):
         spec = sl.AdjacencySpec.from_matrix(mat)
         pf = sl.perron_frobenius(spec)
-        root = quantum._certified_roots(spec, sl.enumerate_words(spec, 2))
+        # with every letter pair alive the check passes and hands over the
+        # generators (None on the full shift)
+        gens = quantum._check_letter_orbits(spec, np.ones((3, 3), dtype=bool), 2)
+        root = quantum._certified_roots(gens, sl.enumerate_words(spec, 2))
         assert len(set(root.tolist())) == orbit_count
         v = sl.ergodicity_verdict(spec, pf, 2)
         assert v.verdict == verdict
@@ -391,9 +394,9 @@ class TestErgodicityVerdict:
         assert {v.verdict for v in want} == {NON_ERGODIC}
         lengths = []
 
-        def recording(spec, words):
+        def recording(gens, words):
             lengths.append(sorted({len(w) for w in words}))
-            return _orbit_roots(spec, words)
+            return _orbit_roots(gens, words)
 
         monkeypatch.setattr(quantum, "_orbit_roots", recording)
         assert [sl.ergodicity_verdict(spec, pf, k) for k in (1, 2, 3)] == want
@@ -412,6 +415,38 @@ class TestErgodicityVerdict:
             NON_ERGODIC, 7, tuple(itertools.product((1, 2, 3), repeat=7))
         )
         assert sl.ergodicity_verdict(spec, pf, 3) == loop_ergodicity_verdict(spec, pf, 3)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            UNKNOWN_EXHIBIT,
+            [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+            [[int(i != j) for j in range(8)] for i in range(8)],
+        ],
+        ids=["unknown-exhibit", "3-cycle-with-loops", "complete-8-no-loops"],
+    )
+    def test_one_group_search_per_call(self, monkeypatch, mat):
+        # one letter class: the letter check and the word roots share the
+        # generators of one search, in a verdict and in a word support alike
+        spec = sl.AdjacencySpec.from_matrix(mat)
+        pf = sl.perron_frobenius(spec)
+        pattern = sl.propagate(sl.build_constraints(spec, pf))
+        searched = []
+
+        def recording(a):
+            searched.append(a)
+            return _search(a)
+
+        monkeypatch.setattr(sl.symmetry, "_search", recording)
+        monkeypatch.setattr(quantum, "_search", recording, raising=False)
+        for k in (1, 2, 3):
+            for call in (
+                lambda: sl.ergodicity_verdict(spec, pf, k),
+                lambda: sl.word_support(pattern, pf, k),
+            ):
+                searched.clear()
+                call()
+                assert searched == [spec.a]
 
     def test_unknown_exhibit_pinned(self):
         spec = sl.AdjacencySpec.from_matrix(UNKNOWN_EXHIBIT)
@@ -646,7 +681,7 @@ class TestAgainstLoopReferences:
         pf = sl.perron_frobenius(spec)
         n = len(mat)
         label = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        block = np.array(label)[_orbit_roots(spec, sl.enumerate_words(spec, 1))]
+        block = np.array(label)[_orbit_roots(_search(mat)[1], sl.enumerate_words(spec, 1))]
         pattern = _zero_pattern(block[:, None] != block)
         swept = _zero_pattern((block[:, None] != block) | quantum._u_differs(pf))
         with mock.patch.object(quantum, "_live_sweep", _sweep_returning(swept)):
